@@ -703,10 +703,8 @@ impl Network {
 
     /// Whether no flit is queued, buffered, or in flight anywhere.
     ///
-    /// Routers are asked via [`RouterCore::is_quiescent`] — O(1) per
-    /// core — not `occupancy()`, whose VC-router arm recomputes the
-    /// count by walking every buffer and made this scan ~70× slower at
-    /// k = 32 (measured in EXPERIMENTS.md's quiescence-scan table).
+    /// Routers are asked via [`RouterCore::is_quiescent`], the
+    /// evaluation-skip predicate, which is O(1) for every core.
     pub fn is_quiescent(&self) -> bool {
         self.cells.iter().all(|c| {
             c.interfaces.iter().all(|i| i.pending_flits() == 0)

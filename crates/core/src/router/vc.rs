@@ -11,14 +11,22 @@
 //! credits for downstream buffer space. Credits travel back on the
 //! reverse-direction channel.
 //!
-//! The per-(port, VC) hot state is laid out struct-of-arrays: the
-//! allocation and switch-traversal sweeps walk every input VC and every
-//! output VC each evaluation, and at 1024 routers those sweeps dominate
-//! the cycle engine — flat `Vec`s indexed `port * num_vcs + vc` keep
-//! them on a handful of cache lines instead of chasing one
-//! struct-per-VC. Full flits (input buffers, staging banks) stay in
-//! their own arrays so scans of the small metadata never page the
-//! payloads through the cache.
+//! Evaluation cost is proportional to activity, not to the router's
+//! size. A loaded network still holds only two or three flits in a
+//! typical router's 40 input VCs and 50 staging slots, so the router
+//! keeps occupancy bitmasks — one bit per input VC (`in_occupied`) and
+//! per staging slot in each bank (`staged`, `reserved_staged`) — and
+//! every phase walks set bits instead of scanning empty buffers. Set
+//! bits are visited in ascending order, which is the port-major,
+//! VC-minor order a full scan uses, and an empty buffer or slot does
+//! nothing and reports nothing, so skipping it cannot change a result
+//! or a probe event (DESIGN.md §3.14).
+//!
+//! The per-(port, VC) metadata is laid out struct-of-arrays in inline
+//! arrays indexed `port * num_vcs + vc`, sized for the 8-VC bound.
+//! Full flits (input buffers, staging banks) stay in their own arrays
+//! so reads of the small metadata never page the payloads through the
+//! cache.
 
 use std::collections::VecDeque;
 
@@ -29,6 +37,16 @@ use crate::probe::Probe;
 
 use super::{resolve_route, EvalEnv, RouterOutput};
 
+/// Most VCs per port the router supports: the width of the VC mask
+/// field, and the bound `VcPlan::validate` enforces.
+const MAX_VCS: usize = 8;
+
+/// Length of the inline per-(port, VC) arrays.
+const PV_SLOTS: usize = Port::COUNT * MAX_VCS;
+
+/// Staging slots per bank: one per (output port, input port) pair.
+const STAGE_SLOTS: usize = Port::COUNT * Port::COUNT;
+
 /// A VC-allocation request: (priority, input port, input VC, effective
 /// VC mask, requesting packet).
 type AllocReq = (u8, usize, usize, VcMask, PacketId);
@@ -37,13 +55,25 @@ type AllocReq = (u8, usize, usize, VcMask, PacketId);
 /// reserved staging bank, staged packet).
 type LinkCand = (u8, usize, bool, PacketId);
 
+/// The indices of `mask`'s set bits, in ascending order.
+fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let b = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            b
+        })
+    })
+}
+
 /// The paper's virtual-channel router for one tile.
 ///
 /// Per-entity state is stored struct-of-arrays. Input VCs are indexed
-/// `input_port * num_vcs + vc` (`in_bufs`, `in_out_port`, `in_out_vc`);
-/// output VCs `output_port * num_vcs + vc` (`out_owner`, `out_credits`);
-/// staging slots `output_port * Port::COUNT + input_port` (`staging`,
-/// `reserved_staging`).
+/// `input_port * num_vcs + vc` (`in_bufs`, `in_out_port`, `in_out_vc`,
+/// bits of `in_occupied`); output VCs `output_port * num_vcs + vc`
+/// (`out_owner`, `out_credits`); staging slots `output_port *
+/// Port::COUNT + input_port` (`staging`, `reserved_staging`, bits of
+/// `staged`, `reserved_staged`).
 #[derive(Debug)]
 pub struct VcRouter {
     node: NodeId,
@@ -55,10 +85,13 @@ pub struct VcRouter {
     phits: u64,
     /// Input buffer per (input port, VC).
     in_bufs: Vec<VecDeque<Flit>>,
+    /// Bit `port * num_vcs + vc` is set exactly when that input VC's
+    /// buffer is non-empty.
+    in_occupied: u64,
     /// Output port of the packet at the head of each input VC.
-    in_out_port: Vec<Option<Port>>,
+    in_out_port: [Option<Port>; PV_SLOTS],
     /// Output VC allocated to that packet.
-    in_out_vc: Vec<Option<VcId>>,
+    in_out_vc: [Option<VcId>; PV_SLOTS],
     /// Per-input-port switch round-robin pointer.
     in_rr: [usize; Port::COUNT],
     /// One staging flit per (output port, input port) connection.
@@ -68,10 +101,15 @@ pub struct VcRouter {
     /// §2.6's "moves from one link to another without arbitration or
     /// delay".
     reserved_staging: Vec<Option<Flit>>,
+    /// Bit `slot(o, i)` is set exactly when `staging[slot(o, i)]` holds
+    /// a flit.
+    staged: u32,
+    /// The same for `reserved_staging`.
+    reserved_staged: u32,
     /// Which (input port, input VC) owns each output VC.
-    out_owner: Vec<Option<(u8, u8)>>,
+    out_owner: [Option<(u8, u8)>; PV_SLOTS],
     /// Credits: free downstream buffer slots per output VC.
-    out_credits: Vec<u64>,
+    out_credits: [u64; PV_SLOTS],
     /// Credit ceiling per output port (tile port differs).
     out_max_credits: [u64; Port::COUNT],
     /// First cycle each output link is free again (phit serialization).
@@ -81,9 +119,8 @@ pub struct VcRouter {
     /// Per-output-port link round-robin pointer.
     rr_link: [usize; Port::COUNT],
     /// Flits currently inside the router (input buffers + staging).
-    /// Maintained incrementally so `is_quiescent` is O(1) on the
-    /// activity-gated hot path; `occupancy()` recomputes it by walking
-    /// the buffers and the two must always agree.
+    /// Maintained incrementally so `is_quiescent` and `occupancy` are
+    /// O(1); debug builds check it against a walk of the buffers.
     in_flight: usize,
     /// Persistent scratch for `allocate_vcs` requests; taken and put
     /// back each evaluation so the hot path never reallocates.
@@ -96,6 +133,11 @@ impl VcRouter {
     /// Creates the router for `node`.
     ///
     /// `eject_credits` bounds flits in flight toward the tile interface.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plan.num_vcs` exceeds 8: the occupancy masks and the
+    /// inline per-VC arrays are sized for that bound.
     pub fn new(
         node: NodeId,
         plan: VcPlan,
@@ -105,9 +147,16 @@ impl VcRouter {
         phits: u64,
     ) -> VcRouter {
         let num_vcs = plan.num_vcs;
+        // INVARIANT: `VcPlan::validate` rejects more than 8 VCs for every
+        // network built from a config; this guards direct callers of the
+        // public constructor, whose plan would overrun the inline arrays.
+        assert!(
+            num_vcs <= MAX_VCS,
+            "router {node}: at most {MAX_VCS} VCs per port, got {num_vcs}"
+        );
         let mut out_max_credits = [buf_depth as u64; Port::COUNT];
         out_max_credits[Port::Tile.index()] = eject_credits;
-        let mut out_credits = vec![0u64; Port::COUNT * num_vcs];
+        let mut out_credits = [0u64; PV_SLOTS];
         for (o, &max) in out_max_credits.iter().enumerate() {
             out_credits[o * num_vcs..(o + 1) * num_vcs].fill(max);
         }
@@ -121,12 +170,15 @@ impl VcRouter {
             in_bufs: (0..Port::COUNT * num_vcs)
                 .map(|_| VecDeque::with_capacity(buf_depth))
                 .collect(),
-            in_out_port: vec![None; Port::COUNT * num_vcs],
-            in_out_vc: vec![None; Port::COUNT * num_vcs],
+            in_occupied: 0,
+            in_out_port: [None; PV_SLOTS],
+            in_out_vc: [None; PV_SLOTS],
             in_rr: [0; Port::COUNT],
-            staging: (0..Port::COUNT * Port::COUNT).map(|_| None).collect(),
-            reserved_staging: (0..Port::COUNT * Port::COUNT).map(|_| None).collect(),
-            out_owner: vec![None; Port::COUNT * num_vcs],
+            staging: (0..STAGE_SLOTS).map(|_| None).collect(),
+            reserved_staging: (0..STAGE_SLOTS).map(|_| None).collect(),
+            staged: 0,
+            reserved_staged: 0,
+            out_owner: [None; PV_SLOTS],
             out_credits,
             out_max_credits,
             busy_until: [0; Port::COUNT],
@@ -180,6 +232,7 @@ impl VcRouter {
             self.node
         );
         buf.push_back(flit);
+        self.in_occupied |= 1 << idx;
         self.in_flight += 1;
     }
 
@@ -197,8 +250,20 @@ impl VcRouter {
         );
     }
 
-    /// Total flits buffered (input buffers + output staging).
+    /// Total flits buffered (input buffers + output staging), in O(1).
     pub fn occupancy(&self) -> usize {
+        debug_assert_eq!(
+            self.in_flight,
+            self.walk_occupancy(),
+            "router {}: in-flight count disagrees with the buffers",
+            self.node
+        );
+        self.in_flight
+    }
+
+    /// Recounts the buffered flits by walking every input buffer and
+    /// staging slot; `in_flight` must always equal it.
+    fn walk_occupancy(&self) -> usize {
         let bufs: usize = self.in_bufs.iter().map(VecDeque::len).sum();
         let staged = self
             .staging
@@ -207,6 +272,20 @@ impl VcRouter {
             .filter(|s| s.is_some())
             .count();
         bufs + staged
+    }
+
+    /// Whether every occupancy-mask bit agrees with the input buffer or
+    /// staging slot it stands for, and no bit is set past the last one.
+    fn masks_consistent(&self) -> bool {
+        let inputs = self.in_bufs.len();
+        let bit = |mask: u64, i: usize| mask >> i & 1 == 1;
+        (0..inputs).all(|idx| bit(self.in_occupied, idx) != self.in_bufs[idx].is_empty())
+            && self.in_occupied >> inputs == 0
+            && (0..STAGE_SLOTS).all(|s| {
+                bit(self.staged.into(), s) == self.staging[s].is_some()
+                    && bit(self.reserved_staged.into(), s) == self.reserved_staging[s].is_some()
+            })
+            && (self.staged | self.reserved_staged) >> STAGE_SLOTS == 0
     }
 
     /// Renders the router's internal state — per-VC buffer occupancy and
@@ -350,12 +429,19 @@ impl VcRouter {
         self.allocate_vcs(env.now, probe);
         self.traverse_switch(env.now, out, probe);
         self.arbitrate_links(env, out, probe);
+        // INVARIANT: the masks are updated at every buffer and staging
+        // mutation, so the phases above skip only empty entries.
+        debug_assert!(
+            self.masks_consistent(),
+            "router {}: occupancy masks disagree with the buffers",
+            self.node
+        );
     }
 
     /// Latches the output-port decision for any packet whose head has
     /// reached the front of its VC buffer.
     fn load_routes(&mut self) {
-        for idx in 0..self.in_bufs.len() {
+        for idx in set_bits(self.in_occupied) {
             if self.in_out_port[idx].is_none() {
                 if let Some(front) = self.in_bufs[idx].front() {
                     // INVARIANT: wormhole ordering — a VC with no
@@ -379,29 +465,35 @@ impl VcRouter {
         // Persistent scratch: drained and refilled per output port,
         // returned to the router at the end so its capacity survives.
         let mut reqs = std::mem::take(&mut self.alloc_scratch);
-        for o in 0..Port::COUNT {
+        // Every occupied VC has a latched route by now; those without an
+        // output VC are requesting one. File each under its output port.
+        // A grant on one output never touches another output's
+        // requesters, so one pass up front sees what a per-output scan
+        // would.
+        let mut waiting = [0u64; Port::COUNT];
+        for idx in set_bits(self.in_occupied) {
+            if let (Some(op), None) = (self.in_out_port[idx], self.in_out_vc[idx]) {
+                waiting[op.index()] |= 1 << idx;
+            }
+        }
+        for (o, &requesters) in waiting.iter().enumerate() {
+            if requesters == 0 {
+                continue;
+            }
             let port = Port::from_index(o);
             // Gather requests: (priority, input port, input vc, mask,
-            // requesting packet).
+            // requesting packet), in ascending (port, VC) order.
             reqs.clear();
-            for i in 0..Port::COUNT {
-                for v in 0..self.num_vcs {
-                    let idx = self.pv(i, v);
-                    if self.in_out_port[idx] == Some(port) && self.in_out_vc[idx].is_none() {
-                        if let Some(front) = self.in_bufs[idx].front() {
-                            reqs.push((
-                                front.meta.class.priority(),
-                                i,
-                                v,
-                                self.effective_mask(front),
-                                front.meta.packet,
-                            ));
-                        }
-                    }
+            for idx in set_bits(requesters) {
+                if let Some(front) = self.in_bufs[idx].front() {
+                    reqs.push((
+                        front.meta.class.priority(),
+                        idx / self.num_vcs,
+                        idx % self.num_vcs,
+                        self.effective_mask(front),
+                        front.meta.packet,
+                    ));
                 }
-            }
-            if reqs.is_empty() {
-                continue;
             }
             // Rotate for fairness, then stable-sort by priority (desc).
             let rot = self.rr_alloc[o] % reqs.len();
@@ -468,14 +560,21 @@ impl VcRouter {
     /// class-0 flit parked in staging would otherwise block the class-1
     /// escape VCs and reintroduce torus deadlock).
     fn traverse_switch(&mut self, now: Cycle, out: &mut RouterOutput, probe: &mut dyn Probe) {
+        let num_vcs = self.num_vcs;
+        let port_vcs = (1u64 << num_vcs) - 1;
         for i in 0..Port::COUNT {
-            let num_vcs = self.num_vcs;
+            let occupied = self.in_occupied >> (i * num_vcs) & port_vcs;
+            if occupied == 0 {
+                continue;
+            }
+            // Round-robin order from the pointer: occupied VCs at or
+            // above it, then those below.
             let rr = self.in_rr[i];
+            let below = occupied & ((1 << rr) - 1);
             // Candidate VCs: flit at front, output VC held, staging slot
             // free, downstream credit available.
             let mut best: Option<(u8, usize)> = None;
-            for off in 0..num_vcs {
-                let v = (rr + off) % num_vcs;
+            for v in set_bits(occupied ^ below).chain(set_bits(below)) {
                 let idx = self.pv(i, v);
                 let (Some(front), Some(op), Some(ovc)) = (
                     self.in_bufs[idx].front(),
@@ -489,12 +588,12 @@ impl VcRouter {
                     continue;
                 }
                 let reserved = front.meta.class == crate::flit::ServiceClass::Reserved;
-                let slot = if reserved {
-                    &self.reserved_staging[Self::slot(op.index(), i)]
+                let bank = if reserved {
+                    self.reserved_staged
                 } else {
-                    &self.staging[Self::slot(op.index(), i)]
+                    self.staged
                 };
-                if slot.is_some() {
+                if bank >> Self::slot(op.index(), i) & 1 == 1 {
                     continue;
                 }
                 let pri = front.meta.class.priority();
@@ -510,6 +609,9 @@ impl VcRouter {
             let mut flit = self.in_bufs[idx].pop_front().expect("candidate has a flit");
             let op = self.in_out_port[idx].expect("candidate has a port");
             flit.link_vc = self.in_out_vc[idx].expect("candidate has a VC");
+            if self.in_bufs[idx].is_empty() {
+                self.in_occupied &= !(1 << idx);
+            }
             if flit.kind.is_tail() {
                 self.in_out_port[idx] = None;
                 self.in_out_vc[idx] = None;
@@ -525,10 +627,13 @@ impl VcRouter {
             );
             self.out_credits[credit_idx] -= 1;
             let (staged_vc, staged_packet) = (flit.link_vc, flit.meta.packet);
+            let slot = Self::slot(op.index(), i);
             if flit.meta.class == crate::flit::ServiceClass::Reserved {
-                self.reserved_staging[Self::slot(op.index(), i)] = Some(flit);
+                self.reserved_staging[slot] = Some(flit);
+                self.reserved_staged |= 1 << slot;
             } else {
-                self.staging[Self::slot(op.index(), i)] = Some(flit);
+                self.staging[slot] = Some(flit);
+                self.staged |= 1 << slot;
             }
             probe.switch_traversed(now, self.node, op, staged_vc, staged_packet);
             out.credits.push((Port::from_index(i), VcId::new(v as u8)));
@@ -549,6 +654,12 @@ impl VcRouter {
         // returned to the router at the end so its capacity survives.
         let mut candidates = std::mem::take(&mut self.link_scratch);
         for o in 0..Port::COUNT {
+            // Inputs with a flit staged for this output, in either bank.
+            let row =
+                (self.staged | self.reserved_staged) >> Self::slot(o, 0) & ((1 << Port::COUNT) - 1);
+            if row == 0 {
+                continue;
+            }
             let port = Port::from_index(o);
             // A serialized (narrow) link is occupied for `phits` cycles
             // per flit.
@@ -559,15 +670,12 @@ impl VcRouter {
             // staged packet). Staged flits already hold their downstream
             // credit, so every one is a launch candidate.
             candidates.clear();
-            for i in 0..Port::COUNT {
+            for i in set_bits(row.into()) {
                 for (bank, reserved) in [(&self.staging, false), (&self.reserved_staging, true)] {
                     if let Some(f) = &bank[Self::slot(o, i)] {
                         candidates.push((f.meta.class.priority(), i, reserved, f.meta.packet));
                     }
                 }
-            }
-            if candidates.is_empty() {
-                continue;
             }
             // Reserved slots bypass arbitration entirely (paper §2.6).
             let mut winner: Option<(usize, bool)> = None;
@@ -601,20 +709,23 @@ impl VcRouter {
                         best = Some((pri, j));
                     }
                 }
-                // INVARIANT: the candidate set was checked non-empty
-                // above, so a best entry always exists.
+                // INVARIANT: the staging row was checked non-empty above
+                // and its bits name only occupied slots, so the
+                // candidate set is non-empty and a best entry exists.
                 let (_, j) = best.expect("non-empty candidate set");
                 let (_, i, reserved, _) = candidates[(rot + j) % candidates.len()];
                 (i, reserved)
             });
-            let bank = if from_reserved {
-                &mut self.reserved_staging
+            let (bank, staged) = if from_reserved {
+                (&mut self.reserved_staging, &mut self.reserved_staged)
             } else {
-                &mut self.staging
+                (&mut self.staging, &mut self.staged)
             };
+            let slot = Self::slot(o, winner);
             // INVARIANT: the winner was drawn from the candidate list,
             // which only names occupied staging slots.
-            let flit = bank[Self::slot(o, winner)].take().expect("winner staged");
+            let flit = bank[slot].take().expect("winner staged");
+            *staged &= !(1 << slot);
             // A lower-class flit left staged while a higher-class one took
             // the link is the paper's §2.2 preemption in action; report
             // each suspended flit so the stall is attributable per packet.
@@ -813,6 +924,142 @@ mod tests {
         let vcs: Vec<VcId> = launched.iter().map(|(_, f)| f.link_vc).collect();
         assert!(vcs.windows(2).all(|w| w[0] == w[1]));
         assert_eq!(r.occupancy(), 0);
+    }
+
+    /// Counts credit stalls; every other probe callback is a no-op.
+    #[derive(Default)]
+    struct StallCounter(u64);
+
+    impl Probe for StallCounter {
+        fn credit_stall(&mut self, _: Cycle, _: NodeId, _: Port, _: VcId, _: PacketId) {
+            self.0 += 1;
+        }
+    }
+
+    /// Flit `index` of the `len`-flit packet `packet` arriving on input
+    /// `port`, VC `vc`. The class follows the paper plan's use of the VC
+    /// (7 reserved, 4-5 priority, the rest bulk), and the dateline class
+    /// matches the VC's tier so straight-through grants stay monotone.
+    /// Tile-port heads leave in a direction chosen by `vc`; network-port
+    /// heads eject, go straight, or turn.
+    fn packet_flit(port: Port, vc: usize, packet: u64, index: u16, len: u16) -> Flit {
+        let kind = match (index, len) {
+            (0, 1) => FlitKind::HeadTail,
+            (0, _) => FlitKind::Head,
+            (i, l) if i + 1 == l => FlitKind::Tail,
+            _ => FlitKind::Body,
+        };
+        let mut f = match port {
+            Port::Tile => test_flit(kind, &[Direction::from_index(vc % 4)]),
+            Port::Dir(from) => {
+                let heading = from.opposite();
+                let hops = match vc % 3 {
+                    0 => vec![heading],
+                    1 => vec![heading, heading],
+                    _ => vec![heading, Direction::from_index((heading.index() + 1) % 4)],
+                };
+                let mut f = test_flit(kind, &hops);
+                f.route = f.route.strip_first_hop().unwrap().1;
+                f.heading = heading;
+                f
+            }
+        };
+        f.link_vc = VcId::new(vc as u8);
+        f.meta.packet = PacketId(packet);
+        f.meta.flit_index = index;
+        f.meta.packet_len = len;
+        f.meta.class = match vc {
+            7 => ServiceClass::Reserved,
+            4 | 5 => ServiceClass::Priority,
+            _ => ServiceClass::Bulk,
+        };
+        f.meta.dateline_class = u8::from(matches!(vc, 2 | 3 | 5));
+        f
+    }
+
+    #[test]
+    fn masks_track_every_buffer_until_the_router_drains() {
+        let topo = FoldedTorus2D::new(4);
+        // Two ejection credits and a three-cycle credit return keep the
+        // outputs credit-starved for most of the run; two-phit links
+        // leave flits waiting in both staging banks.
+        let mut r = VcRouter::new(NodeId::new(0), VcPlan::paper_baseline(), true, 4, 2, 2);
+        // Every (port, VC) gets a 3-flit packet and then a 1-flit one,
+        // filling its 4-flit buffer.
+        let mut next_index = std::collections::BTreeMap::new();
+        let mut remaining = 0;
+        for p in 0..Port::COUNT {
+            for vc in 0..8 {
+                let base = 2 * (p * 8 + vc) as u64;
+                for (packet, len) in [(base, 3), (base + 1, 1)] {
+                    for index in 0..len {
+                        r.receive(
+                            Port::from_index(p),
+                            packet_flit(Port::from_index(p), vc, packet, index, len),
+                        );
+                        remaining += 1;
+                    }
+                    next_index.insert(packet, 0u16);
+                }
+            }
+        }
+        assert_eq!(r.in_occupied, (1 << 40) - 1);
+        assert!(r.masks_consistent());
+        assert_eq!(r.occupancy(), remaining);
+        let mut probe = StallCounter::default();
+        let mut credits_due = std::collections::VecDeque::new();
+        let (mut saw_bulk_bank, mut saw_reserved_bank) = (false, false);
+        let mut now = 0;
+        while remaining > 0 {
+            assert!(
+                now < 10_000,
+                "router failed to drain:\n{}",
+                r.debug_snapshot()
+            );
+            while credits_due.front().is_some_and(|&(due, _, _)| due <= now) {
+                let (_, port, vc) = credits_due.pop_front().unwrap();
+                r.credit_arrived(port, vc);
+            }
+            let mut out = RouterOutput::default();
+            r.evaluate(&env_at(&topo, now), &mut out, &mut probe);
+            for (port, f) in out.launches.drain() {
+                let next = next_index.get_mut(&f.meta.packet.0).unwrap();
+                assert_eq!(
+                    f.meta.flit_index, *next,
+                    "packet {} out of order",
+                    f.meta.packet
+                );
+                *next += 1;
+                credits_due.push_back((now + 3, port, f.link_vc));
+                remaining -= 1;
+            }
+            saw_bulk_bank |= r.staged != 0;
+            saw_reserved_bank |= r.reserved_staged != 0;
+            assert!(r.masks_consistent(), "cycle {now}:\n{}", r.debug_snapshot());
+            assert_eq!(r.occupancy(), remaining, "cycle {now}");
+            assert_eq!(r.walk_occupancy(), remaining, "cycle {now}");
+            now += 1;
+        }
+        assert!(next_index
+            .iter()
+            .all(|(&p, &n)| n == if p % 2 == 0 { 3 } else { 1 }));
+        assert!(
+            saw_bulk_bank && saw_reserved_bank,
+            "both staging banks used"
+        );
+        assert!(probe.0 > 0, "credit stalls exercised");
+        assert_eq!((r.in_occupied, r.staged, r.reserved_staged), (0, 0, 0));
+        assert!(r.is_quiescent());
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 8 VCs per port, got 9")]
+    fn more_than_eight_vcs_is_rejected() {
+        let plan = VcPlan {
+            num_vcs: 9,
+            ..VcPlan::paper_baseline()
+        };
+        let _ = VcRouter::new(NodeId::new(0), plan, true, 4, 64, 1);
     }
 
     #[test]
