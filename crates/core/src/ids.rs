@@ -314,8 +314,41 @@ impl fmt::Display for VcId {
 }
 
 /// Uniquely identifies an injected packet within one simulation.
+///
+/// The network mints ids as `seq << 16 | source`: the low
+/// [`PacketId::SOURCE_BITS`] bits hold the source node index and the bits
+/// above them the source's packet sequence number, counting up from 0.
+/// Cells therefore allocate ids without coordination, and a collector can
+/// address a packet by `(source, seq)` instead of searching for it.
+///
+/// ```
+/// use ocin_core::{NodeId, PacketId};
+/// let p = PacketId::new(NodeId::new(12), 3);
+/// assert_eq!(p, PacketId(3 << 16 | 12));
+/// assert_eq!((p.source(), p.seq()), (NodeId::new(12), 3));
+/// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct PacketId(pub u64);
+
+impl PacketId {
+    /// Number of low bits holding the source node index.
+    pub const SOURCE_BITS: u32 = 16;
+
+    /// The id of `source`'s packet number `seq`.
+    pub const fn new(source: NodeId, seq: u64) -> PacketId {
+        PacketId((seq << Self::SOURCE_BITS) | source.0 as u64)
+    }
+
+    /// The source node encoded in the id.
+    pub const fn source(self) -> NodeId {
+        NodeId(self.0 as u16)
+    }
+
+    /// The per-source sequence number encoded in the id.
+    pub const fn seq(self) -> u64 {
+        self.0 >> Self::SOURCE_BITS
+    }
+}
 
 impl fmt::Debug for PacketId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -402,5 +435,18 @@ mod tests {
         assert_eq!(format!("{:?}", VcId::new(5)), "vc5");
         assert_eq!(format!("{:?}", PacketId(9)), "p9");
         assert_eq!(format!("{:?}", FlowId(2)), "f2");
+    }
+
+    #[test]
+    fn packet_id_layout_round_trips() {
+        for (node, seq) in [(0u16, 0u64), (7, 1), (u16::MAX, 5), (300, (1 << 48) - 1)] {
+            let p = PacketId::new(NodeId::new(node), seq);
+            assert_eq!(p.source(), NodeId::new(node));
+            assert_eq!(p.seq(), seq);
+            assert_eq!(p.0, seq << 16 | u64::from(node));
+        }
+        // Ids of one source ascend with their sequence numbers.
+        let n = NodeId::new(9);
+        assert!(PacketId::new(n, 1) < PacketId::new(n, 2));
     }
 }

@@ -91,7 +91,7 @@ pub use journey::{
 pub use network::{EnergyCounters, LinkLoad, Network, NetworkStats, PacketSpec};
 pub use probe::{
     EventKind, EventTrace, LatencyHistogram, MetricsTotals, NetworkMetrics, NetworkProbe, NoProbe,
-    PairLatency, Probe, ProbeConfig, ProbeEvent, RouterProbe,
+    PairLatency, PairTable, Probe, ProbeConfig, ProbeEvent, RouterProbe,
 };
 pub use reservation::{ReservationError, ReservationTable, StaticFlowSpec};
 pub use route::{RouteError, SourceRoute, Turn};

@@ -152,10 +152,6 @@ pub(crate) fn stream_seed(base: u64, stream: u64, idx: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Number of low `PacketId` bits holding the source node index; the
-/// per-node sequence number lives above them.
-const PACKET_NODE_BITS: u64 = 16;
-
 /// Saturation-free counters a cell accumulates privately; `Network`
 /// sums them on demand.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -538,8 +534,8 @@ impl ShardCell {
         })?;
 
         // Packet ids are namespaced per source node so concurrent cells
-        // allocate without coordination: seq ≪ 16 | node.
-        let id = PacketId((self.next_seq[local] << PACKET_NODE_BITS) | spec.src.index() as u64);
+        // allocate without coordination (the layout lives in `PacketId`).
+        let id = PacketId::new(spec.src, self.next_seq[local]);
         self.next_seq[local] += 1;
         let flits = flitize(spec, id, route, now, packet_mask, valiant_boundary);
         iface.enqueue_packet(vc, flits).expect("space was checked");

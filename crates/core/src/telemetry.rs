@@ -47,6 +47,7 @@ use std::collections::BTreeMap;
 
 use crate::flit::ServiceClass;
 use crate::ids::{Cycle, NodeId, Port};
+use crate::probe::PairTable;
 
 /// Default telemetry window width, in cycles.
 pub const DEFAULT_WINDOW: Cycle = 1024;
@@ -296,7 +297,8 @@ pub struct TelemetryCollector {
     cur: WindowRow,
     windows: Vec<WindowRow>,
     class_latency: [QuantileHistogram; NUM_CLASSES],
-    pair_latency: BTreeMap<(u8, NodeId, NodeId), QuantileHistogram>,
+    /// Per-(src, dst) latency histograms, one table per class.
+    pair_latency: [PairTable<QuantileHistogram>; NUM_CLASSES],
     /// Flits carried this window per link, indexed
     /// `node · Port::COUNT + port`.
     link_window: Vec<u32>,
@@ -320,7 +322,7 @@ impl TelemetryCollector {
             cur: WindowRow::default(),
             windows: Vec::new(),
             class_latency: std::array::from_fn(|_| QuantileHistogram::new(CLASS_PRECISION_BITS)),
-            pair_latency: BTreeMap::new(),
+            pair_latency: std::array::from_fn(|_| PairTable::new()),
             link_window: vec![0; links],
             link_run_start: vec![NO_RUN; links],
             link_run_flits: vec![0; links],
@@ -411,9 +413,8 @@ impl TelemetryCollector {
         self.cur.latency_sum[c] += network_latency;
         self.cur.latency_count[c] += 1;
         self.class_latency[c].record(network_latency);
-        self.pair_latency
-            .entry((class.priority(), src, dst))
-            .or_insert_with(|| QuantileHistogram::new(PAIR_PRECISION_BITS))
+        self.pair_latency[c]
+            .get_or_insert_with(src, dst, || QuantileHistogram::new(PAIR_PRECISION_BITS))
             .record(network_latency);
     }
 
@@ -482,7 +483,13 @@ impl TelemetryCollector {
             nodes: self.num_nodes,
             windows: self.windows,
             class_latency: self.class_latency,
-            pair_latency: self.pair_latency.into_iter().collect(),
+            pair_latency: (0u8..)
+                .zip(self.pair_latency)
+                .flat_map(|(class, pairs)| {
+                    let pairs = pairs.into_sorted_vec().into_iter();
+                    pairs.map(move |((src, dst), h)| ((class, src, dst), h))
+                })
+                .collect(),
             congestion_spans: spans,
         }
     }

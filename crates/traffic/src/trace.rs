@@ -149,6 +149,9 @@ impl Trace {
                 payload_bits: parse(next("payload_bits")?, i)?,
                 class: parse(next("class")?, i)?,
             };
+            if let Some(extra) = fields.next() {
+                return Err(format!("line {}: trailing field {extra:?}", i + 2));
+            }
             if let Some(last) = trace.events.last() {
                 if event.cycle < last.cycle {
                     return Err(format!("line {}: cycle out of order", i + 2));
@@ -243,5 +246,14 @@ mod tests {
         // Out-of-order cycles are rejected at parse time, matching
         // `record`'s invariant.
         assert!(Trace::from_text("ocin-trace v1\n5 0 1 256 0\n4 0 1 256 0\n").is_err());
+    }
+
+    #[test]
+    fn trailing_field_is_rejected() {
+        let err = Trace::from_text("ocin-trace v1\n5 0 1 256 0 extra\n").unwrap_err();
+        assert!(err.contains("line 2: trailing field \"extra\""), "{err}");
+        assert!(Trace::from_text("ocin-trace v1\n5 0 1 256 0 7\n").is_err());
+        // Surrounding whitespace is not a field.
+        assert!(Trace::from_text("ocin-trace v1\n5 0 1 256 0   \n").is_ok());
     }
 }

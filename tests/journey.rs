@@ -14,11 +14,13 @@
 //! Plus the exporter contracts: deterministic bytes, and trace output
 //! that actually parses as JSON.
 
+use std::collections::BTreeMap;
+
 use ocin::core::ids::NodeId;
 use ocin::core::probe::ProbeConfig;
 use ocin::core::{
     DecompositionReport, FlowControl, LinkProtection, Network, NetworkConfig, NetworkProbe,
-    PacketSpec, TopologySpec,
+    PacketJourney, PacketSpec, RoutingAlg, StageSums, TopologySpec,
 };
 use ocin::sim::{LoadSweep, SimConfig, SimReport, Simulation};
 use ocin::traffic::{InjectionProcess, TrafficPattern, Workload};
@@ -253,6 +255,104 @@ fn journeyed_sweep_points_carry_aggregates() {
     let plain = sweep.spec(0.1).with_journeys(false);
     sweep.pool().run(std::slice::from_ref(&plain));
     assert_eq!(sweep.pool().cached_points(), 3);
+}
+
+/// Stage sums recomputed from scratch over `journeys`.
+fn sums_of<'a>(journeys: impl IntoIterator<Item = &'a PacketJourney>) -> StageSums {
+    let mut s = StageSums::default();
+    for j in journeys {
+        s.count += 1;
+        s.measured += j.network_latency();
+        s.baseline += j.baseline;
+        let (b, t) = (&j.breakdown, &mut s.stages);
+        t.source_queue += b.source_queue;
+        t.inject_pipe += b.inject_pipe;
+        t.vc_alloc += b.vc_alloc;
+        t.switch_wait += b.switch_wait;
+        t.credit_stall += b.credit_stall;
+        t.preempt += b.preempt;
+        t.link_wait += b.link_wait;
+        t.channel += b.channel;
+        t.serialization += b.serialization;
+    }
+    s
+}
+
+/// The aggregates no exporter shows — `totals`, `per_class`,
+/// `per_pair` and per-link `residency` — equal the same sums
+/// recomputed from the retained journeys when the ring keeps every
+/// journey, and `per_pair` and `links` come out in strictly ascending
+/// key order. Valiant routing revisits nodes (so hop matching must pick
+/// the latest visit), and deflection has no VC or switch waypoints.
+#[test]
+fn aggregates_match_the_retained_journeys() {
+    let cases = [
+        (
+            "vc valiant",
+            quick_cfg().with_routing(RoutingAlg::Valiant),
+            0.3,
+        ),
+        (
+            "deflection",
+            quick_cfg().with_flow_control(FlowControl::Deflection),
+            0.4,
+        ),
+    ];
+    for (name, cfg, load) in cases {
+        let report = journeyed_run(cfg, load, 1 << 20);
+        let d = decomposition(&report);
+        assert!(d.packets > 1000, "{name}: too few packets ({})", d.packets);
+        assert_eq!(d.journeys.len() as u64, d.packets, "{name}: ring kept all");
+        assert_eq!(d.journeys_recorded, d.packets, "{name}");
+        assert_eq!((d.incomplete, d.inconsistent), (0, 0), "{name}");
+        if name == "vc valiant" {
+            let revisits = d.journeys.iter().any(|j| {
+                let mut nodes: Vec<_> = j.hops.iter().map(|h| h.node).collect();
+                nodes.sort();
+                nodes.windows(2).any(|w| w[0] == w[1])
+            });
+            assert!(revisits, "{name}: no journey revisited a node");
+        }
+
+        assert_eq!(d.totals, sums_of(&d.journeys), "{name}: totals");
+        let mut classes: BTreeMap<u8, Vec<&PacketJourney>> = BTreeMap::new();
+        let mut pairs: BTreeMap<(u16, u16), Vec<&PacketJourney>> = BTreeMap::new();
+        let mut residency: BTreeMap<(u16, u8), u64> = BTreeMap::new();
+        for j in &d.journeys {
+            classes.entry(j.class).or_default().push(j);
+            let pair = (j.src.index() as u16, j.dst.index() as u16);
+            pairs.entry(pair).or_default().push(j);
+            for h in &j.hops {
+                if let Some(out) = h.out_port {
+                    let link = (h.node.index() as u16, out.index() as u8);
+                    *residency.entry(link).or_default() += h.residency();
+                }
+            }
+        }
+        let per_class: BTreeMap<u8, StageSums> = classes
+            .into_iter()
+            .map(|(c, js)| (c, sums_of(js)))
+            .collect();
+        assert_eq!(d.per_class, per_class, "{name}: per_class");
+        let per_pair: BTreeMap<(u16, u16), StageSums> =
+            pairs.into_iter().map(|(p, js)| (p, sums_of(js))).collect();
+        assert_eq!(d.per_pair, per_pair, "{name}: per_pair");
+
+        let keys: Vec<_> = d.per_pair.keys().collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "{name}: pair order");
+        let links: Vec<(u16, u8)> = d.links.iter().map(|l| (l.node, l.port)).collect();
+        assert!(links.windows(2).all(|w| w[0] < w[1]), "{name}: link order");
+        for l in &d.links {
+            let want = residency.remove(&(l.node, l.port)).unwrap_or(0);
+            assert_eq!(
+                l.residency,
+                want,
+                "{name}: residency of {:?}",
+                (l.node, l.port)
+            );
+        }
+        assert!(residency.is_empty(), "{name}: links missing: {residency:?}");
+    }
 }
 
 // --- minimal JSON parser (validation only) -------------------------------
