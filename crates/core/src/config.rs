@@ -5,6 +5,8 @@ use crate::error::Error;
 use crate::flit::{ServiceClass, VcMask};
 use crate::ids::VcId;
 use crate::reservation::StaticFlowSpec;
+use crate::route::SourceRoute;
+use crate::router::VcRouter;
 use crate::topology::{FoldedTorus2D, Mesh2D, Ring, Topology};
 
 /// Which topology to instantiate.
@@ -48,6 +50,44 @@ impl TopologySpec {
         let (TopologySpec::Mesh { k } | TopologySpec::FoldedTorus { k } | TopologySpec::Ring { k }) =
             *self;
         k
+    }
+
+    /// Hops on the longest minimal route (the network diameter):
+    /// `2(k − 1)` on a mesh, `2⌊k/2⌋` on a folded torus, `⌊k/2⌋` on a
+    /// ring.
+    fn diameter(&self) -> usize {
+        match *self {
+            TopologySpec::Mesh { k } => k.saturating_sub(1).saturating_mul(2),
+            TopologySpec::FoldedTorus { k } => k / 2 * 2,
+            TopologySpec::Ring { k } => k / 2,
+        }
+    }
+
+    /// Checks that the topology can be built and that every minimal
+    /// route fits a source route.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Config`] if the radix is below 2 or the
+    /// diameter route needs more than [`SourceRoute::MAX_ENTRIES`]
+    /// entries. The route bound also keeps every node id within u16.
+    fn validate(&self) -> Result<(), Error> {
+        let k = self.radix();
+        if k < 2 {
+            return Err(Error::Config(format!(
+                "{self:?}: the radix must be at least 2"
+            )));
+        }
+        // One entry per hop plus the final extract.
+        let entries = self.diameter().saturating_add(1);
+        if entries > SourceRoute::MAX_ENTRIES {
+            return Err(Error::Config(format!(
+                "{self:?}: its longest route needs {entries} entries, more than the {} a source \
+                 route holds",
+                SourceRoute::MAX_ENTRIES
+            )));
+        }
+        Ok(())
     }
 
     /// Total node count: `k²` for the 2-D topologies, `k` for a ring.
@@ -303,7 +343,9 @@ impl Default for VcPlan {
 /// ```
 #[derive(Debug, Clone)]
 pub struct NetworkConfig {
-    /// Topology to build.
+    /// Topology to build. Its radix must be at least 2, and its longest
+    /// minimal route must fit a source route (mesh k ≤ 32, folded torus
+    /// k ≤ 63, ring k ≤ 127).
     pub topology: TopologySpec,
     /// Flow-control method.
     pub flow_control: FlowControl,
@@ -311,7 +353,8 @@ pub struct NetworkConfig {
     pub routing: RoutingAlg,
     /// Virtual-channel plan.
     pub vc_plan: VcPlan,
-    /// Flit buffers per virtual channel per input controller (paper: 4).
+    /// Flit buffers per virtual channel per input controller (paper: 4;
+    /// at most [`VcRouter::MAX_BUF_DEPTH`]).
     pub buf_depth: usize,
     /// Cycles a flit spends on an inter-tile channel (paper drives wires
     /// at the controller frequency: 1).
@@ -451,9 +494,17 @@ impl NetworkConfig {
     ///
     /// Returns [`Error::Config`] describing the first invalid parameter.
     pub fn validate(&self) -> Result<(), Error> {
+        self.topology.validate()?;
         self.vc_plan.validate()?;
         if self.buf_depth == 0 {
             return Err(Error::Config("buf_depth must be at least 1".into()));
+        }
+        if self.buf_depth > VcRouter::MAX_BUF_DEPTH {
+            return Err(Error::Config(format!(
+                "buf_depth must be at most {}, got {}",
+                VcRouter::MAX_BUF_DEPTH,
+                self.buf_depth
+            )));
         }
         if self.channel_latency == 0 {
             return Err(Error::Config("channel_latency must be at least 1".into()));
@@ -582,6 +633,82 @@ mod tests {
         let mut cfg = NetworkConfig::paper_baseline();
         cfg.reservation_period = 0;
         assert!(cfg.validate().is_err());
+    }
+
+    /// Validation error of `cfg`, which `Network::new` must return too.
+    fn config_error(cfg: NetworkConfig) -> String {
+        let Err(Error::Config(msg)) = cfg.validate() else {
+            panic!("{cfg:?} validated");
+        };
+        assert!(matches!(
+            crate::Network::new(cfg),
+            Err(Error::Config(m)) if m == msg
+        ));
+        msg
+    }
+
+    #[test]
+    fn single_node_mesh_is_rejected() {
+        let cfg = NetworkConfig::paper_baseline().with_topology(TopologySpec::Mesh { k: 1 });
+        assert!(config_error(cfg).contains("radix must be at least 2"));
+    }
+
+    #[test]
+    fn torus_too_large_is_rejected() {
+        let cfg =
+            NetworkConfig::paper_baseline().with_topology(TopologySpec::FoldedTorus { k: 256 });
+        assert!(config_error(cfg).contains("needs 257 entries"));
+    }
+
+    #[test]
+    fn mesh_whose_corner_route_overflows_the_route_field_is_rejected() {
+        let cfg = NetworkConfig::paper_baseline().with_topology(TopologySpec::Mesh { k: 40 });
+        assert!(config_error(cfg).contains("needs 79 entries, more than the 64"));
+    }
+
+    #[test]
+    fn buffer_too_deep_for_slab_handles_is_rejected() {
+        let cfg = NetworkConfig::paper_baseline().with_buf_depth(1 << 40);
+        assert!(config_error(cfg).contains("buf_depth must be at most 1637"));
+        let deepest = NetworkConfig::paper_baseline().with_buf_depth(VcRouter::MAX_BUF_DEPTH);
+        deepest.validate().unwrap();
+    }
+
+    /// The largest radix each topology accepts is exactly the one whose
+    /// diameter route fills a source route.
+    #[test]
+    fn route_bound_admits_the_largest_routable_radix() {
+        for (largest, next) in [
+            (TopologySpec::Mesh { k: 32 }, TopologySpec::Mesh { k: 33 }),
+            (
+                TopologySpec::FoldedTorus { k: 63 },
+                TopologySpec::FoldedTorus { k: 64 },
+            ),
+            (TopologySpec::Ring { k: 127 }, TopologySpec::Ring { k: 128 }),
+        ] {
+            largest.validate().unwrap();
+            assert!(next.validate().is_err(), "{next:?}");
+        }
+    }
+
+    /// `diameter` is the longest route `route_dirs` builds.
+    #[test]
+    fn diameter_matches_the_longest_route() {
+        for k in 2..=7 {
+            for spec in [
+                TopologySpec::Mesh { k },
+                TopologySpec::FoldedTorus { k },
+                TopologySpec::Ring { k },
+            ] {
+                let topo = spec.build();
+                let n = topo.num_nodes() as u16;
+                let longest = (0..n)
+                    .flat_map(|s| (0..n).map(move |d| (s, d)))
+                    .map(|(s, d)| topo.route_dirs(s.into(), d.into()).len())
+                    .max();
+                assert_eq!(longest, Some(spec.diameter()), "{spec:?}");
+            }
+        }
     }
 
     #[test]

@@ -200,10 +200,8 @@ impl Network {
         // (dst, in_port) so each owning cell's halves are contiguous.
         let mut tx_meta = Vec::new();
         let mut ends: Vec<(NodeId, bool)> = Vec::new();
-        let mut chan_idx = vec![[None; 4]; n];
         for (node, dir) in topo.channels() {
             let dst = topo.neighbor(node, dir).expect("listed channel exists");
-            chan_idx[node.index()][dir.index()] = Some(tx_meta.len());
             ends.push((dst, topo.is_dateline(node, dir)));
             tx_meta.push(TxMeta {
                 src: node,
@@ -289,7 +287,7 @@ impl Network {
             transient_rate: 0.0,
             rx_meta,
             tx_meta,
-            chan_idx,
+            port_links: Vec::new(),
             node_starts: Vec::new(),
             rx_starts: Vec::new(),
             tx_starts: Vec::new(),
@@ -526,16 +524,14 @@ impl Network {
         dir: Direction,
         fault: LinkFault,
     ) -> Result<(), Error> {
-        let t = self
+        let link = self
             .shared
-            .chan_idx
+            .port_links
             .get(node.index())
-            .and_then(|row| row[dir.index()])
+            .and_then(|ports| ports[dir.index()].out)
             .ok_or_else(|| Error::Config(format!("no channel at {node}:{dir}")))?;
-        let r = self.shared.tx_meta[t].rx;
-        let ci = self.shared.cell_of_node[self.shared.rx_meta[r].dst.index()];
-        let cell = &mut self.cells[ci];
-        cell.rx_links[r - cell.rx_base].inject_fault(fault);
+        let cell = &mut self.cells[link.to_cell as usize];
+        cell.rx_links[link.rx as usize - cell.rx_base].inject_fault(fault);
         Ok(())
     }
 
@@ -923,6 +919,101 @@ mod tests {
         let d = net.drain_delivered(1.into());
         assert!(d[0].corrupted);
         assert!(d[0].payloads[0].bit(3));
+    }
+
+    /// Every port's link-table entry equals what the lookup chain it
+    /// replaces computes: the channel's position in `topo.channels()`,
+    /// its paired receive half, and the cells of both ends, with the
+    /// upstream router found by `topo.neighbor`. Ports without a channel
+    /// are absent.
+    #[test]
+    fn port_links_match_the_channel_lookup_chain() {
+        use crate::shard::{InLink, OutLink, PortLink};
+        for spec in [
+            TopologySpec::Mesh { k: 4 },
+            TopologySpec::FoldedTorus { k: 4 },
+            TopologySpec::FoldedTorus { k: 5 },
+            TopologySpec::Ring { k: 8 },
+        ] {
+            let mut net =
+                Network::new(NetworkConfig::paper_baseline().with_topology(spec)).unwrap();
+            for shards in [1, 2, 3, 7] {
+                net.set_shards(shards);
+                let sh = &net.shared;
+                let channels = sh.topo.channels();
+                let tx_of = |node: NodeId, dir: Direction| {
+                    channels.iter().position(|&c| c == (node, dir)).unwrap()
+                };
+                let mut present = 0;
+                for n in 0..sh.topo.num_nodes() {
+                    let node = NodeId::new(n as u16);
+                    for dir in Direction::ALL {
+                        let out = sh.topo.neighbor(node, dir).map(|_| {
+                            let t = tx_of(node, dir);
+                            let rx = sh.tx_meta[t].rx;
+                            OutLink {
+                                tx: t as u32,
+                                rx: rx as u32,
+                                to_cell: sh.cell_of_node[sh.rx_meta[rx].dst.index()] as u32,
+                                length_pitches: sh.tx_meta[t].length_pitches,
+                            }
+                        });
+                        let inc = sh.topo.neighbor(node, dir).map(|up| InLink {
+                            up_tx: tx_of(up, dir.opposite()) as u32,
+                            up_cell: sh.cell_of_node[up.index()] as u32,
+                        });
+                        present += usize::from(out.is_some());
+                        assert_eq!(
+                            sh.port_links[n][dir.index()],
+                            PortLink { out, inc },
+                            "{spec:?} shards {shards} node {n} {dir}"
+                        );
+                    }
+                }
+                assert_eq!(present, channels.len(), "{spec:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn faults_need_an_existing_channel_and_land_at_any_shard_count() {
+        let fault = LinkFault {
+            wire: 3,
+            kind: crate::fault::FaultKind::StuckAtOne,
+        };
+        let mut mesh = Network::new(
+            NetworkConfig::paper_baseline().with_topology(TopologySpec::Mesh { k: 4 }),
+        )
+        .unwrap();
+        for shards in [1, 3] {
+            mesh.set_shards(shards);
+            for (node, dir) in [
+                (0, Direction::West),
+                (15, Direction::North),
+                (99, Direction::East),
+            ] {
+                let err = mesh.inject_link_fault(node.into(), dir, fault).unwrap_err();
+                assert!(matches!(err, Error::Config(_)), "{node}:{dir}");
+            }
+        }
+        // An unmasked fault corrupts the packet crossing it. Nodes 7 and
+        // 11 are neighbors that fall in different cells at 2, 3 and 7
+        // shards.
+        for shards in [1, 2, 3, 7] {
+            let mut net = baseline();
+            net.set_shards(shards);
+            net.set_steering(false);
+            let (src, dst) = (7.into(), 11.into());
+            let dirs = net.topology().route_dirs(src, dst);
+            assert_eq!(dirs.len(), 1, "one-hop neighbors");
+            let dir = dirs[0];
+            net.inject_link_fault(src, dir, fault).unwrap();
+            net.inject(&PacketSpec::new(src, dst).data(vec![Payload::ZERO]))
+                .unwrap();
+            net.drain(100);
+            let d = net.drain_delivered(dst);
+            assert!(d[0].corrupted && d[0].payloads[0].bit(3), "shards {shards}");
+        }
     }
 
     #[test]

@@ -24,11 +24,20 @@
 //!
 //! The per-(port, VC) metadata is laid out struct-of-arrays in inline
 //! arrays indexed `port * num_vcs + vc`, sized for the 8-VC bound.
-//! Full flits (input buffers, staging banks) stay in their own arrays
-//! so reads of the small metadata never page the payloads through the
-//! cache.
-
-use std::collections::VecDeque;
+//!
+//! Flits live in one packed slab per router (`slots`), never in the
+//! per-VC or per-slot structures themselves. An input VC is a ring of
+//! `buf_depth` u16 handles into the slab, and a staging slot is one
+//! handle, valid while its `staged` or `reserved_staged` bit is set. A
+//! flit is written into the slab once on `receive`, moves from its
+//! input ring to a staging slot by handle, and is copied out once on
+//! launch; its slab entry then goes on a LIFO free list. The slab
+//! therefore grows only to the router's peak occupancy — two or three
+//! entries in a loaded network, against the 40 buffers × `buf_depth`
+//! plus 50 staging slots the paper's router provisions — so a cycle's
+//! work touches a few dense cache lines instead of a scattered 28 KB
+//! per tile. No decision iterates in handle order, so where a flit
+//! sits in the slab cannot change a result (DESIGN.md §3.14).
 
 use crate::config::{ReservationPolicy, VcPlan};
 use crate::flit::{Flit, VcMask};
@@ -69,11 +78,11 @@ fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
 /// The paper's virtual-channel router for one tile.
 ///
 /// Per-entity state is stored struct-of-arrays. Input VCs are indexed
-/// `input_port * num_vcs + vc` (`in_bufs`, `in_out_port`, `in_out_vc`,
-/// bits of `in_occupied`); output VCs `output_port * num_vcs + vc`
-/// (`out_owner`, `out_credits`); staging slots `output_port *
-/// Port::COUNT + input_port` (`staging`, `reserved_staging`, bits of
-/// `staged`, `reserved_staged`).
+/// `input_port * num_vcs + vc` (`ring_head`, `ring_len`, `in_out_port`,
+/// `in_out_vc`, bits of `in_occupied`); output VCs `output_port *
+/// num_vcs + vc` (`out_owner`, `out_credits`); staging slots
+/// `output_port * Port::COUNT + input_port` (`stage`, `reserved_stage`,
+/// bits of `staged`, `reserved_staged`).
 #[derive(Debug)]
 pub struct VcRouter {
     node: NodeId,
@@ -83,8 +92,19 @@ pub struct VcRouter {
     dateline_aware: bool,
     /// Cycles a flit occupies each output link (1 = full-width channel).
     phits: u64,
-    /// Input buffer per (input port, VC).
-    in_bufs: Vec<VecDeque<Flit>>,
+    /// Every flit the router holds, in input buffers or staging,
+    /// addressed by u16 handle.
+    slots: Vec<Flit>,
+    /// Handles of `slots` entries that hold no flit, most recently
+    /// freed last.
+    free: Vec<u16>,
+    /// Input buffers: input VC `idx`'s ring of `buf_depth` handles
+    /// starts at `idx * buf_depth`.
+    ring: Vec<u16>,
+    /// Ring position of each input VC's front flit.
+    ring_head: [u16; PV_SLOTS],
+    /// Flits buffered in each input VC.
+    ring_len: [u16; PV_SLOTS],
     /// Bit `port * num_vcs + vc` is set exactly when that input VC's
     /// buffer is non-empty.
     in_occupied: u64,
@@ -94,17 +114,18 @@ pub struct VcRouter {
     in_out_vc: [Option<VcId>; PV_SLOTS],
     /// Per-input-port switch round-robin pointer.
     in_rr: [usize; Port::COUNT],
-    /// One staging flit per (output port, input port) connection.
-    staging: Vec<Option<Flit>>,
+    /// Handle of the flit staged per (output port, input port)
+    /// connection; valid while the slot's `staged` bit is set.
+    stage: [u16; STAGE_SLOTS],
     /// Dedicated staging for pre-scheduled (reserved-class) flits, so a
     /// credit-stalled dynamic flit can never head-of-line block them —
     /// §2.6's "moves from one link to another without arbitration or
-    /// delay".
-    reserved_staging: Vec<Option<Flit>>,
-    /// Bit `slot(o, i)` is set exactly when `staging[slot(o, i)]` holds
-    /// a flit.
+    /// delay". Valid while the slot's `reserved_staged` bit is set.
+    reserved_stage: [u16; STAGE_SLOTS],
+    /// Bit `slot(o, i)` is set exactly when `stage[slot(o, i)]` names a
+    /// staged flit.
     staged: u32,
-    /// The same for `reserved_staging`.
+    /// The same for `reserved_stage`.
     reserved_staged: u32,
     /// Which (input port, input VC) owns each output VC.
     out_owner: [Option<(u8, u8)>; PV_SLOTS],
@@ -130,14 +151,21 @@ pub struct VcRouter {
 }
 
 impl VcRouter {
+    /// Deepest per-VC input buffer the router supports. Every flit the
+    /// router can hold at once — all input buffers full and both staging
+    /// banks occupied — must have a distinct u16 slab handle.
+    pub const MAX_BUF_DEPTH: usize = (u16::MAX as usize + 1 - 2 * STAGE_SLOTS) / PV_SLOTS;
+
     /// Creates the router for `node`.
     ///
     /// `eject_credits` bounds flits in flight toward the tile interface.
     ///
     /// # Panics
     ///
-    /// Panics if `plan.num_vcs` exceeds 8: the occupancy masks and the
-    /// inline per-VC arrays are sized for that bound.
+    /// Panics if `plan.num_vcs` exceeds 8 (the occupancy masks and the
+    /// inline per-VC arrays are sized for that bound) or `buf_depth`
+    /// exceeds [`Self::MAX_BUF_DEPTH`] (the slab's u16 handles could not
+    /// address a full router).
     pub fn new(
         node: NodeId,
         plan: VcPlan,
@@ -154,6 +182,13 @@ impl VcRouter {
             num_vcs <= MAX_VCS,
             "router {node}: at most {MAX_VCS} VCs per port, got {num_vcs}"
         );
+        // INVARIANT: likewise `NetworkConfig::validate` rejects a deeper
+        // buffer, which the slab's u16 handles could not address.
+        assert!(
+            buf_depth <= Self::MAX_BUF_DEPTH,
+            "router {node}: at most {} flits per VC buffer, got {buf_depth}",
+            Self::MAX_BUF_DEPTH
+        );
         let mut out_max_credits = [buf_depth as u64; Port::COUNT];
         out_max_credits[Port::Tile.index()] = eject_credits;
         let mut out_credits = [0u64; PV_SLOTS];
@@ -167,15 +202,17 @@ impl VcRouter {
             plan,
             dateline_aware,
             phits: phits.max(1),
-            in_bufs: (0..Port::COUNT * num_vcs)
-                .map(|_| VecDeque::with_capacity(buf_depth))
-                .collect(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            ring: vec![0; Port::COUNT * num_vcs * buf_depth],
+            ring_head: [0; PV_SLOTS],
+            ring_len: [0; PV_SLOTS],
             in_occupied: 0,
             in_out_port: [None; PV_SLOTS],
             in_out_vc: [None; PV_SLOTS],
             in_rr: [0; Port::COUNT],
-            staging: (0..STAGE_SLOTS).map(|_| None).collect(),
-            reserved_staging: (0..STAGE_SLOTS).map(|_| None).collect(),
+            stage: [0; STAGE_SLOTS],
+            reserved_stage: [0; STAGE_SLOTS],
             staged: 0,
             reserved_staged: 0,
             out_owner: [None; PV_SLOTS],
@@ -202,6 +239,66 @@ impl VcRouter {
         o * Port::COUNT + i
     }
 
+    /// Writes `flit` into a free slab entry, reusing the most recently
+    /// freed one, and returns its handle.
+    #[inline]
+    fn alloc(&mut self, flit: Flit) -> u16 {
+        match self.free.pop() {
+            Some(h) => {
+                self.slots[usize::from(h)] = flit;
+                h
+            }
+            None => {
+                // INVARIANT: MAX_BUF_DEPTH bounds the flits held at once
+                // by u16::MAX + 1, and the slab only grows when every
+                // entry is live, so the new index fits a handle.
+                let h = u16::try_from(self.slots.len()).expect("slab handle fits u16");
+                self.slots.push(flit);
+                h
+            }
+        }
+    }
+
+    /// Copies the flit at handle `h` out of the slab and frees its entry.
+    #[inline]
+    fn release(&mut self, h: u16) -> Flit {
+        self.free.push(h);
+        self.slots[usize::from(h)]
+    }
+
+    /// Position in `ring` of input VC `idx`'s `k`-th buffered flit.
+    #[inline]
+    fn ring_pos(&self, idx: usize, k: usize) -> usize {
+        let mut pos = usize::from(self.ring_head[idx]) + k;
+        if pos >= self.buf_depth {
+            pos -= self.buf_depth;
+        }
+        idx * self.buf_depth + pos
+    }
+
+    /// The flit at the front of input VC `idx`, if it buffers any.
+    #[inline]
+    fn front(&self, idx: usize) -> Option<&Flit> {
+        (self.ring_len[idx] > 0).then(|| &self.slots[usize::from(self.ring[self.ring_pos(idx, 0)])])
+    }
+
+    /// Removes and returns the handle at the front of non-empty input
+    /// VC `idx`.
+    #[inline]
+    fn pop_front(&mut self, idx: usize) -> u16 {
+        debug_assert!(self.ring_len[idx] > 0, "pop from an empty input VC");
+        let h = self.ring[self.ring_pos(idx, 0)];
+        let head = usize::from(self.ring_head[idx]) + 1;
+        // `buf_depth` ≤ MAX_BUF_DEPTH, so a ring position fits u16.
+        self.ring_head[idx] = if head == self.buf_depth {
+            0
+        } else {
+            head as u16
+        };
+        self.ring_len[idx] -= 1;
+        h
+    }
+
     /// True when evaluating this router is a guaranteed no-op: no flit
     /// is buffered in any input VC or staged at any output. Held VC
     /// grants and credit counts are untouched by an empty evaluation,
@@ -223,15 +320,18 @@ impl VcRouter {
         }
         let vc = flit.link_vc.index();
         let idx = self.pv(port.index(), vc);
-        let buf = &mut self.in_bufs[idx];
+        let len = usize::from(self.ring_len[idx]);
         // INVARIANT: the credit protocol bounds in-flight flits per VC
         // by the buffer depth; overflow means a credit was forged.
         assert!(
-            buf.len() < self.buf_depth,
+            len < self.buf_depth,
             "router {}: input {port} vc{vc} buffer overflow",
             self.node
         );
-        buf.push_back(flit);
+        let h = self.alloc(flit);
+        let pos = self.ring_pos(idx, len);
+        self.ring[pos] = h;
+        self.ring_len[idx] += 1;
         self.in_occupied |= 1 << idx;
         self.in_flight += 1;
     }
@@ -261,31 +361,51 @@ impl VcRouter {
         self.in_flight
     }
 
-    /// Recounts the buffered flits by walking every input buffer and
-    /// staging slot; `in_flight` must always equal it.
+    /// Recounts the buffered flits from the input rings' lengths and
+    /// the staging bits, without consulting the slab; `in_flight` must
+    /// always equal it.
     fn walk_occupancy(&self) -> usize {
-        let bufs: usize = self.in_bufs.iter().map(VecDeque::len).sum();
-        let staged = self
-            .staging
-            .iter()
-            .chain(self.reserved_staging.iter())
-            .filter(|s| s.is_some())
-            .count();
-        bufs + staged
+        let bufs: usize = self.ring_len.iter().map(|&n| usize::from(n)).sum();
+        bufs + (self.staged.count_ones() + self.reserved_staged.count_ones()) as usize
     }
 
     /// Whether every occupancy-mask bit agrees with the input buffer or
-    /// staging slot it stands for, and no bit is set past the last one.
+    /// staging slot it stands for, no bit is set past the last one, and
+    /// the slab is sound: every live handle (buffered or staged) is
+    /// distinct, in range and off the free list, and the live count
+    /// equals both the slab's used entries and `in_flight`.
     fn masks_consistent(&self) -> bool {
-        let inputs = self.in_bufs.len();
+        let inputs = Port::COUNT * self.num_vcs;
         let bit = |mask: u64, i: usize| mask >> i & 1 == 1;
-        (0..inputs).all(|idx| bit(self.in_occupied, idx) != self.in_bufs[idx].is_empty())
+        let masks = (0..PV_SLOTS).all(|idx| {
+            let len = usize::from(self.ring_len[idx]);
+            let head = usize::from(self.ring_head[idx]);
+            len <= self.buf_depth && head < self.buf_depth.max(1) && (idx < inputs || len == 0)
+        }) && (0..inputs)
+            .all(|idx| bit(self.in_occupied, idx) == (self.ring_len[idx] > 0))
             && self.in_occupied >> inputs == 0
-            && (0..STAGE_SLOTS).all(|s| {
-                bit(self.staged.into(), s) == self.staging[s].is_some()
-                    && bit(self.reserved_staged.into(), s) == self.reserved_staging[s].is_some()
-            })
-            && (self.staged | self.reserved_staged) >> STAGE_SLOTS == 0
+            && (self.staged | self.reserved_staged) >> STAGE_SLOTS == 0;
+        // 0 = unseen, 1 = live, 2 = free; any second sighting fails.
+        let mut seen = vec![0u8; self.slots.len()];
+        let mut mark = |h: u16, state: u8| {
+            seen.get_mut(usize::from(h))
+                .is_some_and(|s| std::mem::replace(s, state) == 0)
+        };
+        let buffered = (0..inputs).all(|idx| {
+            (0..usize::from(self.ring_len[idx])).all(|k| mark(self.ring[self.ring_pos(idx, k)], 1))
+        });
+        let staged = (0..STAGE_SLOTS).all(|s| {
+            (!bit(self.staged.into(), s) || mark(self.stage[s], 1))
+                && (!bit(self.reserved_staged.into(), s) || mark(self.reserved_stage[s], 1))
+        });
+        let freed = self.free.iter().all(|&h| mark(h, 2));
+        let live = seen.iter().filter(|&&s| s == 1).count();
+        masks
+            && buffered
+            && staged
+            && freed
+            && live == self.slots.len() - self.free.len()
+            && live == self.in_flight
     }
 
     /// Renders the router's internal state — per-VC buffer occupancy and
@@ -299,13 +419,13 @@ impl VcRouter {
             let busy: Vec<String> = (0..self.num_vcs)
                 .filter(|&v| {
                     let idx = self.pv(i, v);
-                    !self.in_bufs[idx].is_empty() || self.in_out_vc[idx].is_some()
+                    self.ring_len[idx] > 0 || self.in_out_vc[idx].is_some()
                 })
                 .map(|v| {
                     let idx = self.pv(i, v);
                     format!(
                         "vc{v}:{}f->{}{}",
-                        self.in_bufs[idx].len(),
+                        self.ring_len[idx],
                         self.in_out_port[idx].map_or("-".into(), |p| p.to_string()),
                         self.in_out_vc[idx].map_or(String::new(), |o| format!("/{o}"))
                     )
@@ -316,14 +436,20 @@ impl VcRouter {
             }
         }
         for o in 0..Port::COUNT {
-            let base = Self::slot(o, 0);
-            let staged: Vec<String> = self.staging[base..base + Port::COUNT]
+            let banks = [
+                (self.staged, &self.stage),
+                (self.reserved_staged, &self.reserved_stage),
+            ];
+            let staged: Vec<String> = banks
                 .iter()
-                .chain(self.reserved_staging[base..base + Port::COUNT].iter())
-                .enumerate()
-                .filter_map(|(i, f)| {
-                    f.as_ref()
-                        .map(|f| format!("i{}:{}({})", i % Port::COUNT, f.meta.packet, f.link_vc))
+                .flat_map(|&(bits, handles)| {
+                    (0..Port::COUNT)
+                        .filter(move |&i| bits >> Self::slot(o, i) & 1 == 1)
+                        .map(move |i| (i, handles[Self::slot(o, i)]))
+                })
+                .map(|(i, h)| {
+                    let f = &self.slots[usize::from(h)];
+                    format!("i{i}:{}({})", f.meta.packet, f.link_vc)
                 })
                 .collect();
             let _ = writeln!(
@@ -411,7 +537,7 @@ impl VcRouter {
         if din.axis() != dout.axis() {
             return true;
         }
-        let Some(front) = self.in_bufs[self.pv(in_port, in_vc.index())].front() else {
+        let Some(front) = self.front(self.pv(in_port, in_vc.index())) else {
             return true;
         };
         match (self.vc_tier(front, in_vc), self.vc_tier(front, out_vc)) {
@@ -443,7 +569,7 @@ impl VcRouter {
     fn load_routes(&mut self) {
         for idx in set_bits(self.in_occupied) {
             if self.in_out_port[idx].is_none() {
-                if let Some(front) = self.in_bufs[idx].front() {
+                if let Some(front) = self.front(idx) {
                     // INVARIANT: wormhole ordering — a VC with no
                     // held route sees a head flit first.
                     assert!(
@@ -485,7 +611,7 @@ impl VcRouter {
             // requesting packet), in ascending (port, VC) order.
             reqs.clear();
             for idx in set_bits(requesters) {
-                if let Some(front) = self.in_bufs[idx].front() {
+                if let Some(front) = self.front(idx) {
                     reqs.push((
                         front.meta.class.priority(),
                         idx / self.num_vcs,
@@ -576,11 +702,9 @@ impl VcRouter {
             let mut best: Option<(u8, usize)> = None;
             for v in set_bits(occupied ^ below).chain(set_bits(below)) {
                 let idx = self.pv(i, v);
-                let (Some(front), Some(op), Some(ovc)) = (
-                    self.in_bufs[idx].front(),
-                    self.in_out_port[idx],
-                    self.in_out_vc[idx],
-                ) else {
+                let (Some(front), Some(op), Some(ovc)) =
+                    (self.front(idx), self.in_out_port[idx], self.in_out_vc[idx])
+                else {
                     continue;
                 };
                 if self.out_credits[self.pv(op.index(), ovc.index())] == 0 {
@@ -606,17 +730,22 @@ impl VcRouter {
             // INVARIANT: the candidate scan above admitted this VC only
             // with a buffered flit, a resolved output port, and an
             // allocated output VC in hand.
-            let mut flit = self.in_bufs[idx].pop_front().expect("candidate has a flit");
             let op = self.in_out_port[idx].expect("candidate has a port");
-            flit.link_vc = self.in_out_vc[idx].expect("candidate has a VC");
-            if self.in_bufs[idx].is_empty() {
+            let ovc = self.in_out_vc[idx].expect("candidate has a VC");
+            let h = self.pop_front(idx);
+            if self.ring_len[idx] == 0 {
                 self.in_occupied &= !(1 << idx);
             }
-            if flit.kind.is_tail() {
+            // The flit stays in its slab entry; only its handle moves to
+            // the staging slot.
+            let flit = &mut self.slots[usize::from(h)];
+            flit.link_vc = ovc;
+            let (kind, class, staged_packet) = (flit.kind, flit.meta.class, flit.meta.packet);
+            if kind.is_tail() {
                 self.in_out_port[idx] = None;
                 self.in_out_vc[idx] = None;
             }
-            let credit_idx = self.pv(op.index(), flit.link_vc.index());
+            let credit_idx = self.pv(op.index(), ovc.index());
             // INVARIANT: credit conservation — the candidate scan only
             // admits VCs with a credit in hand, so the decrement here
             // can never underflow (forging buffer space downstream).
@@ -626,16 +755,15 @@ impl VcRouter {
                 self.node
             );
             self.out_credits[credit_idx] -= 1;
-            let (staged_vc, staged_packet) = (flit.link_vc, flit.meta.packet);
             let slot = Self::slot(op.index(), i);
-            if flit.meta.class == crate::flit::ServiceClass::Reserved {
-                self.reserved_staging[slot] = Some(flit);
+            if class == crate::flit::ServiceClass::Reserved {
+                self.reserved_stage[slot] = h;
                 self.reserved_staged |= 1 << slot;
             } else {
-                self.staging[slot] = Some(flit);
+                self.stage[slot] = h;
                 self.staged |= 1 << slot;
             }
-            probe.switch_traversed(now, self.node, op, staged_vc, staged_packet);
+            probe.switch_traversed(now, self.node, op, ovc, staged_packet);
             out.credits.push((Port::from_index(i), VcId::new(v as u8)));
             self.in_rr[i] = (v + 1) % num_vcs;
         }
@@ -671,8 +799,13 @@ impl VcRouter {
             // credit, so every one is a launch candidate.
             candidates.clear();
             for i in set_bits(row.into()) {
-                for (bank, reserved) in [(&self.staging, false), (&self.reserved_staging, true)] {
-                    if let Some(f) = &bank[Self::slot(o, i)] {
+                let slot = Self::slot(o, i);
+                for (bits, handles, reserved) in [
+                    (self.staged, &self.stage, false),
+                    (self.reserved_staged, &self.reserved_stage, true),
+                ] {
+                    if bits >> slot & 1 == 1 {
+                        let f = &self.slots[usize::from(handles[slot])];
                         candidates.push((f.meta.class.priority(), i, reserved, f.meta.packet));
                     }
                 }
@@ -686,9 +819,8 @@ impl VcRouter {
                         .filter(|&&(_, _, reserved, _)| reserved)
                         .map(|&(_, i, r, _)| (i, r))
                         .find(|&(i, _)| {
-                            self.reserved_staging[Self::slot(o, i)]
-                                .as_ref()
-                                .is_some_and(|f| f.meta.flow == Some(flow))
+                            let h = self.reserved_stage[Self::slot(o, i)];
+                            self.slots[usize::from(h)].meta.flow == Some(flow)
                         });
                     if winner.is_none() && policy == ReservationPolicy::Strict {
                         // The slot's owner is absent and the slot may not
@@ -716,16 +848,17 @@ impl VcRouter {
                 let (_, i, reserved, _) = candidates[(rot + j) % candidates.len()];
                 (i, reserved)
             });
-            let (bank, staged) = if from_reserved {
-                (&mut self.reserved_staging, &mut self.reserved_staged)
-            } else {
-                (&mut self.staging, &mut self.staged)
-            };
             let slot = Self::slot(o, winner);
-            // INVARIANT: the winner was drawn from the candidate list,
-            // which only names occupied staging slots.
-            let flit = bank[slot].take().expect("winner staged");
-            *staged &= !(1 << slot);
+            // The winner was drawn from the candidate list, which only
+            // names slots whose bank bit is set, so the handle is live.
+            let h = if from_reserved {
+                self.reserved_staged &= !(1 << slot);
+                self.reserved_stage[slot]
+            } else {
+                self.staged &= !(1 << slot);
+                self.stage[slot]
+            };
+            let flit = self.release(h);
             // A lower-class flit left staged while a higher-class one took
             // the link is the paper's §2.2 preemption in action; report
             // each suspended flit so the stall is attributable per packet.
@@ -1050,6 +1183,93 @@ mod tests {
         assert!(probe.0 > 0, "credit stalls exercised");
         assert_eq!((r.in_occupied, r.staged, r.reserved_staged), (0, 0, 0));
         assert!(r.is_quiescent());
+    }
+
+    /// Evaluates `r` from cycle `now` until it holds no flit, returning
+    /// every credit the instant its flit launches. After each cycle the
+    /// slab must be sound and no larger than the peak occupancy seen.
+    /// Returns the next cycle.
+    fn drain(r: &mut VcRouter, topo: &dyn Topology, mut now: u64, peak: &mut usize) -> u64 {
+        while !r.is_quiescent() {
+            assert!(
+                now < 10_000,
+                "router failed to drain:\n{}",
+                r.debug_snapshot()
+            );
+            let mut out = RouterOutput::default();
+            r.evaluate(&env_at(topo, now), &mut out, &mut NoProbe);
+            for (port, f) in out.launches.drain() {
+                r.credit_arrived(port, f.link_vc);
+            }
+            assert!(r.masks_consistent(), "cycle {now}:\n{}", r.debug_snapshot());
+            assert!(r.slots.len() <= *peak, "slab outgrew the peak occupancy");
+            now += 1;
+        }
+        now
+    }
+
+    /// Delivers a `len`-flit packet to every input VC of `r`, checking
+    /// the slab after each flit; returns the flits delivered.
+    fn fill(r: &mut VcRouter, first_packet: u64, len: u16, peak: &mut usize) -> usize {
+        let mut n = 0;
+        for p in 0..Port::COUNT {
+            for vc in 0..8 {
+                let packet = first_packet + (p * 8 + vc) as u64;
+                for index in 0..len {
+                    let port = Port::from_index(p);
+                    r.receive(port, packet_flit(port, vc, packet, index, len));
+                    n += 1;
+                    *peak = (*peak).max(r.in_flight);
+                    assert!(r.masks_consistent());
+                    assert!(r.slots.len() <= *peak, "slab outgrew the peak occupancy");
+                }
+            }
+        }
+        n
+    }
+
+    #[test]
+    fn slab_grows_to_the_peak_and_reuses_freed_entries() {
+        let topo = FoldedTorus2D::new(4);
+        let mut r = router();
+        let mut peak = 0;
+        assert!(r.slots.is_empty(), "an idle router allocates no flits");
+        // Fill one flit per input VC, then drain: every entry is freed.
+        let n = fill(&mut r, 0, 1, &mut peak);
+        assert_eq!((r.slots.len(), r.free.len()), (n, 0));
+        let now = drain(&mut r, &topo, 0, &mut peak);
+        assert_eq!((r.slots.len(), r.free.len()), (n, n));
+        // Refill the same count: every flit lands in a freed entry, the
+        // most recently freed first.
+        let expect: Vec<u16> = r.free.iter().rev().copied().collect();
+        fill(&mut r, 100, 1, &mut peak);
+        assert_eq!((r.slots.len(), r.free.len()), (n, 0), "no growth on refill");
+        let taken: Vec<u16> = (0..Port::COUNT * 8)
+            .map(|idx| r.ring[r.ring_pos(idx, 0)])
+            .collect();
+        assert_eq!(taken, expect, "LIFO reuse in receive order");
+        let now = drain(&mut r, &topo, now, &mut peak);
+        // Three flits per VC raise the peak; the slab follows it exactly.
+        let n3 = fill(&mut r, 200, 3, &mut peak);
+        assert_eq!((peak, r.slots.len(), r.free.len()), (n3, n3, 0));
+        drain(&mut r, &topo, now, &mut peak);
+        assert_eq!(
+            (r.slots.len(), r.free.len(), r.walk_occupancy()),
+            (n3, n3, 0)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 1637 flits per VC buffer, got 1638")]
+    fn a_buffer_too_deep_for_the_handles_is_rejected() {
+        let _ = VcRouter::new(
+            NodeId::new(0),
+            VcPlan::paper_baseline(),
+            true,
+            VcRouter::MAX_BUF_DEPTH + 1,
+            64,
+            1,
+        );
     }
 
     #[test]

@@ -67,6 +67,37 @@ pub(crate) struct TxMeta {
     pub rx: usize,
 }
 
+/// The channel leaving a node through one port, as a launch needs it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct OutLink {
+    /// Global transmit-half index (owned by the launching node's cell).
+    pub tx: u32,
+    /// Global receive-half index.
+    pub rx: u32,
+    /// Cell owning the channel's destination router.
+    pub to_cell: u32,
+    /// Physical length in tile pitches.
+    pub length_pitches: f64,
+}
+
+/// The channel arriving at a node through one port, as a returned
+/// credit needs it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct InLink {
+    /// Global index of the upstream router's transmit half.
+    pub up_tx: u32,
+    /// Cell owning the upstream router.
+    pub up_cell: u32,
+}
+
+/// Both channels at one router port; `None` where the topology has no
+/// channel (a mesh edge, a ring's vertical ports).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub(crate) struct PortLink {
+    pub out: Option<OutLink>,
+    pub inc: Option<InLink>,
+}
+
 /// Immutable (during stepping) network state shared by every cell.
 pub(crate) struct NetShared {
     pub cfg: NetworkConfig,
@@ -80,8 +111,10 @@ pub(crate) struct NetShared {
     /// Transmit halves in global order: ascending `(src, dir)` — the
     /// historical `topo.channels()` order.
     pub tx_meta: Vec<TxMeta>,
-    /// `[node][dir] -> tx index` for the channel leaving `node` via `dir`.
-    pub chan_idx: Vec<[Option<usize>; 4]>,
+    /// `[node][dir]`: the channels leaving and entering `node` through
+    /// port `dir`, with the cells that own their far ends. Rebuilt by
+    /// `set_partition`, so a launch or credit return is one lookup.
+    pub port_links: Vec<[PortLink; 4]>,
     /// Cell boundaries in node space: `num_cells() + 1` ascending entries.
     pub node_starts: Vec<usize>,
     /// First global rx index per cell (plus the total as a sentinel).
@@ -138,6 +171,22 @@ impl NetShared {
             .iter()
             .map(|&start| self.tx_meta.partition_point(|m| m.src.index() < start))
             .collect();
+        // Indices and cells fit u32: `NetworkConfig::validate` bounds a
+        // network to a few thousand nodes and four channels each.
+        self.port_links = vec![[PortLink::default(); 4]; n];
+        for (t, meta) in self.tx_meta.iter().enumerate() {
+            let dst = self.rx_meta[meta.rx].dst;
+            self.port_links[meta.src.index()][meta.dir.index()].out = Some(OutLink {
+                tx: t as u32,
+                rx: meta.rx as u32,
+                to_cell: self.cell_of_node[dst.index()] as u32,
+                length_pitches: meta.length_pitches,
+            });
+            self.port_links[dst.index()][meta.dir.opposite().index()].inc = Some(InLink {
+                up_tx: t as u32,
+                up_cell: self.cell_of_node[meta.src.index()] as u32,
+            });
+        }
     }
 }
 
@@ -984,6 +1033,7 @@ impl ShardCell {
     ) {
         let node = self.node_base + i;
         let node_id = NodeId::new(node as u16);
+        let links = &shared.port_links[node];
         // The scratch moves out of `self` for the drain so the push
         // helpers can borrow the cell; it is handed back below.
         let mut out = std::mem::take(&mut self.out_scratch);
@@ -997,16 +1047,17 @@ impl ShardCell {
             probe.flit_forwarded(now, node_id, port, flit.link_vc, flit.meta.packet);
             match port {
                 Port::Dir(d) => {
-                    let t = shared.chan_idx[node][d.index()]
+                    // INVARIANT: routes only name existing channels.
+                    let link = links[d.index()]
+                        .out
                         .expect("router launched into an existing channel");
                     // The transmit half of an owned node's outgoing
                     // channel is always owned here.
-                    let tl = t - self.tx_base;
+                    let tl = link.tx as usize - self.tx_base;
                     self.tx_flits_carried[tl] += 1;
-                    self.tx_bit_pitches[tl] += bits as f64 * shared.tx_meta[t].length_pitches;
-                    let rx = shared.tx_meta[t].rx;
+                    self.tx_bit_pitches[tl] += bits as f64 * link.length_pitches;
+                    let (rx, to_cell) = (link.rx as usize, link.to_cell as usize);
                     let due = now + shared.flit_latency;
-                    let to_cell = shared.cell_of_node[shared.rx_meta[rx].dst.index()];
                     if to_cell == self.index {
                         self.push_rx(rx - self.rx_base, due, flit, now);
                     } else {
@@ -1028,15 +1079,13 @@ impl ShardCell {
         for (port, vc) in out.credits.drain() {
             match port {
                 Port::Dir(q) => {
-                    // The flit came in via the channel from neighbor(node, q).
-                    let upstream = shared
-                        .topo
-                        .neighbor(node_id, q)
+                    // INVARIANT: a credit frees a slot a flit filled,
+                    // and flits only arrive on existing channels.
+                    let link = links[q.index()]
+                        .inc
                         .expect("credit for an existing channel");
-                    let t = shared.chan_idx[upstream.index()][q.opposite().index()]
-                        .expect("reverse channel exists");
+                    let (t, to_cell) = (link.up_tx as usize, link.up_cell as usize);
                     let due = now + shared.cfg.credit_latency;
-                    let to_cell = shared.cell_of_node[upstream.index()];
                     if to_cell == self.index {
                         self.push_tx(t - self.tx_base, due, vc, now);
                     } else {
