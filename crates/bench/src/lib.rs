@@ -2,7 +2,8 @@
 //!
 //! One binary per figure / quantitative claim of the paper (see
 //! `DESIGN.md` §4 for the index and `EXPERIMENTS.md` for recorded
-//! results), plus Criterion benches over the simulator's hot paths.
+//! results). Wall-clock performance is measured by the `benchmark/`
+//! package at the repository root, not here.
 //!
 //! Run an experiment with e.g.
 //!

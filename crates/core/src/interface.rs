@@ -17,7 +17,7 @@ use std::collections::VecDeque;
 use crate::error::Error;
 use crate::flit::{Flit, Payload, ServiceClass};
 use crate::ids::{Cycle, FlowId, NodeId, PacketId, VcId};
-use crate::probe::Probe;
+use crate::probe::{Event, Probe};
 
 /// A packet delivered by the network to a tile's output port.
 #[derive(Debug, Clone)]
@@ -242,14 +242,16 @@ impl TileInterface {
         if flit.kind.is_tail() {
             let r = self.reassembly[v].take().expect("open packet");
             let head = r.flits[0];
-            probe.packet_delivered(
+            probe.record(
                 now,
-                head.meta.src,
-                self.node,
-                head.meta.packet,
-                now - head.meta.injected_at,
-                r.flits.len() as u16,
-                head.meta.class,
+                Event::Delivered {
+                    src: head.meta.src,
+                    dst: self.node,
+                    packet: head.meta.packet,
+                    network_latency: now - head.meta.injected_at,
+                    num_flits: r.flits.len() as u16,
+                    class: head.meta.class,
+                },
             );
             self.delivered.push_back(DeliveredPacket {
                 id: head.meta.packet,

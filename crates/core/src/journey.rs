@@ -46,7 +46,7 @@ use std::fmt::Write as _;
 
 use crate::config::{FlowControl, LinkProtection, NetworkConfig};
 use crate::ids::{Cycle, NodeId, PacketId, Port, VcId};
-use crate::probe::PairTable;
+use crate::probe::{Event, PairTable};
 
 /// Pipeline constants a zero-load journey is made of, captured from the
 /// [`NetworkConfig`] so the analytic baseline `H·t_r + L/b` can be
@@ -540,8 +540,8 @@ pub struct JourneyCollector {
     /// only the per-journey records are bounded).
     capacity: usize,
     pending: PendingJourneys,
-    /// Emptied hop buffers of finished journeys, reused by
-    /// [`JourneyCollector::offered`].
+    /// Emptied hop buffers of finished journeys, reused by the next
+    /// injected packet.
     spare_hops: Vec<Vec<HopRecord>>,
     journeys: VecDeque<PacketJourney>,
     totals: StageSums,
@@ -620,151 +620,169 @@ impl JourneyCollector {
         self.spare_hops.push(hops);
     }
 
-    /// A packet was offered at its source tile port.
-    pub fn offered(&mut self, now: Cycle, src: NodeId, dst: NodeId, packet: PacketId) {
-        let hops = self.spare_hops.pop().unwrap_or_default();
-        self.pending.insert(
-            packet,
-            PendingJourney {
-                src,
-                dst,
-                class: 0,
-                flits: 1,
-                created_at: now,
-                entered_at: None,
-                head_ejected_at: None,
-                hops,
-            },
-        );
-    }
-
-    /// The head left the source queue into the network.
-    pub fn entered(&mut self, now: Cycle, packet: PacketId, flits: u16, class: u8) {
-        if let Some(p) = self.pending.get_mut(packet) {
-            p.entered_at = Some(now);
-            p.flits = flits;
-            p.class = class;
-        }
-    }
-
-    /// The head arrived at a router.
-    pub fn arrived(&mut self, now: Cycle, node: NodeId, in_port: Port, packet: PacketId) {
-        if let Some(p) = self.pending.get_mut(packet) {
-            p.hops.push(HopRecord::new(node, in_port, now));
-        }
-    }
-
-    /// The head was granted an output VC.
-    pub fn granted(&mut self, now: Cycle, node: NodeId, port: Port, vc: VcId, packet: PacketId) {
-        self.update_hop(
-            packet,
-            node,
-            |h| h.granted.is_none(),
-            |h| {
-                h.granted = Some(now);
-                h.out_port = Some(port);
-                h.out_vc = Some(vc);
-            },
-        );
-    }
-
-    /// The head's VC request was denied this cycle.
-    pub fn vc_conflict(&mut self, node: NodeId, port: Port, packet: PacketId) {
-        let class = self.update_hop(
-            packet,
-            node,
-            |h| h.granted.is_none(),
-            |h| h.vc_conflict_cycles += 1,
-        );
-        let link = self.link(node, port);
-        link.vc_conflicts += 1;
-        link.per_class[usize::from(class.min(2))] += 1;
-    }
-
-    /// A flit of the packet was blocked on a missing credit this cycle.
-    /// Head stalls land in the hop's credit window; body-flit stalls
-    /// surface in the tail's serialization stage and are attributed to
-    /// the link only.
-    pub fn credit_stalled(&mut self, node: NodeId, port: Port, vc: VcId, packet: PacketId) {
-        let class = self.update_hop(
-            packet,
-            node,
-            |h| h.staged.is_none(),
-            |h| h.credit_stall_cycles += 1,
-        );
-        let link = self.link(node, port);
-        link.credit_stalls += 1;
-        link.per_class[usize::from(class.min(2))] += 1;
-        if let Some(slot) = link.per_vc_credit.get_mut(vc.index()) {
-            *slot += 1;
-        }
-    }
-
-    /// The head traversed the switch into output staging.
-    pub fn staged(&mut self, now: Cycle, node: NodeId, port: Port, vc: VcId, packet: PacketId) {
-        self.update_hop(
-            packet,
-            node,
-            |h| h.staged.is_none(),
-            |h| {
-                h.staged = Some(now);
-                if h.out_port.is_none() {
-                    h.out_port = Some(port);
-                    h.out_vc = Some(vc);
+    /// Consumes one event of the probe stream. Queue exits, arrivals,
+    /// grants, staging, launches and ejections timestamp the packet's
+    /// pending journey; stall events also charge the link; delivery
+    /// finalizes the journey; drops discard it.
+    pub fn record(&mut self, now: Cycle, event: &Event) {
+        match *event {
+            Event::Injected { src, dst, packet } => {
+                let hops = self.spare_hops.pop().unwrap_or_default();
+                self.pending.insert(
+                    packet,
+                    PendingJourney {
+                        src,
+                        dst,
+                        class: 0,
+                        flits: 1,
+                        created_at: now,
+                        entered_at: None,
+                        head_ejected_at: None,
+                        hops,
+                    },
+                );
+            }
+            Event::Entered {
+                packet,
+                num_flits,
+                class,
+                ..
+            } => {
+                if let Some(p) = self.pending.get_mut(packet) {
+                    p.entered_at = Some(now);
+                    p.flits = num_flits;
+                    p.class = class.priority();
                 }
-            },
-        );
-    }
-
-    /// A staged flit of the packet was bypassed by a higher class this
-    /// cycle. Head suspensions land in the hop's preempt window;
-    /// body-flit suspensions surface in serialization and are
-    /// attributed to the link only.
-    pub fn preempted(&mut self, node: NodeId, port: Port, packet: PacketId) {
-        let class = self.update_hop(
-            packet,
-            node,
-            |h| h.staged.is_some() && h.forwarded.is_none(),
-            |h| h.preempt_cycles += 1,
-        );
-        let link = self.link(node, port);
-        link.preemptions += 1;
-        link.per_class[usize::from(class.min(2))] += 1;
-    }
-
-    /// A flit of the packet launched through an output port.
-    pub fn forwarded(&mut self, now: Cycle, node: NodeId, port: Port, vc: VcId, packet: PacketId) {
-        self.update_hop(
-            packet,
-            node,
-            |h| h.forwarded.is_none(),
-            |h| {
-                h.forwarded = Some(now);
-                if h.out_port.is_none() {
-                    h.out_port = Some(port);
-                    h.out_vc = Some(vc);
+            }
+            Event::HeadArrived {
+                node,
+                in_port,
+                packet,
+            } => {
+                if let Some(p) = self.pending.get_mut(packet) {
+                    p.hops.push(HopRecord::new(node, in_port, now));
                 }
-            },
-        );
-    }
-
-    /// The head reached the destination tile port.
-    pub fn ejected(&mut self, now: Cycle, packet: PacketId) {
-        if let Some(p) = self.pending.get_mut(packet) {
-            p.head_ejected_at = Some(now);
-        }
-    }
-
-    /// The packet was dropped; its pending journey is discarded.
-    pub fn dropped(&mut self, packet: PacketId) {
-        if let Some(p) = self.pending.remove(packet) {
-            self.dropped += 1;
-            self.recycle(p.hops);
+            }
+            Event::VcAllocated {
+                node,
+                port,
+                vc,
+                packet,
+            } => {
+                self.update_hop(
+                    packet,
+                    node,
+                    |h| h.granted.is_none(),
+                    |h| {
+                        h.granted = Some(now);
+                        h.out_port = Some(port);
+                        h.out_vc = Some(vc);
+                    },
+                );
+            }
+            Event::AllocConflict { node, port, packet } => {
+                let class = self.update_hop(
+                    packet,
+                    node,
+                    |h| h.granted.is_none(),
+                    |h| h.vc_conflict_cycles += 1,
+                );
+                let link = self.link(node, port);
+                link.vc_conflicts += 1;
+                link.per_class[usize::from(class.min(2))] += 1;
+            }
+            // Head stalls land in the hop's credit window; body-flit
+            // stalls surface in the tail's serialization stage and are
+            // attributed to the link only.
+            Event::CreditStall {
+                node,
+                port,
+                vc,
+                packet,
+            } => {
+                let class = self.update_hop(
+                    packet,
+                    node,
+                    |h| h.staged.is_none(),
+                    |h| h.credit_stall_cycles += 1,
+                );
+                let link = self.link(node, port);
+                link.credit_stalls += 1;
+                link.per_class[usize::from(class.min(2))] += 1;
+                if let Some(slot) = link.per_vc_credit.get_mut(vc.index()) {
+                    *slot += 1;
+                }
+            }
+            Event::SwitchTraversed {
+                node,
+                port,
+                vc,
+                packet,
+            } => {
+                self.update_hop(
+                    packet,
+                    node,
+                    |h| h.staged.is_none(),
+                    |h| {
+                        h.staged = Some(now);
+                        if h.out_port.is_none() {
+                            h.out_port = Some(port);
+                            h.out_vc = Some(vc);
+                        }
+                    },
+                );
+            }
+            // Head suspensions land in the hop's preempt window; body-flit
+            // suspensions surface in serialization and are attributed to
+            // the link only.
+            Event::Preemption { node, port, packet } => {
+                let class = self.update_hop(
+                    packet,
+                    node,
+                    |h| h.staged.is_some() && h.forwarded.is_none(),
+                    |h| h.preempt_cycles += 1,
+                );
+                let link = self.link(node, port);
+                link.preemptions += 1;
+                link.per_class[usize::from(class.min(2))] += 1;
+            }
+            Event::Forwarded {
+                node,
+                port,
+                vc,
+                packet,
+            } => {
+                self.update_hop(
+                    packet,
+                    node,
+                    |h| h.forwarded.is_none(),
+                    |h| {
+                        h.forwarded = Some(now);
+                        if h.out_port.is_none() {
+                            h.out_port = Some(port);
+                            h.out_vc = Some(vc);
+                        }
+                    },
+                );
+            }
+            Event::HeadEjected { packet, .. } => {
+                if let Some(p) = self.pending.get_mut(packet) {
+                    p.head_ejected_at = Some(now);
+                }
+            }
+            Event::Dropped { packet, .. } => {
+                if let Some(p) = self.pending.remove(packet) {
+                    self.dropped += 1;
+                    self.recycle(p.hops);
+                }
+            }
+            Event::Delivered { packet, .. } => self.delivered(now, packet),
+            Event::Misroute { .. } | Event::BufferSample { .. } => {}
         }
     }
 
     /// The tail reached the destination: finalize the journey.
-    pub fn delivered(&mut self, now: Cycle, packet: PacketId) {
+    fn delivered(&mut self, now: Cycle, packet: PacketId) {
         let Some(p) = self.pending.remove(packet) else {
             self.incomplete += 1;
             return;
@@ -1157,32 +1175,148 @@ impl DecompositionReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flit::ServiceClass;
 
     fn constants() -> StageConstants {
         StageConstants::paper_baseline()
     }
 
+    const EAST: Port = Port::Dir(crate::ids::Direction::East);
+    const WEST: Port = Port::Dir(crate::ids::Direction::West);
+
+    /// A one-flit bulk packet's queue exit.
+    fn entered(node: NodeId, packet: PacketId) -> Event {
+        Event::Entered {
+            node,
+            packet,
+            num_flits: 1,
+            class: ServiceClass::Bulk,
+        }
+    }
+
+    /// A delivery; the collector reads only the packet id from it.
+    fn delivered(packet: PacketId) -> Event {
+        Event::Delivered {
+            src: NodeId::new(0),
+            dst: NodeId::new(0),
+            packet,
+            network_latency: 0,
+            num_flits: 1,
+            class: ServiceClass::Bulk,
+        }
+    }
+
+    fn forwarded(node: NodeId, port: Port, packet: PacketId) -> Event {
+        Event::Forwarded {
+            node,
+            port,
+            vc: VcId::new(0),
+            packet,
+        }
+    }
+
     /// Drives one synthetic two-router journey through the collector.
     fn one_journey(capacity: usize) -> DecompositionReport {
         let mut c = JourneyCollector::new(constants(), 8, capacity);
-        let p = PacketId(7);
+        let packet = PacketId(7);
         let (src, dst) = (NodeId::new(0), NodeId::new(1));
-        let east = Port::Dir(crate::ids::Direction::East);
-        c.offered(0, src, dst, p);
-        c.entered(2, p, 2, 0);
-        c.arrived(4, src, Port::Tile, p);
-        c.vc_conflict(src, east, p);
-        c.granted(5, src, east, VcId::new(3), p);
-        c.credit_stalled(src, east, VcId::new(3), p);
-        c.staged(6, src, east, VcId::new(3), p);
-        c.preempted(src, east, p);
-        c.forwarded(8, src, east, VcId::new(3), p);
-        c.arrived(10, dst, Port::Dir(crate::ids::Direction::West), p);
-        c.granted(10, dst, Port::Tile, VcId::new(0), p);
-        c.staged(10, dst, Port::Tile, VcId::new(0), p);
-        c.forwarded(10, dst, Port::Tile, VcId::new(0), p);
-        c.ejected(11, p);
-        c.delivered(12, p);
+        let (vc3, vc0) = (VcId::new(3), VcId::new(0));
+        let (node, port, vc) = (src, EAST, vc3);
+        let events = [
+            (0, Event::Injected { src, dst, packet }),
+            (
+                2,
+                Event::Entered {
+                    node,
+                    packet,
+                    num_flits: 2,
+                    class: ServiceClass::Bulk,
+                },
+            ),
+            (
+                4,
+                Event::HeadArrived {
+                    node,
+                    in_port: Port::Tile,
+                    packet,
+                },
+            ),
+            (4, Event::AllocConflict { node, port, packet }),
+            (
+                5,
+                Event::VcAllocated {
+                    node,
+                    port,
+                    vc,
+                    packet,
+                },
+            ),
+            (
+                5,
+                Event::CreditStall {
+                    node,
+                    port,
+                    vc,
+                    packet,
+                },
+            ),
+            (
+                6,
+                Event::SwitchTraversed {
+                    node,
+                    port,
+                    vc,
+                    packet,
+                },
+            ),
+            (6, Event::Preemption { node, port, packet }),
+            (8, forwarded(src, EAST, packet)),
+        ];
+        let (node, port, vc) = (dst, Port::Tile, vc0);
+        let tail = [
+            (
+                10,
+                Event::HeadArrived {
+                    node,
+                    in_port: WEST,
+                    packet,
+                },
+            ),
+            (
+                10,
+                Event::VcAllocated {
+                    node,
+                    port,
+                    vc,
+                    packet,
+                },
+            ),
+            (
+                10,
+                Event::SwitchTraversed {
+                    node,
+                    port,
+                    vc,
+                    packet,
+                },
+            ),
+            (10, forwarded(dst, Port::Tile, packet)),
+            (11, Event::HeadEjected { node, packet }),
+            (
+                12,
+                Event::Delivered {
+                    src,
+                    dst,
+                    packet,
+                    network_latency: 10,
+                    num_flits: 2,
+                    class: ServiceClass::Bulk,
+                },
+            ),
+        ];
+        for (now, e) in events.iter().chain(&tail) {
+            c.record(*now, e);
+        }
         c.freeze()
     }
 
@@ -1236,12 +1370,34 @@ mod tests {
         let mut c = JourneyCollector::new(constants(), 8, 2);
         for i in 0..5u64 {
             let p = PacketId(i);
-            c.offered(0, NodeId::new(0), NodeId::new(1), p);
-            c.entered(0, p, 1, 0);
-            c.arrived(1, NodeId::new(0), Port::Tile, p);
-            c.forwarded(1, NodeId::new(0), Port::Tile, VcId::new(0), p);
-            c.ejected(2, p);
-            c.delivered(2, p);
+            let (src, dst) = (NodeId::new(0), NodeId::new(1));
+            c.record(
+                0,
+                &Event::Injected {
+                    src,
+                    dst,
+                    packet: p,
+                },
+            );
+            c.record(0, &entered(src, p));
+            let in_port = Port::Tile;
+            c.record(
+                1,
+                &Event::HeadArrived {
+                    node: src,
+                    in_port,
+                    packet: p,
+                },
+            );
+            c.record(1, &forwarded(src, Port::Tile, p));
+            c.record(
+                2,
+                &Event::HeadEjected {
+                    node: dst,
+                    packet: p,
+                },
+            );
+            c.record(2, &delivered(p));
         }
         let r = c.freeze();
         assert_eq!(r.packets, 5);
@@ -1254,10 +1410,11 @@ mod tests {
     #[test]
     fn dropped_and_unknown_packets_are_accounted() {
         let mut c = JourneyCollector::new(constants(), 8, 4);
-        c.offered(0, NodeId::new(0), NodeId::new(2), PacketId(1));
-        c.dropped(PacketId(1));
+        let (src, dst, packet) = (NodeId::new(0), NodeId::new(2), PacketId(1));
+        c.record(0, &Event::Injected { src, dst, packet });
+        c.record(1, &Event::Dropped { node: src, packet });
         // A delivery the collector never saw injected.
-        c.delivered(9, PacketId(99));
+        c.record(9, &delivered(PacketId(99)));
         let r = c.freeze();
         assert_eq!(r.dropped, 1);
         assert_eq!(r.incomplete, 1);
@@ -1267,14 +1424,31 @@ mod tests {
     /// Walks `p` from `src` to `dst` over one channel, up to (but not
     /// including) delivery: offered at `t`, head ejected at `t + 4`.
     fn walk(c: &mut JourneyCollector, p: PacketId, src: NodeId, dst: NodeId, t: Cycle) {
-        let east = Port::Dir(crate::ids::Direction::East);
-        c.offered(t, src, dst, p);
-        c.entered(t, p, 1, 0);
-        c.arrived(t + 1, src, Port::Tile, p);
-        c.forwarded(t + 2, src, east, VcId::new(0), p);
-        c.arrived(t + 3, dst, Port::Dir(crate::ids::Direction::West), p);
-        c.forwarded(t + 3, dst, Port::Tile, VcId::new(0), p);
-        c.ejected(t + 4, p);
+        let arrived = |node, in_port| Event::HeadArrived {
+            node,
+            in_port,
+            packet: p,
+        };
+        c.record(
+            t,
+            &Event::Injected {
+                src,
+                dst,
+                packet: p,
+            },
+        );
+        c.record(t, &entered(src, p));
+        c.record(t + 1, &arrived(src, Port::Tile));
+        c.record(t + 2, &forwarded(src, EAST, p));
+        c.record(t + 3, &arrived(dst, WEST));
+        c.record(t + 3, &forwarded(dst, Port::Tile, p));
+        c.record(
+            t + 4,
+            &Event::HeadEjected {
+                node: dst,
+                packet: p,
+            },
+        );
     }
 
     /// The per-source pending windows: deliveries out of order, a drop
@@ -1297,18 +1471,24 @@ mod tests {
                 10 * seq + 1,
             );
         }
-        c.delivered(40, pa(2));
-        c.delivered(41, pb(0));
-        c.dropped(pa(1));
-        c.delivered(42, pa(0));
+        c.record(40, &delivered(pa(2)));
+        c.record(41, &delivered(pb(0)));
+        c.record(
+            41,
+            &Event::Dropped {
+                node: a,
+                packet: pa(1),
+            },
+        );
+        c.record(42, &delivered(pa(0)));
         // Never offered: past a's window, and on a source with no window.
-        c.delivered(43, pa(9));
-        c.delivered(43, PacketId::new(NodeId::new(40), 0));
+        c.record(43, &delivered(pa(9)));
+        c.record(43, &delivered(PacketId::new(NodeId::new(40), 0)));
         // Delivered twice.
-        c.delivered(44, pa(2));
+        c.record(44, &delivered(pa(2)));
         // a's window is empty now; a later packet opens it afresh.
         walk(&mut c, pa(3), a, NodeId::new(13), 50);
-        c.delivered(55, pa(3));
+        c.record(55, &delivered(pa(3)));
 
         let r = c.freeze();
         assert_eq!(r.packets, 4);
@@ -1350,7 +1530,7 @@ mod tests {
             walk(&mut c, p, a, NodeId::new(2), t);
         }
         for (t, &p) in (100..).zip(ids.iter().rev()) {
-            c.delivered(t, p);
+            c.record(t, &delivered(p));
         }
         let r = c.freeze();
         assert_eq!(r.packets, ids.len() as u64);

@@ -10,17 +10,20 @@
 //!
 //! * [`Probe`] is the observation interface threaded through
 //!   [`crate::network::Network`], the three router cores, and
-//!   [`crate::interface::TileInterface`]. Every method has a no-op
-//!   default, and [`NoProbe`] implements exactly those defaults, so an
-//!   uninstrumented simulation pays only a handful of never-taken
-//!   branches: probes observe and never mutate simulation state, which is
-//!   what keeps a probed run bit-identical to an unprobed one.
+//!   [`crate::interface::TileInterface`]. It has one method,
+//!   [`Probe::record`], which takes one [`Event`]: the workspace's single
+//!   list of the 14 things a cycle can report. [`NoProbe`] records
+//!   nothing, so an uninstrumented simulation pays one empty call per
+//!   event site. Probes observe and never mutate simulation state, which
+//!   is what keeps a probed run bit-identical to an unprobed one.
 //! * [`NetworkProbe`] is the concrete collector: per-router
 //!   [`RouterProbe`] counter blocks, an optional bounded ring-buffer
-//!   [`EventTrace`], and per-(src, dst) [`LatencyHistogram`]s. A finished
-//!   run is snapshotted into a [`NetworkMetrics`] value that serializes
-//!   to deterministic JSON (`metrics.json`) and to the same versioned
-//!   text convention the traffic traces use.
+//!   [`EventTrace`], and per-(src, dst) [`LatencyHistogram`]s. It
+//!   updates its counters from each event, then forwards the event to
+//!   the journey and telemetry collectors. A finished run is snapshotted
+//!   into a [`NetworkMetrics`] value that serializes to deterministic
+//!   JSON (`metrics.json`) and to the same versioned text convention the
+//!   traffic traces use.
 //!
 //! ```
 //! use ocin_core::{Network, NetworkConfig, PacketSpec};
@@ -55,129 +58,153 @@ use crate::telemetry::{TelemetryCollector, TelemetryReport};
 /// 32 buckets cover every latency below 2³¹ cycles.
 pub const HISTOGRAM_BUCKETS: usize = 32;
 
-/// The observation interface the network and routers report into.
+/// One observable fact of a simulated cycle: the single vocabulary every
+/// event source reports in and every collector consumes.
 ///
-/// All methods default to no-ops; implementors override the events they
-/// care about. Probes must be *passive*: nothing the simulator does may
-/// depend on a probe's state, so instrumented and uninstrumented runs of
-/// the same seed stay bit-identical.
-pub trait Probe {
+/// Each variant names the router or tile it happened at, which is what
+/// lets [`crate::shard::replay_logs`] merge a sharded run's per-cell logs
+/// back into the sequential stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Event {
     /// A packet was accepted at its source tile port.
-    fn packet_injected(&mut self, _now: Cycle, _src: NodeId, _dst: NodeId, _packet: PacketId) {}
-
+    Injected {
+        src: NodeId,
+        dst: NodeId,
+        packet: PacketId,
+    },
     /// A packet's head left the source queue into the network (the
     /// boundary where source-queue wait ends and network latency
     /// begins).
-    fn packet_entered(
-        &mut self,
-        _now: Cycle,
-        _node: NodeId,
-        _packet: PacketId,
-        _num_flits: u16,
-        _class: ServiceClass,
-    ) {
-    }
-
+    Entered {
+        node: NodeId,
+        packet: PacketId,
+        num_flits: u16,
+        class: ServiceClass,
+    },
     /// A packet's head flit arrived at router `node` through input
     /// `in_port` ([`Port::Tile`] at the source router).
-    fn head_arrived(&mut self, _now: Cycle, _node: NodeId, _in_port: Port, _packet: PacketId) {}
-
+    HeadArrived {
+        node: NodeId,
+        in_port: Port,
+        packet: PacketId,
+    },
     /// A flit launched from `node` through output `port` on channel `vc`.
-    fn flit_forwarded(
-        &mut self,
-        _now: Cycle,
-        _node: NodeId,
-        _port: Port,
-        _vc: VcId,
-        _packet: PacketId,
-    ) {
-    }
-
+    Forwarded {
+        node: NodeId,
+        port: Port,
+        vc: VcId,
+        packet: PacketId,
+    },
     /// The waiting head flit of `packet` was granted output virtual
     /// channel `vc`.
-    fn vc_allocated(
-        &mut self,
-        _now: Cycle,
-        _node: NodeId,
-        _port: Port,
-        _vc: VcId,
-        _packet: PacketId,
-    ) {
-    }
-
+    VcAllocated {
+        node: NodeId,
+        port: Port,
+        vc: VcId,
+        packet: PacketId,
+    },
     /// The head flit of `packet` requested an output VC on `port` and
     /// none was free.
-    fn alloc_conflict(&mut self, _now: Cycle, _node: NodeId, _port: Port, _packet: PacketId) {}
-
+    AllocConflict {
+        node: NodeId,
+        port: Port,
+        packet: PacketId,
+    },
     /// A flit of `packet` was ready to traverse the switch but its
     /// output VC had no downstream credit.
-    fn credit_stall(
-        &mut self,
-        _now: Cycle,
-        _node: NodeId,
-        _port: Port,
-        _vc: VcId,
-        _packet: PacketId,
-    ) {
-    }
-
+    CreditStall {
+        node: NodeId,
+        port: Port,
+        vc: VcId,
+        packet: PacketId,
+    },
     /// A flit moved through the crossbar into output staging for
     /// `port` on channel `vc`.
-    fn switch_traversed(
-        &mut self,
-        _now: Cycle,
-        _node: NodeId,
-        _port: Port,
-        _vc: VcId,
-        _packet: PacketId,
-    ) {
-    }
-
+    SwitchTraversed {
+        node: NodeId,
+        port: Port,
+        vc: VcId,
+        packet: PacketId,
+    },
     /// A higher-class flit took the link while the staged lower-class
     /// flit of `packet` sat suspended for the same output (the paper's
     /// §2.2 preemption). Fires once per bypassed flit per cycle.
-    fn preemption(&mut self, _now: Cycle, _node: NodeId, _port: Port, _packet: PacketId) {}
-
+    Preemption {
+        node: NodeId,
+        port: Port,
+        packet: PacketId,
+    },
     /// A packet's head flit reached its destination tile port (the tail
     /// is still serializing behind it).
-    fn head_ejected(&mut self, _now: Cycle, _node: NodeId, _packet: PacketId) {}
-
+    HeadEjected { node: NodeId, packet: PacketId },
     /// A packet was dropped at `node` (dropping flow control).
-    fn packet_dropped(&mut self, _now: Cycle, _node: NodeId, _packet: PacketId) {}
-
+    Dropped { node: NodeId, packet: PacketId },
     /// A flit was deflected out a non-productive port at `node`.
-    fn misroute(&mut self, _now: Cycle, _node: NodeId, _packet: PacketId) {}
-
+    Misroute { node: NodeId, packet: PacketId },
     /// A packet's tail reached its destination tile port. `num_flits`
     /// is the packet's full flit count and `class` its service class,
     /// so collectors can attribute delivered *flits* and tail latency
     /// per class without tracking per-packet state themselves.
-    ///
-    /// Every argument is an independent fact of the delivery event;
-    /// bundling them into a struct would force an allocation-free hot
-    /// path to build a record nobody stores.
-    #[allow(clippy::too_many_arguments)]
-    fn packet_delivered(
-        &mut self,
-        _now: Cycle,
-        _src: NodeId,
-        _dst: NodeId,
-        _packet: PacketId,
-        _network_latency: Cycle,
-        _num_flits: u16,
-        _class: ServiceClass,
-    ) {
-    }
-
+    Delivered {
+        src: NodeId,
+        dst: NodeId,
+        packet: PacketId,
+        network_latency: Cycle,
+        num_flits: u16,
+        class: ServiceClass,
+    },
     /// Per-cycle sample of the flits buffered inside `node`'s router.
-    fn buffer_sample(&mut self, _now: Cycle, _node: NodeId, _occupancy: usize) {}
+    BufferSample { node: NodeId, occupancy: usize },
+}
+
+impl Event {
+    /// The node the event is keyed on: the source for
+    /// [`Event::Injected`], the destination for [`Event::Delivered`],
+    /// and `node` otherwise. Within one cycle phase the sequential engine
+    /// emits events in ascending key order, and every event of one key
+    /// comes from the single cell that owns that node.
+    pub(crate) fn key(&self) -> NodeId {
+        match *self {
+            Event::Injected { src, .. } => src,
+            Event::Delivered { dst, .. } => dst,
+            Event::Entered { node, .. }
+            | Event::HeadArrived { node, .. }
+            | Event::Forwarded { node, .. }
+            | Event::VcAllocated { node, .. }
+            | Event::AllocConflict { node, .. }
+            | Event::CreditStall { node, .. }
+            | Event::SwitchTraversed { node, .. }
+            | Event::Preemption { node, .. }
+            | Event::HeadEjected { node, .. }
+            | Event::Dropped { node, .. }
+            | Event::Misroute { node, .. }
+            | Event::BufferSample { node, .. } => node,
+        }
+    }
+}
+
+// Sharded probed runs hold every event until replay, so an event must
+// stay within three words.
+const _: () = assert!(std::mem::size_of::<Event>() <= 24);
+
+/// The observation interface the network and routers report into: one
+/// [`Event`] stream.
+///
+/// Probes must be *passive*: nothing the simulator does may depend on a
+/// probe's state, so instrumented and uninstrumented runs of the same
+/// seed stay bit-identical.
+pub trait Probe {
+    /// Observes `event`, which happened at cycle `now`.
+    fn record(&mut self, now: Cycle, event: Event);
 }
 
 /// The always-disabled probe: every event is a no-op.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoProbe;
 
-impl Probe for NoProbe {}
+impl Probe for NoProbe {
+    fn record(&mut self, _now: Cycle, _event: Event) {}
+}
 
 /// What a [`NetworkProbe`] collects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -373,6 +400,48 @@ pub struct ProbeEvent {
     pub vc: u8,
     /// Packet the event belongs to; 0 where not meaningful.
     pub packet: u64,
+}
+
+impl ProbeEvent {
+    /// The trace record of `event` at cycle `now`, or `None` for the
+    /// events the trace does not keep (head arrivals and ejections,
+    /// queue exits, switch traversals, and buffer samples).
+    fn from_event(now: Cycle, event: &Event) -> Option<ProbeEvent> {
+        // The node is the event's key; port and VC are 0 where the kind
+        // has none.
+        let (kind, port, vc, packet) = match *event {
+            Event::Injected { packet, .. } => (EventKind::Inject, 0, 0, packet),
+            Event::Forwarded {
+                port, vc, packet, ..
+            } => (EventKind::Hop, port.index(), vc.index(), packet),
+            Event::VcAllocated {
+                port, vc, packet, ..
+            } => (EventKind::VcAlloc, port.index(), vc.index(), packet),
+            Event::AllocConflict { port, packet, .. } => {
+                (EventKind::AllocConflict, port.index(), 0, packet)
+            }
+            Event::CreditStall {
+                port, vc, packet, ..
+            } => (EventKind::CreditStall, port.index(), vc.index(), packet),
+            Event::Preemption { port, packet, .. } => (EventKind::Preempt, port.index(), 0, packet),
+            Event::Dropped { packet, .. } => (EventKind::Drop, 0, 0, packet),
+            Event::Misroute { packet, .. } => (EventKind::Misroute, 0, 0, packet),
+            Event::Delivered { packet, .. } => (EventKind::Deliver, Port::Tile.index(), 0, packet),
+            Event::Entered { .. }
+            | Event::HeadArrived { .. }
+            | Event::SwitchTraversed { .. }
+            | Event::HeadEjected { .. }
+            | Event::BufferSample { .. } => return None,
+        };
+        Some(ProbeEvent {
+            cycle: now,
+            kind,
+            node: event.key().index() as u16,
+            port: port as u8,
+            vc: vc as u8,
+            packet: packet.0,
+        })
+    }
 }
 
 /// A bounded ring buffer of [`ProbeEvent`]s: pushing beyond capacity
@@ -811,220 +880,50 @@ impl NetworkProbe {
 }
 
 impl Probe for NetworkProbe {
-    fn packet_injected(&mut self, now: Cycle, src: NodeId, dst: NodeId, packet: PacketId) {
-        self.packets_injected += 1;
+    fn record(&mut self, now: Cycle, event: Event) {
+        let router = &mut self.routers[event.key().index()];
+        match event {
+            Event::Injected { .. } => self.packets_injected += 1,
+            Event::Forwarded { port, vc, .. } => {
+                let pc = &mut router.ports[port.index()];
+                pc.flits_forwarded += 1;
+                if let Some(slot) = pc.per_vc_forwarded.get_mut(vc.index()) {
+                    *slot += 1;
+                }
+            }
+            Event::VcAllocated { port, .. } => router.ports[port.index()].vc_allocations += 1,
+            Event::AllocConflict { port, .. } => router.ports[port.index()].alloc_conflicts += 1,
+            Event::CreditStall { port, .. } => router.ports[port.index()].credit_stalls += 1,
+            Event::Preemption { port, .. } => router.ports[port.index()].preemptions += 1,
+            Event::Dropped { .. } => router.packets_dropped += 1,
+            Event::Misroute { .. } => router.misroutes += 1,
+            Event::Delivered {
+                src,
+                dst,
+                network_latency,
+                ..
+            } => {
+                self.packets_delivered += 1;
+                self.pair_latency
+                    .get_or_default(src, dst)
+                    .record(network_latency);
+            }
+            Event::BufferSample { occupancy, .. } => {
+                router.occupancy_integral += occupancy as u64;
+            }
+            Event::Entered { .. }
+            | Event::HeadArrived { .. }
+            | Event::SwitchTraversed { .. }
+            | Event::HeadEjected { .. } => {}
+        }
+        if let Some(e) = ProbeEvent::from_event(now, &event) {
+            self.trace.push(e);
+        }
         if let Some(j) = self.journeys.as_mut() {
-            j.offered(now, src, dst, packet);
+            j.record(now, &event);
         }
         if let Some(t) = self.telemetry.as_mut() {
-            t.record_injected(now);
-        }
-        self.trace.push(ProbeEvent {
-            cycle: now,
-            kind: EventKind::Inject,
-            node: src.index() as u16,
-            port: 0,
-            vc: 0,
-            packet: packet.0,
-        });
-    }
-
-    fn packet_entered(
-        &mut self,
-        now: Cycle,
-        _node: NodeId,
-        packet: PacketId,
-        num_flits: u16,
-        class: ServiceClass,
-    ) {
-        if let Some(j) = self.journeys.as_mut() {
-            j.entered(now, packet, num_flits, class.priority());
-        }
-    }
-
-    fn head_arrived(&mut self, now: Cycle, node: NodeId, in_port: Port, packet: PacketId) {
-        if let Some(j) = self.journeys.as_mut() {
-            j.arrived(now, node, in_port, packet);
-        }
-    }
-
-    fn flit_forwarded(&mut self, now: Cycle, node: NodeId, port: Port, vc: VcId, packet: PacketId) {
-        let pc = &mut self.routers[node.index()].ports[port.index()];
-        pc.flits_forwarded += 1;
-        if let Some(slot) = pc.per_vc_forwarded.get_mut(vc.index()) {
-            *slot += 1;
-        }
-        if let Some(j) = self.journeys.as_mut() {
-            j.forwarded(now, node, port, vc, packet);
-        }
-        if let Some(t) = self.telemetry.as_mut() {
-            t.record_forwarded(now, node, port);
-        }
-        self.trace.push(ProbeEvent {
-            cycle: now,
-            kind: EventKind::Hop,
-            node: node.index() as u16,
-            port: port.index() as u8,
-            vc: vc.index() as u8,
-            packet: packet.0,
-        });
-    }
-
-    fn vc_allocated(&mut self, now: Cycle, node: NodeId, port: Port, vc: VcId, packet: PacketId) {
-        self.routers[node.index()].ports[port.index()].vc_allocations += 1;
-        if let Some(j) = self.journeys.as_mut() {
-            j.granted(now, node, port, vc, packet);
-        }
-        self.trace.push(ProbeEvent {
-            cycle: now,
-            kind: EventKind::VcAlloc,
-            node: node.index() as u16,
-            port: port.index() as u8,
-            vc: vc.index() as u8,
-            packet: packet.0,
-        });
-    }
-
-    fn alloc_conflict(&mut self, now: Cycle, node: NodeId, port: Port, packet: PacketId) {
-        self.routers[node.index()].ports[port.index()].alloc_conflicts += 1;
-        if let Some(j) = self.journeys.as_mut() {
-            j.vc_conflict(node, port, packet);
-        }
-        if let Some(t) = self.telemetry.as_mut() {
-            t.record_alloc_conflict(now);
-        }
-        self.trace.push(ProbeEvent {
-            cycle: now,
-            kind: EventKind::AllocConflict,
-            node: node.index() as u16,
-            port: port.index() as u8,
-            vc: 0,
-            packet: packet.0,
-        });
-    }
-
-    fn credit_stall(&mut self, now: Cycle, node: NodeId, port: Port, vc: VcId, packet: PacketId) {
-        self.routers[node.index()].ports[port.index()].credit_stalls += 1;
-        if let Some(j) = self.journeys.as_mut() {
-            j.credit_stalled(node, port, vc, packet);
-        }
-        if let Some(t) = self.telemetry.as_mut() {
-            t.record_credit_stall(now);
-        }
-        self.trace.push(ProbeEvent {
-            cycle: now,
-            kind: EventKind::CreditStall,
-            node: node.index() as u16,
-            port: port.index() as u8,
-            vc: vc.index() as u8,
-            packet: packet.0,
-        });
-    }
-
-    fn switch_traversed(
-        &mut self,
-        now: Cycle,
-        node: NodeId,
-        port: Port,
-        vc: VcId,
-        packet: PacketId,
-    ) {
-        if let Some(j) = self.journeys.as_mut() {
-            j.staged(now, node, port, vc, packet);
-        }
-    }
-
-    fn preemption(&mut self, now: Cycle, node: NodeId, port: Port, packet: PacketId) {
-        self.routers[node.index()].ports[port.index()].preemptions += 1;
-        if let Some(j) = self.journeys.as_mut() {
-            j.preempted(node, port, packet);
-        }
-        if let Some(t) = self.telemetry.as_mut() {
-            t.record_preemption(now);
-        }
-        self.trace.push(ProbeEvent {
-            cycle: now,
-            kind: EventKind::Preempt,
-            node: node.index() as u16,
-            port: port.index() as u8,
-            vc: 0,
-            packet: packet.0,
-        });
-    }
-
-    fn head_ejected(&mut self, now: Cycle, _node: NodeId, packet: PacketId) {
-        if let Some(j) = self.journeys.as_mut() {
-            j.ejected(now, packet);
-        }
-    }
-
-    fn packet_dropped(&mut self, now: Cycle, node: NodeId, packet: PacketId) {
-        self.routers[node.index()].packets_dropped += 1;
-        if let Some(j) = self.journeys.as_mut() {
-            j.dropped(packet);
-        }
-        if let Some(t) = self.telemetry.as_mut() {
-            t.record_dropped(now);
-        }
-        self.trace.push(ProbeEvent {
-            cycle: now,
-            kind: EventKind::Drop,
-            node: node.index() as u16,
-            port: 0,
-            vc: 0,
-            packet: packet.0,
-        });
-    }
-
-    fn misroute(&mut self, now: Cycle, node: NodeId, packet: PacketId) {
-        self.routers[node.index()].misroutes += 1;
-        if let Some(t) = self.telemetry.as_mut() {
-            t.record_misroute(now);
-        }
-        self.trace.push(ProbeEvent {
-            cycle: now,
-            kind: EventKind::Misroute,
-            node: node.index() as u16,
-            port: 0,
-            vc: 0,
-            packet: packet.0,
-        });
-    }
-
-    fn packet_delivered(
-        &mut self,
-        now: Cycle,
-        src: NodeId,
-        dst: NodeId,
-        packet: PacketId,
-        network_latency: Cycle,
-        num_flits: u16,
-        class: ServiceClass,
-    ) {
-        self.packets_delivered += 1;
-        self.pair_latency
-            .get_or_default(src, dst)
-            .record(network_latency);
-        if let Some(j) = self.journeys.as_mut() {
-            j.delivered(now, packet);
-        }
-        if let Some(t) = self.telemetry.as_mut() {
-            t.record_delivered(now, src, dst, network_latency, num_flits, class);
-        }
-        self.trace.push(ProbeEvent {
-            cycle: now,
-            kind: EventKind::Deliver,
-            node: dst.index() as u16,
-            port: Port::Tile.index() as u8,
-            vc: 0,
-            packet: packet.0,
-        });
-    }
-
-    fn buffer_sample(&mut self, now: Cycle, node: NodeId, occupancy: usize) {
-        self.routers[node.index()].occupancy_integral += occupancy as u64;
-        if let Some(t) = self.telemetry.as_mut() {
-            t.record_occupancy(now, occupancy);
+            t.record(now, &event);
         }
     }
 }
@@ -1276,9 +1175,176 @@ mod tests {
     #[test]
     fn no_probe_is_inert() {
         let mut p = NoProbe;
-        p.packet_injected(0, 0.into(), 1.into(), PacketId(0));
-        p.flit_forwarded(0, 0.into(), Port::Tile, VcId::new(0), PacketId(0));
-        p.buffer_sample(0, 0.into(), 7);
+        for (now, e) in sample_events() {
+            p.record(now, e);
+        }
+    }
+
+    /// One event of every variant, in a plausible cycle order: node 0
+    /// injects packet 1 to node 3, which is delivered; packet 9 is
+    /// dropped at node 2 and deflected at node 3.
+    fn sample_events() -> Vec<(Cycle, Event)> {
+        let (src, dst, packet) = (NodeId::new(0), NodeId::new(3), PacketId(1));
+        let (node, east, tile) = (src, Port::Dir(crate::ids::Direction::East), Port::Tile);
+        let vc = VcId::new(2);
+        let (n1, n2, other) = (NodeId::new(1), NodeId::new(2), PacketId(2));
+        let class = ServiceClass::Bulk;
+        let (in_port, num_flits) = (tile, 2);
+        vec![
+            (0, Event::Injected { src, dst, packet }),
+            (
+                0,
+                Event::Entered {
+                    node,
+                    packet,
+                    num_flits,
+                    class,
+                },
+            ),
+            (
+                1,
+                Event::HeadArrived {
+                    node,
+                    in_port,
+                    packet,
+                },
+            ),
+            (
+                1,
+                Event::VcAllocated {
+                    node,
+                    port: tile,
+                    vc: VcId::new(0),
+                    packet,
+                },
+            ),
+            (
+                1,
+                Event::SwitchTraversed {
+                    node,
+                    port: east,
+                    vc,
+                    packet,
+                },
+            ),
+            (
+                1,
+                Event::Forwarded {
+                    node,
+                    port: east,
+                    vc,
+                    packet,
+                },
+            ),
+            (
+                1,
+                Event::AllocConflict {
+                    node: n1,
+                    port: tile,
+                    packet: other,
+                },
+            ),
+            (
+                1,
+                Event::CreditStall {
+                    node: n1,
+                    port: tile,
+                    vc: VcId::new(0),
+                    packet: other,
+                },
+            ),
+            (
+                1,
+                Event::Preemption {
+                    node: n2,
+                    port: tile,
+                    packet: other,
+                },
+            ),
+            (
+                2,
+                Event::Forwarded {
+                    node,
+                    port: tile,
+                    vc: VcId::new(0),
+                    packet,
+                },
+            ),
+            (
+                3,
+                Event::Dropped {
+                    node: n2,
+                    packet: PacketId(9),
+                },
+            ),
+            (
+                3,
+                Event::Misroute {
+                    node: dst,
+                    packet: PacketId(9),
+                },
+            ),
+            (8, Event::HeadEjected { node: dst, packet }),
+            (
+                9,
+                Event::Delivered {
+                    src,
+                    dst,
+                    packet,
+                    network_latency: 8,
+                    num_flits,
+                    class,
+                },
+            ),
+            (9, Event::BufferSample { node, occupancy: 4 }),
+            (10, Event::BufferSample { node, occupancy: 2 }),
+        ]
+    }
+
+    #[test]
+    fn events_key_on_their_owning_node() {
+        let keys: Vec<u16> = sample_events()
+            .iter()
+            .map(|(_, e)| e.key().index() as u16)
+            .collect();
+        // Injection keys on the source, delivery on the destination.
+        assert_eq!(keys, [0, 0, 0, 0, 0, 0, 1, 1, 2, 0, 2, 3, 3, 3, 0, 0]);
+    }
+
+    /// The trace keeps nine of the fourteen event kinds, with the port
+    /// and VC zeroed where the kind has none.
+    #[test]
+    fn trace_maps_the_nine_traced_kinds() {
+        let traced: Vec<String> = sample_events()
+            .iter()
+            .filter_map(|(now, e)| ProbeEvent::from_event(*now, e))
+            .map(|e| {
+                format!(
+                    "{} {} {} {} {} {}",
+                    e.cycle,
+                    e.kind.code(),
+                    e.node,
+                    e.port,
+                    e.vc,
+                    e.packet
+                )
+            })
+            .collect();
+        assert_eq!(
+            traced,
+            [
+                "0 I 0 0 0 1",
+                "1 V 0 4 0 1",
+                "1 H 0 1 2 1",
+                "1 A 1 4 0 2",
+                "1 C 1 4 0 2",
+                "1 P 2 4 0 2",
+                "2 H 0 4 0 1",
+                "3 X 2 0 0 9",
+                "3 M 3 0 0 9",
+                "9 D 3 4 0 1",
+            ]
+        );
     }
 
     #[test]
@@ -1492,24 +1558,9 @@ mod tests {
     #[test]
     fn probe_counters_accumulate() {
         let mut p = NetworkProbe::new(4, 8, ProbeConfig::counters().with_trace(16));
-        p.packet_injected(0, 0.into(), 3.into(), PacketId(1));
-        p.flit_forwarded(
-            1,
-            0.into(),
-            Port::Dir(crate::ids::Direction::East),
-            VcId::new(2),
-            PacketId(1),
-        );
-        p.flit_forwarded(2, 0.into(), Port::Tile, VcId::new(0), PacketId(1));
-        p.vc_allocated(1, 0.into(), Port::Tile, VcId::new(0), PacketId(1));
-        p.alloc_conflict(1, 1.into(), Port::Tile, PacketId(2));
-        p.credit_stall(1, 1.into(), Port::Tile, VcId::new(0), PacketId(2));
-        p.preemption(1, 2.into(), Port::Tile, PacketId(2));
-        p.packet_dropped(3, 2.into(), PacketId(9));
-        p.misroute(3, 3.into(), PacketId(9));
-        p.packet_delivered(9, 0.into(), 3.into(), PacketId(1), 8, 2, ServiceClass::Bulk);
-        p.buffer_sample(9, 0.into(), 4);
-        p.buffer_sample(10, 0.into(), 2);
+        for (now, e) in sample_events() {
+            p.record(now, e);
+        }
 
         assert_eq!(p.total_forwarded(), 2);
         let m = p.into_metrics(10);
@@ -1538,9 +1589,32 @@ mod tests {
     fn metrics_json_is_deterministic_and_structured() {
         let build = || {
             let mut p = NetworkProbe::new(2, 4, ProbeConfig::counters());
-            p.packet_injected(0, 0.into(), 1.into(), PacketId(0));
-            p.flit_forwarded(1, 0.into(), Port::Tile, VcId::new(1), PacketId(0));
-            p.packet_delivered(5, 0.into(), 1.into(), PacketId(0), 5, 1, ServiceClass::Bulk);
+            let (src, dst, packet) = (NodeId::new(0), NodeId::new(1), PacketId(0));
+            let (port, vc) = (Port::Tile, VcId::new(1));
+            p.record(0, Event::Injected { src, dst, packet });
+            p.record(
+                1,
+                Event::Forwarded {
+                    node: src,
+                    port,
+                    vc,
+                    packet,
+                },
+            );
+            let class = ServiceClass::Bulk;
+            let network_latency = 5;
+            let num_flits = 1;
+            p.record(
+                5,
+                Event::Delivered {
+                    src,
+                    dst,
+                    packet,
+                    network_latency,
+                    num_flits,
+                    class,
+                },
+            );
             p.into_metrics(6).to_json()
         };
         let a = build();

@@ -14,7 +14,7 @@
 
 use crate::flit::Flit;
 use crate::ids::{Direction, NodeId, Port};
-use crate::probe::Probe;
+use crate::probe::{Event, Probe};
 use crate::topology::{DirVec, Topology};
 
 use super::{EvalEnv, RouterOutput};
@@ -148,7 +148,8 @@ impl DeflectionRouter {
         let d = chosen.expect("outputs cannot be exhausted: at most 4 flits routed");
         if !productive.contains(d) {
             self.deflections += 1;
-            probe.misroute(env.now, self.node, f.meta.packet);
+            let (node, packet) = (self.node, f.meta.packet);
+            probe.record(env.now, Event::Misroute { node, packet });
         }
         free[d.index()] = false;
         f.heading = d;

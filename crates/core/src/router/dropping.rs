@@ -11,7 +11,7 @@
 
 use crate::flit::Flit;
 use crate::ids::{NodeId, PacketId, Port};
-use crate::probe::Probe;
+use crate::probe::{Event, Probe};
 
 use super::{resolve_route, EvalEnv, RouterOutput};
 
@@ -118,7 +118,8 @@ impl DroppingRouter {
                     // Contention: drop the packet.
                     self.packets_dropped += 1;
                     self.flits_discarded += 1;
-                    probe.packet_dropped(env.now, self.node, flit.meta.packet);
+                    let (node, packet) = (self.node, flit.meta.packet);
+                    probe.record(env.now, Event::Dropped { node, packet });
                     out.dropped_packets.push(flit.meta.packet);
                     out.dropped_flits += 1;
                     if !flit.kind.is_tail() {

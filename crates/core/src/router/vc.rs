@@ -42,7 +42,7 @@
 use crate::config::{ReservationPolicy, VcPlan};
 use crate::flit::{Flit, VcMask};
 use crate::ids::{Cycle, NodeId, PacketId, Port, VcId};
-use crate::probe::Probe;
+use crate::probe::{Event, Probe};
 
 use super::{resolve_route, EvalEnv, RouterOutput};
 
@@ -663,9 +663,18 @@ impl VcRouter {
                     self.out_owner[owner_idx] = Some((i as u8, v as u8));
                     self.in_out_vc[in_idx] = Some(VcId::new(ov as u8));
                     granted_any = true;
-                    probe.vc_allocated(now, self.node, port, VcId::new(ov as u8), packet);
+                    probe.record(
+                        now,
+                        Event::VcAllocated {
+                            node: self.node,
+                            port,
+                            vc: VcId::new(ov as u8),
+                            packet,
+                        },
+                    );
                 } else {
-                    probe.alloc_conflict(now, self.node, port, packet);
+                    let node = self.node;
+                    probe.record(now, Event::AllocConflict { node, port, packet });
                 }
             }
             if granted_any {
@@ -708,7 +717,15 @@ impl VcRouter {
                     continue;
                 };
                 if self.out_credits[self.pv(op.index(), ovc.index())] == 0 {
-                    probe.credit_stall(now, self.node, op, ovc, front.meta.packet);
+                    probe.record(
+                        now,
+                        Event::CreditStall {
+                            node: self.node,
+                            port: op,
+                            vc: ovc,
+                            packet: front.meta.packet,
+                        },
+                    );
                     continue;
                 }
                 let reserved = front.meta.class == crate::flit::ServiceClass::Reserved;
@@ -763,7 +780,15 @@ impl VcRouter {
                 self.stage[slot] = h;
                 self.staged |= 1 << slot;
             }
-            probe.switch_traversed(now, self.node, op, ovc, staged_packet);
+            probe.record(
+                now,
+                Event::SwitchTraversed {
+                    node: self.node,
+                    port: op,
+                    vc: ovc,
+                    packet: staged_packet,
+                },
+            );
             out.credits.push((Port::from_index(i), VcId::new(v as u8)));
             self.in_rr[i] = (v + 1) % num_vcs;
         }
@@ -864,7 +889,8 @@ impl VcRouter {
             // each suspended flit so the stall is attributable per packet.
             for &(pri, _, _, packet) in &candidates {
                 if pri < flit.meta.class.priority() {
-                    probe.preemption(env.now, self.node, port, packet);
+                    let node = self.node;
+                    probe.record(env.now, Event::Preemption { node, port, packet });
                 }
             }
             if flit.kind.is_tail() {
@@ -1059,13 +1085,15 @@ mod tests {
         assert_eq!(r.occupancy(), 0);
     }
 
-    /// Counts credit stalls; every other probe callback is a no-op.
+    /// Counts credit stalls and ignores every other event.
     #[derive(Default)]
     struct StallCounter(u64);
 
     impl Probe for StallCounter {
-        fn credit_stall(&mut self, _: Cycle, _: NodeId, _: Port, _: VcId, _: PacketId) {
-            self.0 += 1;
+        fn record(&mut self, _: Cycle, event: Event) {
+            if matches!(event, Event::CreditStall { .. }) {
+                self.0 += 1;
+            }
         }
     }
 

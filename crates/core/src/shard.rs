@@ -32,7 +32,7 @@ use crate::flit::{
 use crate::ids::{Cycle, Direction, NodeId, PacketId, Port, VcId};
 use crate::interface::{DeliveredPacket, TileInterface};
 use crate::network::PacketSpec;
-use crate::probe::{NoProbe, Probe};
+use crate::probe::{Event, NoProbe, Probe};
 use crate::reservation::ReservationTable;
 use crate::route::{RouteError, SourceRoute};
 use crate::router::{EvalEnv, RouterCore, RouterOutput};
@@ -593,7 +593,8 @@ impl ShardCell {
         // when pending_flits() returns to zero.
         self.wake_injector(local);
         self.stats.packets_injected += 1;
-        probe.packet_injected(now, spec.src, spec.dst, id);
+        let (src, dst, packet) = (spec.src, spec.dst, id);
+        probe.record(now, Event::Injected { src, dst, packet });
         Ok(id)
     }
 
@@ -728,7 +729,14 @@ impl ShardCell {
             }
             flit.meta.corrupted |= hop_corrupt;
             if flit.kind.is_head() {
-                probe.head_arrived(now, dst, port, flit.meta.packet);
+                probe.record(
+                    now,
+                    Event::HeadArrived {
+                        node: dst,
+                        in_port: port,
+                        packet: flit.meta.packet,
+                    },
+                );
             }
             let local = dst.index() - self.node_base;
             self.routers[local].receive(port, flit);
@@ -841,7 +849,14 @@ impl ShardCell {
             }
             let (_, flit) = self.inject_pipes[i].pop_front().expect("front");
             if flit.kind.is_head() {
-                probe.head_arrived(now, node_id, Port::Tile, flit.meta.packet);
+                probe.record(
+                    now,
+                    Event::HeadArrived {
+                        node: node_id,
+                        in_port: Port::Tile,
+                        packet: flit.meta.packet,
+                    },
+                );
             }
             self.routers[i].receive(Port::Tile, flit);
             // INVARIANT: wake — the receive above gave the router work.
@@ -854,7 +869,8 @@ impl ShardCell {
             let (_, flit) = self.eject_pipes[i].pop_front().expect("front");
             let vc = flit.link_vc;
             if flit.kind.is_head() {
-                probe.head_ejected(now, node_id, flit.meta.packet);
+                let (node, packet) = (node_id, flit.meta.packet);
+                probe.record(now, Event::HeadEjected { node, packet });
             }
             self.interfaces[i].receive(flit, now, probe);
             self.routers[i].credit_arrived(Port::Tile, vc);
@@ -915,12 +931,14 @@ impl ShardCell {
         }
         if let Some(flit) = self.interfaces[i].pick_injection(now) {
             if flit.kind.is_head() {
-                probe.packet_entered(
+                probe.record(
                     now,
-                    NodeId::new((self.node_base + i) as u16),
-                    flit.meta.packet,
-                    flit.meta.packet_len,
-                    flit.meta.class,
+                    Event::Entered {
+                        node: NodeId::new((self.node_base + i) as u16),
+                        packet: flit.meta.packet,
+                        num_flits: flit.meta.packet_len,
+                        class: flit.meta.class,
+                    },
                 );
             }
             let due = now + shared.inject_latency;
@@ -992,10 +1010,25 @@ impl ShardCell {
             // the interface queue. Pull-mode injection enters the network
             // and arrives at the source router in the same cycle (no
             // inject pipe).
-            if let Some((packet, len, class)) = offered_head {
-                let node_id = NodeId::new((self.node_base + i) as u16);
-                probe.packet_entered(now, node_id, packet, len, class);
-                probe.head_arrived(now, node_id, Port::Tile, packet);
+            if let Some((packet, num_flits, class)) = offered_head {
+                let node = NodeId::new((self.node_base + i) as u16);
+                probe.record(
+                    now,
+                    Event::Entered {
+                        node,
+                        packet,
+                        num_flits,
+                        class,
+                    },
+                );
+                probe.record(
+                    now,
+                    Event::HeadArrived {
+                        node,
+                        in_port: Port::Tile,
+                        packet,
+                    },
+                );
             }
             self.interfaces[i]
                 .pick_injection(now)
@@ -1044,7 +1077,15 @@ impl ShardCell {
             let bits = flit.active_bits() as u64;
             self.stats.flit_hops += 1;
             self.stats.hop_bits += bits;
-            probe.flit_forwarded(now, node_id, port, flit.link_vc, flit.meta.packet);
+            probe.record(
+                now,
+                Event::Forwarded {
+                    node: node_id,
+                    port,
+                    vc: flit.link_vc,
+                    packet: flit.meta.packet,
+                },
+            );
             match port {
                 Port::Dir(d) => {
                     // INVARIANT: routes only name existing channels.
@@ -1104,7 +1145,9 @@ impl ShardCell {
     /// Phase 6: per-cycle buffer-occupancy samples for owned routers.
     pub(crate) fn phase_sample(&mut self, now: Cycle, probe: &mut dyn Probe) {
         for (i, r) in self.routers.iter().enumerate() {
-            probe.buffer_sample(now, NodeId::new((self.node_base + i) as u16), r.occupancy());
+            let node = NodeId::new((self.node_base + i) as u16);
+            let occupancy = r.occupancy();
+            probe.record(now, Event::BufferSample { node, occupancy });
         }
     }
 }
@@ -1305,105 +1348,28 @@ impl PhasedProbe for NoProbe {
     fn set_phase(&mut self, _now: Cycle, _phase: u8) {}
 }
 
-/// One recorded probe hook invocation.
+/// One recorded event, tagged with the phase it was emitted in.
 #[derive(Debug, Clone)]
 pub struct LogEvent {
     pub(crate) cycle: Cycle,
     pub(crate) phase: u8,
-    /// The entity (node, or source node for injections) the event is
-    /// keyed on: within one `(cycle, phase)` the sequential engine
+    /// `event.key()`: within one `(cycle, phase)` the sequential engine
     /// emits events in ascending key order, and all events of one key
     /// come from a single cell.
-    pub(crate) key: u32,
-    pub(crate) op: ProbeOp,
+    pub(crate) key: NodeId,
+    pub(crate) event: Event,
 }
 
-#[derive(Debug, Clone)]
-pub(crate) enum ProbeOp {
-    Injected {
-        src: NodeId,
-        dst: NodeId,
-        packet: PacketId,
-    },
-    Entered {
-        node: NodeId,
-        packet: PacketId,
-        num_flits: u16,
-        class: ServiceClass,
-    },
-    HeadArrived {
-        node: NodeId,
-        in_port: Port,
-        packet: PacketId,
-    },
-    Forwarded {
-        node: NodeId,
-        port: Port,
-        vc: VcId,
-        packet: PacketId,
-    },
-    VcAllocated {
-        node: NodeId,
-        port: Port,
-        vc: VcId,
-        packet: PacketId,
-    },
-    AllocConflict {
-        node: NodeId,
-        port: Port,
-        packet: PacketId,
-    },
-    CreditStall {
-        node: NodeId,
-        port: Port,
-        vc: VcId,
-        packet: PacketId,
-    },
-    SwitchTraversed {
-        node: NodeId,
-        port: Port,
-        vc: VcId,
-        packet: PacketId,
-    },
-    Preemption {
-        node: NodeId,
-        port: Port,
-        packet: PacketId,
-    },
-    HeadEjected {
-        node: NodeId,
-        packet: PacketId,
-    },
-    Dropped {
-        node: NodeId,
-        packet: PacketId,
-    },
-    Misroute {
-        node: NodeId,
-        packet: PacketId,
-    },
-    Delivered {
-        src: NodeId,
-        dst: NodeId,
-        packet: PacketId,
-        network_latency: Cycle,
-        num_flits: u16,
-        class: ServiceClass,
-    },
-    BufferSample {
-        node: NodeId,
-        occupancy: usize,
-    },
-}
+// Every event of a sharded probed run waits in a log until replay.
+const _: () = assert!(std::mem::size_of::<LogEvent>() <= 40);
 
-/// Records every probe hook as a [`LogEvent`] tagged with the current
-/// `(cycle, phase)`. A threaded shard runner gives each worker its own
+/// Records every event as a [`LogEvent`] tagged with the current
+/// phase. A threaded shard runner gives each worker its own
 /// `LogProbe`; [`replay_logs`] then merges the per-worker logs into the
 /// sequential event order and replays them into a real
 /// [`crate::NetworkProbe`], reproducing its metrics bit-for-bit.
 #[derive(Debug, Default)]
 pub struct LogProbe {
-    now: Cycle,
     phase: u8,
     events: Vec<LogEvent>,
 }
@@ -1414,162 +1380,22 @@ impl LogProbe {
     pub fn into_events(self) -> Vec<LogEvent> {
         self.events
     }
-
-    fn push(&mut self, key: u32, op: ProbeOp) {
-        self.events.push(LogEvent {
-            cycle: self.now,
-            phase: self.phase,
-            key,
-            op,
-        });
-    }
 }
 
 impl PhasedProbe for LogProbe {
-    fn set_phase(&mut self, now: Cycle, phase: u8) {
-        self.now = now;
+    fn set_phase(&mut self, _now: Cycle, phase: u8) {
         self.phase = phase;
     }
 }
 
 impl Probe for LogProbe {
-    fn packet_injected(&mut self, _now: Cycle, src: NodeId, dst: NodeId, packet: PacketId) {
-        self.push(src.index() as u32, ProbeOp::Injected { src, dst, packet });
-    }
-    fn packet_entered(
-        &mut self,
-        _now: Cycle,
-        node: NodeId,
-        packet: PacketId,
-        num_flits: u16,
-        class: ServiceClass,
-    ) {
-        self.push(
-            node.index() as u32,
-            ProbeOp::Entered {
-                node,
-                packet,
-                num_flits,
-                class,
-            },
-        );
-    }
-    fn head_arrived(&mut self, _now: Cycle, node: NodeId, in_port: Port, packet: PacketId) {
-        self.push(
-            node.index() as u32,
-            ProbeOp::HeadArrived {
-                node,
-                in_port,
-                packet,
-            },
-        );
-    }
-    fn flit_forwarded(
-        &mut self,
-        _now: Cycle,
-        node: NodeId,
-        port: Port,
-        vc: VcId,
-        packet: PacketId,
-    ) {
-        self.push(
-            node.index() as u32,
-            ProbeOp::Forwarded {
-                node,
-                port,
-                vc,
-                packet,
-            },
-        );
-    }
-    fn vc_allocated(&mut self, _now: Cycle, node: NodeId, port: Port, vc: VcId, packet: PacketId) {
-        self.push(
-            node.index() as u32,
-            ProbeOp::VcAllocated {
-                node,
-                port,
-                vc,
-                packet,
-            },
-        );
-    }
-    fn alloc_conflict(&mut self, _now: Cycle, node: NodeId, port: Port, packet: PacketId) {
-        self.push(
-            node.index() as u32,
-            ProbeOp::AllocConflict { node, port, packet },
-        );
-    }
-    fn credit_stall(&mut self, _now: Cycle, node: NodeId, port: Port, vc: VcId, packet: PacketId) {
-        self.push(
-            node.index() as u32,
-            ProbeOp::CreditStall {
-                node,
-                port,
-                vc,
-                packet,
-            },
-        );
-    }
-    fn switch_traversed(
-        &mut self,
-        _now: Cycle,
-        node: NodeId,
-        port: Port,
-        vc: VcId,
-        packet: PacketId,
-    ) {
-        self.push(
-            node.index() as u32,
-            ProbeOp::SwitchTraversed {
-                node,
-                port,
-                vc,
-                packet,
-            },
-        );
-    }
-    fn preemption(&mut self, _now: Cycle, node: NodeId, port: Port, packet: PacketId) {
-        self.push(
-            node.index() as u32,
-            ProbeOp::Preemption { node, port, packet },
-        );
-    }
-    fn head_ejected(&mut self, _now: Cycle, node: NodeId, packet: PacketId) {
-        self.push(node.index() as u32, ProbeOp::HeadEjected { node, packet });
-    }
-    fn packet_dropped(&mut self, _now: Cycle, node: NodeId, packet: PacketId) {
-        self.push(node.index() as u32, ProbeOp::Dropped { node, packet });
-    }
-    fn misroute(&mut self, _now: Cycle, node: NodeId, packet: PacketId) {
-        self.push(node.index() as u32, ProbeOp::Misroute { node, packet });
-    }
-    fn packet_delivered(
-        &mut self,
-        _now: Cycle,
-        src: NodeId,
-        dst: NodeId,
-        packet: PacketId,
-        network_latency: Cycle,
-        num_flits: u16,
-        class: ServiceClass,
-    ) {
-        self.push(
-            dst.index() as u32,
-            ProbeOp::Delivered {
-                src,
-                dst,
-                packet,
-                network_latency,
-                num_flits,
-                class,
-            },
-        );
-    }
-    fn buffer_sample(&mut self, _now: Cycle, node: NodeId, occupancy: usize) {
-        self.push(
-            node.index() as u32,
-            ProbeOp::BufferSample { node, occupancy },
-        );
+    fn record(&mut self, now: Cycle, event: Event) {
+        self.events.push(LogEvent {
+            cycle: now,
+            phase: self.phase,
+            key: event.key(),
+            event,
+        });
     }
 }
 
@@ -1584,7 +1410,7 @@ impl Probe for LogProbe {
 pub fn replay_logs(logs: &[Vec<LogEvent>], probe: &mut dyn Probe) {
     let mut pos = vec![0usize; logs.len()];
     loop {
-        let mut best: Option<(u64, u8, u32, usize)> = None;
+        let mut best: Option<(u64, u8, NodeId, usize)> = None;
         for (w, log) in logs.iter().enumerate() {
             if let Some(e) = log.get(pos[w]) {
                 let key = (e.cycle, e.phase, e.key, w);
@@ -1594,79 +1420,8 @@ pub fn replay_logs(logs: &[Vec<LogEvent>], probe: &mut dyn Probe) {
             }
         }
         let Some((_, _, _, w)) = best else { break };
-        replay_one(&logs[w][pos[w]], probe);
+        let e = &logs[w][pos[w]];
+        probe.record(e.cycle, e.event);
         pos[w] += 1;
-    }
-}
-
-fn replay_one(e: &LogEvent, probe: &mut dyn Probe) {
-    let now = e.cycle;
-    match e.op {
-        ProbeOp::Injected { src, dst, packet } => probe.packet_injected(now, src, dst, packet),
-        ProbeOp::Entered {
-            node,
-            packet,
-            num_flits,
-            class,
-        } => {
-            probe.packet_entered(now, node, packet, num_flits, class);
-        }
-        ProbeOp::HeadArrived {
-            node,
-            in_port,
-            packet,
-        } => {
-            probe.head_arrived(now, node, in_port, packet);
-        }
-        ProbeOp::Forwarded {
-            node,
-            port,
-            vc,
-            packet,
-        } => {
-            probe.flit_forwarded(now, node, port, vc, packet);
-        }
-        ProbeOp::VcAllocated {
-            node,
-            port,
-            vc,
-            packet,
-        } => {
-            probe.vc_allocated(now, node, port, vc, packet);
-        }
-        ProbeOp::AllocConflict { node, port, packet } => {
-            probe.alloc_conflict(now, node, port, packet);
-        }
-        ProbeOp::CreditStall {
-            node,
-            port,
-            vc,
-            packet,
-        } => {
-            probe.credit_stall(now, node, port, vc, packet);
-        }
-        ProbeOp::SwitchTraversed {
-            node,
-            port,
-            vc,
-            packet,
-        } => {
-            probe.switch_traversed(now, node, port, vc, packet);
-        }
-        ProbeOp::Preemption { node, port, packet } => probe.preemption(now, node, port, packet),
-        ProbeOp::HeadEjected { node, packet } => probe.head_ejected(now, node, packet),
-        ProbeOp::Dropped { node, packet } => probe.packet_dropped(now, node, packet),
-        ProbeOp::Misroute { node, packet } => probe.misroute(now, node, packet),
-        ProbeOp::Delivered {
-            src,
-            dst,
-            packet,
-            network_latency,
-            num_flits,
-            class,
-        } => {
-            probe.packet_delivered(now, src, dst, packet, network_latency, num_flits, class);
-        }
-        ProbeOp::BufferSample { node, occupancy } => probe.buffer_sample(now, node, occupancy),
     }
 }

@@ -6,9 +6,9 @@
 //! forming and draining on shared channels over *time*. This module
 //! adds the time axis without touching the simulator: a
 //! [`TelemetryCollector`] rides inside [`crate::NetworkProbe`] and is
-//! fed purely from the existing [`crate::Probe`] hooks, so
+//! fed purely from the [`crate::Probe`] event stream, so
 //!
-//! * unprobed runs pay nothing (the hooks are no-ops),
+//! * unprobed runs pay nothing ([`crate::NoProbe`] records nothing),
 //! * probed runs stay bit-identical to unprobed runs (probes observe,
 //!   never decide), and
 //! * sharded runs produce byte-identical telemetry for free: the
@@ -45,15 +45,14 @@
 
 use std::collections::BTreeMap;
 
-use crate::flit::ServiceClass;
 use crate::ids::{Cycle, NodeId, Port};
-use crate::probe::PairTable;
+use crate::probe::{Event, PairTable};
 
 /// Default telemetry window width, in cycles.
 pub const DEFAULT_WINDOW: Cycle = 1024;
 
 /// Number of service classes tracked (indexed by
-/// [`ServiceClass::priority`]).
+/// [`crate::flit::ServiceClass::priority`]).
 pub const NUM_CLASSES: usize = 3;
 
 /// Sub-bucket precision bits of the per-class quantile histograms:
@@ -77,7 +76,7 @@ pub const CONGESTION_DENOM: u64 = 10;
 pub const MIN_SPAN_WINDOWS: u64 = 2;
 
 /// Human-readable name of class index `i` (the
-/// [`ServiceClass::priority`] value).
+/// [`crate::flit::ServiceClass::priority`] value).
 pub fn class_name(i: usize) -> &'static str {
     ["bulk", "priority", "reserved"][i]
 }
@@ -279,10 +278,9 @@ pub struct LinkSpan {
 const NO_RUN: u64 = u64::MAX;
 
 /// The live collector: rides inside [`crate::NetworkProbe`] and is fed
-/// from its [`crate::Probe`] hook implementations (never directly from
-/// network or router code — that is what keeps telemetry behind the
-/// probe-presence gate, and what `ocin-lint`'s
-/// `ungated-telemetry-record` rule enforces).
+/// the event stream it records (never directly from network or router
+/// code — that is what keeps telemetry behind the probe-presence gate,
+/// and what `ocin-lint`'s `ungated-telemetry-record` rule enforces).
 ///
 /// Events must arrive with non-decreasing `now` — true of sequential
 /// stepping and of [`crate::shard::replay_logs`] replay by
@@ -390,75 +388,54 @@ impl TelemetryCollector {
         }
     }
 
-    /// A packet was accepted at its source tile port.
-    pub fn record_injected(&mut self, now: Cycle) {
+    /// The current window after rolling it forward to contain `now`.
+    fn window(&mut self, now: Cycle) -> &mut WindowRow {
         self.roll_to(now);
-        self.cur.packets_injected += 1;
+        &mut self.cur
     }
 
-    /// A packet's tail was delivered.
-    pub fn record_delivered(
-        &mut self,
-        now: Cycle,
-        src: NodeId,
-        dst: NodeId,
-        network_latency: Cycle,
-        num_flits: u16,
-        class: ServiceClass,
-    ) {
-        self.roll_to(now);
-        self.cur.packets_delivered += 1;
-        self.cur.flits_delivered += u64::from(num_flits);
-        let c = class.priority() as usize;
-        self.cur.latency_sum[c] += network_latency;
-        self.cur.latency_count[c] += 1;
-        self.class_latency[c].record(network_latency);
-        self.pair_latency[c]
-            .get_or_insert_with(src, dst, || QuantileHistogram::new(PAIR_PRECISION_BITS))
-            .record(network_latency);
-    }
-
-    /// A flit was launched from `node` through output `port`.
-    pub fn record_forwarded(&mut self, now: Cycle, node: NodeId, port: Port) {
-        self.roll_to(now);
-        self.cur.flits_forwarded += 1;
-        self.link_window[node.index() * Port::COUNT + port.index()] += 1;
-    }
-
-    /// A VC request found no free output VC this cycle.
-    pub fn record_alloc_conflict(&mut self, now: Cycle) {
-        self.roll_to(now);
-        self.cur.alloc_conflicts += 1;
-    }
-
-    /// A switch traversal was blocked on a missing downstream credit.
-    pub fn record_credit_stall(&mut self, now: Cycle) {
-        self.roll_to(now);
-        self.cur.credit_stalls += 1;
-    }
-
-    /// A staged flit was bypassed by a higher class.
-    pub fn record_preemption(&mut self, now: Cycle) {
-        self.roll_to(now);
-        self.cur.preemptions += 1;
-    }
-
-    /// A packet was dropped.
-    pub fn record_dropped(&mut self, now: Cycle) {
-        self.roll_to(now);
-        self.cur.packets_dropped += 1;
-    }
-
-    /// A flit was deflected out a non-productive port.
-    pub fn record_misroute(&mut self, now: Cycle) {
-        self.roll_to(now);
-        self.cur.misroutes += 1;
-    }
-
-    /// One router's buffered-flit count this cycle.
-    pub fn record_occupancy(&mut self, now: Cycle, occupancy: usize) {
-        self.roll_to(now);
-        self.cur.occupancy_integral += occupancy as u64;
+    /// Consumes one event of the probe stream. Only the events the
+    /// series counts roll the window forward; the rest are ignored.
+    pub fn record(&mut self, now: Cycle, event: &Event) {
+        match *event {
+            Event::Injected { .. } => self.window(now).packets_injected += 1,
+            Event::Forwarded { node, port, .. } => {
+                self.window(now).flits_forwarded += 1;
+                self.link_window[node.index() * Port::COUNT + port.index()] += 1;
+            }
+            Event::AllocConflict { .. } => self.window(now).alloc_conflicts += 1,
+            Event::CreditStall { .. } => self.window(now).credit_stalls += 1,
+            Event::Preemption { .. } => self.window(now).preemptions += 1,
+            Event::Dropped { .. } => self.window(now).packets_dropped += 1,
+            Event::Misroute { .. } => self.window(now).misroutes += 1,
+            Event::Delivered {
+                src,
+                dst,
+                network_latency,
+                num_flits,
+                class,
+                ..
+            } => {
+                let c = class.priority() as usize;
+                let w = self.window(now);
+                w.packets_delivered += 1;
+                w.flits_delivered += u64::from(num_flits);
+                w.latency_sum[c] += network_latency;
+                w.latency_count[c] += 1;
+                self.class_latency[c].record(network_latency);
+                self.pair_latency[c]
+                    .get_or_insert_with(src, dst, || QuantileHistogram::new(PAIR_PRECISION_BITS))
+                    .record(network_latency);
+            }
+            Event::BufferSample { occupancy, .. } => {
+                self.window(now).occupancy_integral += occupancy as u64;
+            }
+            Event::Entered { .. }
+            | Event::HeadArrived { .. }
+            | Event::VcAllocated { .. }
+            | Event::SwitchTraversed { .. }
+            | Event::HeadEjected { .. } => {}
+        }
     }
 
     /// Consumes the collector into a frozen [`TelemetryReport`].
@@ -509,7 +486,7 @@ pub struct TelemetryReport {
     /// The series, one row per window, in order, gap-free from window 0.
     pub windows: Vec<WindowRow>,
     /// Per-class latency quantile histograms (indexed by
-    /// [`ServiceClass::priority`]; precision [`CLASS_PRECISION_BITS`]).
+    /// [`crate::flit::ServiceClass::priority`]; precision [`CLASS_PRECISION_BITS`]).
     pub class_latency: [QuantileHistogram; NUM_CLASSES],
     /// Per-(class, src, dst) latency histograms, sorted by key
     /// (precision [`PAIR_PRECISION_BITS`]).
@@ -812,6 +789,36 @@ impl TelemetryReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flit::ServiceClass;
+
+    fn injected() -> Event {
+        let node = NodeId::new(0);
+        Event::Injected {
+            src: node,
+            dst: node,
+            packet: crate::ids::PacketId(0),
+        }
+    }
+
+    fn delivered(network_latency: Cycle, num_flits: u16, class: ServiceClass) -> Event {
+        Event::Delivered {
+            src: NodeId::new(0),
+            dst: NodeId::new(1),
+            packet: crate::ids::PacketId(0),
+            network_latency,
+            num_flits,
+            class,
+        }
+    }
+
+    fn forwarded(node: NodeId, port: Port) -> Event {
+        Event::Forwarded {
+            node,
+            port,
+            vc: crate::ids::VcId::new(0),
+            packet: crate::ids::PacketId(0),
+        }
+    }
 
     #[test]
     fn quantile_histogram_is_exact_below_horizon() {
@@ -865,10 +872,10 @@ mod tests {
     #[test]
     fn windows_roll_lazily_and_zero_fill() {
         let mut t = TelemetryCollector::new(10, 1);
-        t.record_injected(3);
-        t.record_injected(5);
+        t.record(3, &injected());
+        t.record(5, &injected());
         // Skips windows 1 and 2 entirely.
-        t.record_injected(35);
+        t.record(35, &injected());
         let r = Box::new(t).freeze(40);
         assert_eq!(r.windows.len(), 4);
         assert_eq!(r.windows[0].packets_injected, 2);
@@ -881,13 +888,13 @@ mod tests {
     #[test]
     fn freeze_closes_the_partial_window() {
         let mut t = TelemetryCollector::new(100, 1);
-        t.record_injected(250);
+        t.record(250, &injected());
         let r = Box::new(t).freeze(251);
         assert_eq!(r.windows.len(), 3);
         assert_eq!(r.windows[2].packets_injected, 1);
         // An exact multiple closes nothing extra.
         let mut t = TelemetryCollector::new(100, 1);
-        t.record_injected(99);
+        t.record(99, &injected());
         let r = Box::new(t).freeze(200);
         assert_eq!(r.windows.len(), 2);
     }
@@ -899,15 +906,12 @@ mod tests {
         // then idle. Another link congested for only one window.
         for w in 0..3u64 {
             for c in 0..10 {
-                t.record_forwarded(
-                    w * 10 + c,
-                    NodeId::new(1),
-                    Port::Dir(crate::ids::Direction::South),
-                );
+                let south = Port::Dir(crate::ids::Direction::South);
+                t.record(w * 10 + c, &forwarded(NodeId::new(1), south));
             }
         }
         for c in 0..10 {
-            t.record_forwarded(50 + c, NodeId::new(0), Port::Tile);
+            t.record(50 + c, &forwarded(NodeId::new(0), Port::Tile));
         }
         let r = Box::new(t).freeze(100);
         assert_eq!(r.congestion_spans.len(), 1, "{:?}", r.congestion_spans);
@@ -925,11 +929,11 @@ mod tests {
         for w in 0..5u64 {
             let now = w * 10;
             for _ in 0..4 {
-                t.record_injected(now);
+                t.record(now, &injected());
             }
-            let delivered = if w < 2 { 4 } else { 1 };
-            for _ in 0..delivered {
-                t.record_delivered(now, 0.into(), 1.into(), 7, 1, ServiceClass::Bulk);
+            let deliveries = if w < 2 { 4 } else { 1 };
+            for _ in 0..deliveries {
+                t.record(now, &delivered(7, 1, ServiceClass::Bulk));
             }
         }
         let r = Box::new(t).freeze(50);
@@ -948,7 +952,7 @@ mod tests {
                 2 | 3 => 100,
                 _ => 11,
             };
-            t.record_delivered(w * 10, 0.into(), 1.into(), lat, 1, ServiceClass::Bulk);
+            t.record(w * 10, &delivered(lat, 1, ServiceClass::Bulk));
         }
         let r = Box::new(t).freeze(60);
         assert_eq!(r.recovery_cycle(20, 1.5), Some(20));
@@ -959,10 +963,12 @@ mod tests {
     fn exporters_are_deterministic() {
         let build = || {
             let mut t = TelemetryCollector::new(10, 2);
-            t.record_injected(1);
-            t.record_forwarded(2, 0.into(), Port::Tile);
-            t.record_delivered(15, 0.into(), 1.into(), 13, 2, ServiceClass::Priority);
-            t.record_occupancy(16, 3);
+            t.record(1, &injected());
+            t.record(2, &forwarded(NodeId::new(0), Port::Tile));
+            t.record(15, &delivered(13, 2, ServiceClass::Priority));
+            let occupancy = 3;
+            let node = NodeId::new(0);
+            t.record(16, &Event::BufferSample { node, occupancy });
             Box::new(t).freeze(30)
         };
         let a = build();

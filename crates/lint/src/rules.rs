@@ -4,7 +4,7 @@
 //! scope. Scopes are workspace-relative path prefixes, so a rule can
 //! target the deterministic simulation core (`crates/core`,
 //! `crates/sim`, …) while leaving measurement-harness crates
-//! (`crates/bench`, `vendor/criterion`) alone.
+//! (`crates/bench`) alone.
 //!
 //! Rules are data, not code: the engine owns matching, suppression,
 //! and reporting, so adding a rule means adding an entry to
@@ -187,18 +187,8 @@ pub fn all_rules() -> Vec<Rule> {
         },
         Rule {
             name: "ungated-telemetry-record",
-            summary: "direct telemetry record_* calls in the engine or router cores",
-            patterns: &[
-                "record_injected",
-                "record_delivered",
-                "record_forwarded",
-                "record_alloc_conflict",
-                "record_credit_stall",
-                "record_preemption",
-                "record_dropped",
-                "record_misroute",
-                "record_occupancy",
-            ],
+            summary: "journey or telemetry collectors named in the engine or router cores",
+            patterns: &["TelemetryCollector", "JourneyCollector"],
             include: &[
                 "crates/core/src/network.rs",
                 "crates/core/src/shard.rs",
@@ -211,11 +201,11 @@ pub fn all_rules() -> Vec<Rule> {
             exclude: &[],
             scope: CodeScope::OutsideTests,
             suppression: Suppression::AllowComment,
-            advice: "telemetry must be fed through the Probe seam \
-                     (crates/core/src/probe.rs), whose presence check is the \
-                     only gate keeping unprobed runs free; call the Probe \
-                     trait hook and let NetworkProbe forward it to the \
-                     TelemetryCollector",
+            advice: "journeys and telemetry must be fed through the Probe \
+                     seam (crates/core/src/probe.rs), whose presence check is \
+                     the only gate keeping unprobed runs free; record an Event \
+                     on the probe and let NetworkProbe forward it to the \
+                     collectors",
         },
         Rule {
             name: "todo-in-shipping-code",

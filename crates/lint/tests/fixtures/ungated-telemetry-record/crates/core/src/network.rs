@@ -1,28 +1,29 @@
-//! Fixture: `ungated-telemetry-record` — engine code calling the
-//! telemetry collector directly fires; suppressed sites, quoted names,
-//! and test modules do not.
+//! Fixture: `ungated-telemetry-record` — engine code naming a journey
+//! or telemetry collector fires; suppressed sites, quoted names, and
+//! test modules do not.
 
-pub fn bad_step(telemetry: &mut TelemetryCollector, now: u64) {
-    telemetry.record_forwarded(now, 0.into(), Port::Tile); // FINDING: line 6
-    telemetry.record_occupancy(now, 3); // FINDING: line 7
+pub fn bad_step(probe: &mut NetworkProbe, now: u64, event: &Event) {
+    let t: &mut TelemetryCollector = probe.telemetry.as_mut().unwrap(); // FINDING: line 6
+    let j: &mut JourneyCollector = probe.journeys.as_mut().unwrap(); // FINDING: line 7
+    t.record(now, event);
+    j.record(now, event);
 }
 
-pub fn suppressed(telemetry: &mut TelemetryCollector, now: u64) {
+pub fn suppressed(probe: &mut NetworkProbe) {
     // ocin-lint: allow(ungated-telemetry-record) — fixture: presence-gated by the caller
-    telemetry.record_injected(now);
+    probe.telemetry = Some(Box::new(TelemetryCollector::new(16, 1)));
 }
 
-/// Hook names quoted in docs or strings never fire.
+/// Type names quoted in docs or strings never fire.
 pub fn quoted() -> &'static str {
-    "record_delivered and record_credit_stall"
+    "TelemetryCollector and JourneyCollector"
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
-    fn direct_calls_in_tests_are_fine() {
+    fn direct_use_in_tests_is_fine() {
         let mut t = TelemetryCollector::new(16, 1);
-        t.record_dropped(0);
-        t.record_misroute(1);
+        t.record(0, &Event::Misroute { node: 0.into(), packet: PacketId(1) });
     }
 }

@@ -1,14 +1,13 @@
-//! The Probe seam is the sanctioned feeding path: the collector calls
-//! here are exempt by path.
+//! The Probe seam is the sanctioned feeding path: the collector types
+//! named here are exempt by path.
 
-pub fn flit_forwarded(&mut self, now: u64) {
-    if let Some(t) = self.telemetry.as_mut() {
-        t.record_forwarded(now, 0.into(), Port::Tile);
-    }
+pub struct NetworkProbe {
+    pub journeys: Option<Box<JourneyCollector>>,
+    pub telemetry: Option<Box<TelemetryCollector>>,
 }
 
-pub fn packet_dropped(&mut self, now: u64) {
+pub fn record(&mut self, now: u64, event: Event) {
     if let Some(t) = self.telemetry.as_mut() {
-        t.record_dropped(now);
+        t.record(now, &event);
     }
 }

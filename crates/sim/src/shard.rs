@@ -22,9 +22,9 @@
 //!   restores the sequential cycle-major, node-ascending collection
 //!   order because each worker drains its own (ascending) node range
 //!   every cycle;
-//! * probe callbacks are recorded per worker into [`LogProbe`] event
-//!   logs and replayed through one [`NetworkProbe`] in sequential order
-//!   by [`replay_logs`];
+//! * probe events are recorded per worker into [`LogProbe`] event logs
+//!   and replayed through one [`NetworkProbe`] in sequential order by
+//!   [`replay_logs`];
 //! * the measured-outstanding exit counter is replicated on every
 //!   worker from the shared per-cycle tallies, so all workers take the
 //!   same exit decision on the same cycle the sequential loop would;

@@ -9,11 +9,13 @@
 
 use ocin_core::ids::NodeId;
 use ocin_core::{
-    EventKind, FlowControl, Network, NetworkConfig, NetworkProbe, PacketSpec, ProbeConfig,
-    TopologySpec,
+    EventKind, EventTrace, FlowControl, Network, NetworkConfig, NetworkProbe, PacketSpec,
+    ProbeConfig, TopologySpec,
 };
 use ocin_sim::{LatencyReport, LoadSweep, SimConfig, SimReport, Simulation};
 use ocin_traffic::{InjectionProcess, TrafficPattern, Workload};
+use proptest::collection::vec;
+use proptest::prelude::*;
 
 fn quick_cfg() -> NetworkConfig {
     NetworkConfig::paper_baseline().with_topology(TopologySpec::FoldedTorus { k: 4 })
@@ -178,5 +180,99 @@ fn probed_sweep_matches_unprobed_measurements() {
             metrics.totals.packets_delivered >= p.report.packets_delivered,
             "probe saw fewer deliveries than the measurement window"
         );
+    }
+}
+
+/// `EventTrace::from_text` either rejects `text` or returns a trace that
+/// survives its own `to_text` unchanged; it never panics.
+fn rejects_or_round_trips(text: &str) {
+    if let Ok(trace) = EventTrace::from_text(text) {
+        assert_eq!(
+            EventTrace::from_text(&trace.to_text()),
+            Ok(trace),
+            "{text:?}"
+        );
+    }
+}
+
+/// A well-formed `ocin-events v1` text of `events` lines, each drawn as
+/// (cycle, kind, node, port, vc, packet).
+fn events_text(events: &[(u64, usize, u64, u64, u64, u64)]) -> String {
+    let mut text = String::from("ocin-events v1\n");
+    for &(cycle, kind, node, port, vc, packet) in events {
+        let code = b"IHVDXMACP"[kind] as char;
+        text.push_str(&format!("{cycle} {code} {node} {port} {vc} {packet}\n"));
+    }
+    text
+}
+
+/// Replacement fields a mutation may splice in: empty, non-numeric,
+/// signed, overflowing, just out of range, wrong kinds, and non-ASCII.
+const JUNK_FIELDS: [&str; 12] = [
+    "",
+    "x",
+    "-1",
+    "+5",
+    "18446744073709551616",
+    "65536",
+    "5",
+    "8",
+    "Z",
+    "HH",
+    "0x10",
+    "\u{663}",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes, with or without a valid header, never panic the
+    /// parser.
+    #[test]
+    fn event_text_survives_random_bytes(
+        bytes in vec(any::<u8>(), 0..160),
+        alphabet in vec(0usize..24, 0..160),
+        headed in any::<bool>(),
+    ) {
+        rejects_or_round_trips(&String::from_utf8_lossy(&bytes));
+        // Bytes drawn from the format's own alphabet reach past the
+        // header and field checks far more often than uniform bytes.
+        let body: String = alphabet.iter().map(|&i| "0123456789 \nIHVDXMACPQ\t-"
+            .chars().nth(i).unwrap_or(' ')).collect();
+        let header = if headed { "ocin-events v1\n" } else { "" };
+        rejects_or_round_trips(&format!("{header}{body}"));
+    }
+
+    /// A valid trace with one field or line mutated either parses to a
+    /// trace that round-trips or is rejected; it never panics.
+    #[test]
+    fn mutated_event_text_rejects_or_round_trips(
+        events in vec(
+            (0u64..1_000_000, 0usize..9, 0u64..65_536, 0u64..5, 0u64..8, any::<u64>()),
+            0..8,
+        ),
+        (line, field, how) in (any::<usize>(), 0usize..7, 0usize..7),
+        (junk, number) in (0usize..JUNK_FIELDS.len() + 1, any::<u64>()),
+        noise in vec(any::<u8>(), 1..12),
+    ) {
+        let text = events_text(&events);
+        rejects_or_round_trips(&text);
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        let i = line % lines.len();
+        let token = JUNK_FIELDS.get(junk).map_or(number.to_string(), |t| t.to_string());
+        let mut fields: Vec<String> =
+            lines[i].split(' ').map(str::to_string).collect();
+        let f = field % fields.len();
+        match how {
+            0 => fields[f] = token,
+            1 => { fields.remove(f); }
+            2 => fields.push(token),
+            3 => fields = vec![String::from_utf8_lossy(&noise).into_owned()],
+            4 => fields.insert(f, token),
+            5 => fields.clear(),
+            _ => fields[f].push_str(&String::from_utf8_lossy(&noise)),
+        }
+        lines[i] = fields.join(" ");
+        rejects_or_round_trips(&(lines.join("\n") + "\n"));
     }
 }

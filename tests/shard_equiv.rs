@@ -12,9 +12,12 @@
 //! compose with the engine-mode flips from the activity-gating suite.
 
 use ocin::core::probe::ProbeConfig;
-use ocin::core::{FlowControl, Network, NetworkConfig, PacketSpec, StaticFlowSpec, TopologySpec};
+use ocin::core::{
+    replay_logs, Cycle, Event, FlowControl, LogProbe, Network, NetworkConfig, PacketSpec,
+    PhasedProbe, Probe, ServiceClass, StaticFlowSpec, TopologySpec,
+};
 use ocin::sim::{ShardedSimulation, SimConfig, SimReport, Simulation};
-use ocin::traffic::{InjectionProcess, TrafficPattern, Workload};
+use ocin::traffic::{InjectionProcess, LengthDist, TrafficPattern, Workload};
 use proptest::prelude::*;
 
 fn quick_cfg(fc: FlowControl, k: usize) -> NetworkConfig {
@@ -274,4 +277,104 @@ fn shard_counts_compose_with_engine_flips() {
     ]);
     assert_eq!(reference, pure_sharded);
     assert_eq!(reference, mixed);
+}
+
+/// Keeps the raw event stream, in the order it is recorded.
+#[derive(Default)]
+struct Recorder(Vec<(Cycle, Event)>);
+
+impl Probe for Recorder {
+    fn record(&mut self, now: Cycle, event: Event) {
+        self.0.push((now, event));
+    }
+}
+
+impl PhasedProbe for Recorder {
+    fn set_phase(&mut self, _now: Cycle, _phase: u8) {}
+}
+
+/// Steps `cells` cells of a `k`×`k` torus on the calling thread for a
+/// loaded stretch plus a drain, each cell recording into its own probe,
+/// and returns the probes. Boundary messages are exchanged every cycle,
+/// which the lookahead window always allows. Every third source sends
+/// priority traffic, so the VC router preempts.
+fn step_cells<P: PhasedProbe + Default>(fc: FlowControl, k: usize, cells: usize) -> Vec<P> {
+    let mut net = Network::new(quick_cfg(fc, k)).expect("valid");
+    net.set_shards(cells);
+    let length = match fc {
+        FlowControl::Deflection => LengthDist::Fixed { flits: 1 },
+        _ => LengthDist::Bimodal {
+            short_flits: 1,
+            long_flits: 4,
+            long_fraction: 0.5,
+        },
+    };
+    let mut generation = Workload::new(k * k, k, TrafficPattern::Uniform)
+        .injection(InjectionProcess::Bernoulli { flit_rate: 0.3 })
+        .length(length)
+        .generator(11);
+    let mut probes: Vec<P> = (0..cells).map(|_| P::default()).collect();
+    let mut handles = net.shard_handles();
+    for now in 0..400u64 {
+        for (h, probe) in handles.iter_mut().zip(&mut probes) {
+            probe.set_phase(now, 0);
+            for node in h.nodes() {
+                let src = (node as u16).into();
+                let Some(req) = generation.next_request(now, src).filter(|_| now < 250) else {
+                    continue;
+                };
+                let class = if node % 3 == 0 {
+                    ServiceClass::Priority
+                } else {
+                    ServiceClass::Bulk
+                };
+                let spec = PacketSpec::new(src, req.dst)
+                    .payload_bits(req.payload_bits)
+                    .class(class);
+                let _ = h.inject(&spec, now, probe);
+            }
+            h.step_cycle(now, probe, true);
+        }
+        let msgs: Vec<_> = handles.iter_mut().flat_map(|h| h.take_outbox()).collect();
+        for m in msgs {
+            handles[m.dest_cell()].apply_boundary([m], now);
+        }
+    }
+    probes
+}
+
+/// The event stream itself, not only the metrics rendered from it, is
+/// shard-invariant: replaying 2, 3 or 4 cells' logs yields exactly the
+/// single-cell sequence, event for event. Rendered counters would miss
+/// two events swapped within a cycle; this comparison does not.
+#[test]
+fn replayed_stream_matches_single_cell_order() {
+    for fc in [FlowControl::VirtualChannel, FlowControl::Deflection] {
+        for k in [4, 8] {
+            let single = step_cells::<Recorder>(fc, k, 1).remove(0);
+            let kinds = |tag: fn(&Event) -> bool| single.0.iter().filter(|(_, e)| tag(e)).count();
+            assert!(
+                kinds(|e| matches!(e, Event::Delivered { .. })) > 100,
+                "{fc:?} k={k}"
+            );
+            if fc == FlowControl::VirtualChannel {
+                assert!(kinds(|e| matches!(e, Event::Preemption { .. })) > 0);
+                assert!(kinds(|e| matches!(e, Event::CreditStall { .. })) > 0);
+            } else {
+                assert!(kinds(|e| matches!(e, Event::Misroute { .. })) > 0);
+            }
+            for cells in [2, 3, 4] {
+                let logs: Vec<_> = step_cells::<LogProbe>(fc, k, cells)
+                    .into_iter()
+                    .map(LogProbe::into_events)
+                    .collect();
+                let mut replayed = Recorder::default();
+                replay_logs(&logs, &mut replayed);
+                assert!(
+                    replayed.0 == single.0,
+                    "{fc:?} k={k}: {cells}-cell replay reorders the stream"
+                );
+            }
+        }
+    }
 }
