@@ -15,7 +15,7 @@
 use std::collections::VecDeque;
 
 use crate::error::Error;
-use crate::flit::{Flit, Payload, ServiceClass};
+use crate::flit::{Flit, FlitMeta, Payload, ServiceClass};
 use crate::ids::{Cycle, FlowId, NodeId, PacketId, VcId};
 use crate::probe::{Event, Probe};
 
@@ -59,9 +59,13 @@ impl DeliveredPacket {
     }
 }
 
+/// A packet being reassembled: its head's metadata and the payloads
+/// received so far.
 #[derive(Debug, Clone)]
 struct Reassembly {
-    flits: Vec<Flit>,
+    head: FlitMeta,
+    payloads: Vec<Payload>,
+    corrupted: bool,
 }
 
 /// Per-tile injection and ejection logic.
@@ -142,7 +146,12 @@ impl TileInterface {
     ///
     /// [`Error::InjectionBackpressure`] if the queue lacks space for the
     /// whole packet; nothing is enqueued in that case.
-    pub fn enqueue_packet(&mut self, vc: VcId, flits: Vec<Flit>) -> Result<(), Error> {
+    pub fn enqueue_packet<I>(&mut self, vc: VcId, flits: I) -> Result<(), Error>
+    where
+        I: IntoIterator<Item = Flit>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let flits = flits.into_iter();
         if self.queue_space(vc) < flits.len() {
             return Err(Error::InjectionBackpressure {
                 node: self.node,
@@ -233,38 +242,46 @@ impl TileInterface {
                 self.node,
                 v
             );
-            self.reassembly[v] = Some(Reassembly { flits: Vec::new() });
+            self.reassembly[v] = Some(Reassembly {
+                head: flit.meta,
+                payloads: Vec::with_capacity(usize::from(flit.meta.packet_len)),
+                corrupted: false,
+            });
         }
         let slot = self.reassembly[v]
             .as_mut()
             .unwrap_or_else(|| panic!("tile {}: flit on vc{} with no open packet", self.node, v));
-        slot.flits.push(flit);
+        slot.payloads.push(flit.payload);
+        slot.corrupted |= flit.meta.corrupted;
         if flit.kind.is_tail() {
-            let r = self.reassembly[v].take().expect("open packet");
-            let head = r.flits[0];
+            let Reassembly {
+                head,
+                payloads,
+                corrupted,
+            } = self.reassembly[v].take().expect("open packet");
             probe.record(
                 now,
                 Event::Delivered {
-                    src: head.meta.src,
+                    src: head.src,
                     dst: self.node,
-                    packet: head.meta.packet,
-                    network_latency: now - head.meta.injected_at,
-                    num_flits: r.flits.len() as u16,
-                    class: head.meta.class,
+                    packet: head.packet,
+                    network_latency: now - head.injected_at,
+                    num_flits: payloads.len() as u16,
+                    class: head.class,
                 },
             );
             self.delivered.push_back(DeliveredPacket {
-                id: head.meta.packet,
-                src: head.meta.src,
+                id: head.packet,
+                src: head.src,
                 dst: self.node,
-                class: head.meta.class,
-                flow: head.meta.flow,
-                created_at: head.meta.created_at,
-                injected_at: head.meta.injected_at,
+                class: head.class,
+                flow: head.flow,
+                created_at: head.created_at,
+                injected_at: head.injected_at,
                 delivered_at: now,
-                num_flits: r.flits.len(),
-                payloads: r.flits.iter().map(|f| f.payload).collect(),
-                corrupted: r.flits.iter().any(|f| f.meta.corrupted),
+                num_flits: payloads.len(),
+                payloads,
+                corrupted,
             });
             self.packets_delivered += 1;
         }

@@ -9,12 +9,10 @@
 //!
 //! Internally the network is one or more [`crate::shard`] cells —
 //! contiguous tile regions each owning their routers, interfaces, pipes,
-//! and channel halves, plus their own activity sets and timing wheels.
+//! and channel halves, plus their own activity sets and calendars.
 //! The default is a single cell; [`Network::set_shards`] re-cuts the
 //! state into more, and results are bit-identical at any cell count
 //! (the engine-equivalence suite asserts it).
-
-use std::collections::VecDeque;
 
 use crate::config::{FlowControl, LinkProtection, NetworkConfig};
 use crate::error::Error;
@@ -272,11 +270,6 @@ impl Network {
             )?)
         };
 
-        // The farthest ahead any event is ever scheduled: a serialized,
-        // SEC-DED-protected flit traversal or a credit return. Sizes the
-        // timing wheels so a slot can never hold a future wrap.
-        let horizon = flit_latency.max(cfg.credit_latency);
-
         let num_rx = rx_meta.len();
         let num_tx = tx_meta.len();
         let mut shared = NetShared {
@@ -292,7 +285,6 @@ impl Network {
             rx_starts: Vec::new(),
             tx_starts: Vec::new(),
             cell_of_node: Vec::new(),
-            horizon,
             flit_latency,
             inject_latency,
             secded,
@@ -302,16 +294,15 @@ impl Network {
         let state = GlobalState {
             routers,
             interfaces,
-            inject_pipes: vec![VecDeque::new(); n],
-            eject_pipes: vec![VecDeque::new(); n],
+            pipes: Vec::new(),
             rx_links: (0..num_rx)
                 .map(|_| SteeredLink::new(FLIT_DATA_BITS, 1))
                 .collect(),
-            rx_flits: vec![VecDeque::new(); num_rx],
+            rx: Vec::new(),
             rx_rng: (0..num_rx)
                 .map(|r| XorShift64::new(stream_seed(seed, 2, r as u64)))
                 .collect(),
-            tx_credits: vec![VecDeque::new(); num_tx],
+            tx: Vec::new(),
             tx_flits_carried: vec![0; num_tx],
             tx_bit_pitches: vec![0.0; num_tx],
             next_seq: vec![0; n],
@@ -355,15 +346,16 @@ impl Network {
             return;
         }
         let mut state = GlobalState::default();
+        let next = self.cycle;
         for mut cell in self.cells.drain(..) {
             state.routers.append(&mut cell.routers);
             state.interfaces.append(&mut cell.interfaces);
-            state.inject_pipes.append(&mut cell.inject_pipes);
-            state.eject_pipes.append(&mut cell.eject_pipes);
+            cell.pipes
+                .pending_into(next, 2 * cell.node_base, &mut state.pipes);
             state.rx_links.append(&mut cell.rx_links);
-            state.rx_flits.append(&mut cell.rx_flits);
+            cell.rx.pending_into(next, cell.rx_base, &mut state.rx);
             state.rx_rng.append(&mut cell.rx_rng);
-            state.tx_credits.append(&mut cell.tx_credits);
+            cell.tx.pending_into(next, cell.tx_base, &mut state.tx);
             state.tx_flits_carried.append(&mut cell.tx_flits_carried);
             state.tx_bit_pitches.append(&mut cell.tx_bit_pitches);
             state.next_seq.append(&mut cell.next_seq);
@@ -582,7 +574,8 @@ impl Network {
     /// * [`Error::InjectionBackpressure`] when the tile port queues lack
     ///   space — nothing is enqueued, so the caller can retry later.
     /// * [`Error::Config`] for multi-flit packets under deflection flow
-    ///   control.
+    ///   control, and for packets longer than the injection queue (or
+    ///   than 65535 flits), which no amount of waiting lets in.
     pub fn inject(&mut self, spec: &PacketSpec) -> Result<PacketId, Error> {
         let n = self.shared.topo.num_nodes();
         for node in [spec.src, spec.dst] {
@@ -705,9 +698,8 @@ impl Network {
         self.cells.iter().all(|c| {
             c.interfaces.iter().all(|i| i.pending_flits() == 0)
                 && c.routers.iter().all(RouterCore::is_quiescent)
-                && c.rx_flits.iter().all(VecDeque::is_empty)
-                && c.inject_pipes.iter().all(VecDeque::is_empty)
-                && c.eject_pipes.iter().all(VecDeque::is_empty)
+                && c.rx.is_empty()
+                && c.pipes.is_empty()
         })
     }
 
@@ -727,9 +719,8 @@ impl Network {
             .iter()
             .map(|c| {
                 c.routers.iter().map(RouterCore::occupancy).sum::<usize>()
-                    + c.rx_flits.iter().map(VecDeque::len).sum::<usize>()
-                    + c.inject_pipes.iter().map(VecDeque::len).sum::<usize>()
-                    + c.eject_pipes.iter().map(VecDeque::len).sum::<usize>()
+                    + c.rx.len()
+                    + c.pipes.len()
             })
             .sum()
     }
@@ -1130,38 +1121,82 @@ mod tests {
         assert!(net.drain(1_000));
     }
 
+    /// A packet the injection queue can never hold is a configuration
+    /// error, not transient backpressure: retrying cannot help. The
+    /// paper baseline's queues hold 64 flits, and a flit count must fit
+    /// 16 bits even when the queue is deeper.
+    #[test]
+    fn packet_longer_than_the_injection_queue_is_rejected() {
+        let mut net = baseline();
+        let spec = |flits: usize| PacketSpec::new(0.into(), 5.into()).payload_bits(flits * 256);
+        let err = net.inject(&spec(65)).unwrap_err();
+        assert!(matches!(err, Error::Config(_)), "{err}");
+        // Bulk injection uses two VCs: each takes one full queue's worth,
+        // and only then does a third packet meet backpressure.
+        for _ in 0..2 {
+            net.inject(&spec(64)).expect("a full queue's worth fits");
+        }
+        assert!(matches!(
+            net.inject(&spec(64)).unwrap_err(),
+            Error::InjectionBackpressure { .. }
+        ));
+
+        let mut cfg = NetworkConfig::paper_baseline();
+        cfg.inject_queue_flits = 1 << 17;
+        let mut deep = Network::new(cfg).unwrap();
+        let err = deep.inject(&spec(usize::from(u16::MAX) + 1)).unwrap_err();
+        assert!(matches!(err, Error::Config(_)), "{err}");
+        assert_eq!(deep.stats().packets_injected, 0);
+    }
+
     /// Re-cutting the network into cells mid-run must be invisible: the
     /// same traffic driven at any shard count — including a flip in the
-    /// middle of a run — produces bit-identical stats.
+    /// middle of a run — produces bit-identical stats. With the slowest
+    /// sampled links every re-cut moves flits and credits filed up to
+    /// six cycles ahead into the new cells' calendars.
     #[test]
     fn in_process_shards_are_bit_identical() {
-        let drive = |shard_plan: &[(u64, usize)]| {
-            let mut net = baseline();
-            let mut plan = shard_plan.iter().peekable();
-            for now in 0..400u64 {
-                if let Some(&&(at, s)) = plan.peek() {
-                    if now == at {
-                        net.set_shards(s);
-                        plan.next();
+        let mut slow = NetworkConfig::paper_baseline()
+            .with_channel_phits(2)
+            .with_link_protection(LinkProtection::Secded);
+        slow.channel_latency = 3;
+        slow.credit_latency = 4;
+        for cfg in [NetworkConfig::paper_baseline(), slow] {
+            let drive = |shard_plan: &[(u64, usize)]| {
+                let mut net = Network::new(cfg.clone()).unwrap();
+                let mut plan = shard_plan.iter().peekable();
+                for now in 0..400u64 {
+                    if let Some(&&(at, s)) = plan.peek() {
+                        if now == at {
+                            if at > 0 {
+                                let filed = |f: fn(&ShardCell) -> usize| {
+                                    net.cells.iter().map(f).sum::<usize>()
+                                };
+                                assert!(filed(|c| c.rx.len()) > 0, "no flit in flight at {at}");
+                                assert!(filed(|c| c.tx.len()) > 0, "no credit in flight at {at}");
+                            }
+                            net.set_shards(s);
+                            plan.next();
+                        }
                     }
+                    let s = (now % 16) as u16;
+                    let d = ((now * 11 + 5) % 16) as u16;
+                    if s != d {
+                        let _ = net.inject(&PacketSpec::new(s.into(), d.into()).payload_bits(512));
+                    }
+                    net.step();
                 }
-                let s = (now % 16) as u16;
-                let d = ((now * 11 + 5) % 16) as u16;
-                if s != d {
-                    let _ = net.inject(&PacketSpec::new(s.into(), d.into()).payload_bits(512));
-                }
-                net.step();
+                net.drain(2_000);
+                (net.stats(), net.link_loads())
+            };
+            let reference = drive(&[]);
+            for plan in [
+                &[(0, 4)][..],
+                &[(0, 16)][..],
+                &[(100, 2), (200, 8), (300, 1)][..],
+            ] {
+                assert_eq!(drive(plan), reference, "plan {plan:?}");
             }
-            net.drain(2_000);
-            (net.stats(), net.link_loads())
-        };
-        let reference = drive(&[]);
-        for plan in [
-            &[(0, 4)][..],
-            &[(0, 16)][..],
-            &[(100, 2), (200, 8), (300, 1)][..],
-        ] {
-            assert_eq!(drive(plan), reference, "plan {plan:?}");
         }
     }
 }

@@ -206,6 +206,46 @@ impl SourceRoute {
         })
     }
 
+    /// Compiles a hop sequence given as runs of `(direction, hops)` —
+    /// the shape of a dimension-order route — to the route
+    /// [`Self::compile`] returns for the runs spelled out hop by hop,
+    /// without building that list. Empty runs are skipped.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::compile`].
+    pub fn from_runs(runs: &[(Direction, usize)]) -> Result<SourceRoute, RouteError> {
+        let hops: usize = runs.iter().map(|&(_, n)| n).sum();
+        if hops == 0 {
+            return Err(RouteError::Empty);
+        }
+        let entries = hops + 1;
+        if entries > Self::MAX_ENTRIES {
+            return Err(RouteError::TooLong { entries });
+        }
+        let mut bits: u128 = 0;
+        let mut heading: Option<Direction> = None;
+        let mut hop = 0;
+        for &(d, n) in runs.iter().filter(|&&(_, n)| n > 0) {
+            // A run's first entry is the absolute direction (first run)
+            // or a turn; its other hops go straight, which encodes as 0.
+            let entry = match heading {
+                None => d.index() as u128,
+                Some(h) => Turn::between(h, d)
+                    .ok_or(RouteError::Reversal { hop })?
+                    .encode() as u128,
+            };
+            bits |= entry << (2 * hop);
+            heading = Some(d);
+            hop += n;
+        }
+        bits |= (Turn::Extract.encode() as u128) << (2 * hop);
+        Ok(SourceRoute {
+            bits,
+            entries: entries as u8,
+        })
+    }
+
     /// Number of two-bit entries remaining (hops not yet taken, plus the
     /// final extract entry).
     pub fn num_entries(&self) -> usize {
@@ -310,6 +350,33 @@ impl fmt::Debug for SourceRoute {
 mod tests {
     use super::*;
     use Direction::*;
+
+    /// Runs compile to what the spelled-out hop list compiles to,
+    /// errors included.
+    #[test]
+    fn runs_compile_like_their_hops() {
+        let cases: [&[(Direction, usize)]; 8] = [
+            &[(East, 3)],
+            &[(West, 2), (North, 5)],
+            &[(East, 0), (South, 1)],
+            &[(East, 1), (West, 1)],
+            &[(North, 2), (North, 3)],
+            &[(East, 0), (North, 0)],
+            &[(East, 40), (North, 23)],
+            &[(East, 40), (North, 24)],
+        ];
+        for runs in cases {
+            let hops: Vec<Direction> = runs
+                .iter()
+                .flat_map(|&(d, n)| std::iter::repeat_n(d, n))
+                .collect();
+            assert_eq!(
+                SourceRoute::from_runs(runs),
+                SourceRoute::compile(&hops),
+                "{runs:?}"
+            );
+        }
+    }
 
     #[test]
     fn straight_line_route() {

@@ -8,9 +8,9 @@
 //!
 //! Every structure a cycle phase mutates is owned by exactly one cell:
 //! routers, tile interfaces, and tile pipes by the cell owning their
-//! node; a channel's *receive* half (flit pipe, fault state) by the
-//! cell owning its destination; its *transmit* half (credit pipe, load
-//! counters) by the cell owning its source. The only cross-cell
+//! node; a channel's *receive* half (flit calendar, fault state) by the
+//! cell owning its destination; its *transmit* half (credit calendar,
+//! load counters) by the cell owning its source. The only cross-cell
 //! operations are *pushes* of future events — a flit launch lands
 //! `flit_latency ≥ 1` cycles ahead, a credit return `credit_latency ≥
 //! 1` cycles ahead — so a cell stepping cycle `t` can never observe a
@@ -18,10 +18,14 @@
 //! barrier at the end of a lookahead window of
 //! `min(flit_latency, credit_latency)` cycles is therefore invisible:
 //! the events are applied before the first cycle that could deliver
-//! them. Within each cell, phases visit entities in ascending global
-//! index order, exactly as the single-cell engine does.
-
-use std::collections::VecDeque;
+//! them, and each lands in the calendar slot of its due cycle, the slot
+//! a direct push would have used. Within each cell, phases visit
+//! entities in ascending global index order, exactly as the single-cell
+//! engine does.
+//!
+//! Every in-flight flit and credit lives in a `Calendar` cell keyed by
+//! (due cycle, index): a delivery phase takes the slot for `now` and
+//! nothing else, so no per-channel queue or due tracker exists.
 
 use crate::config::{FlowControl, NetworkConfig, RoutingAlg};
 use crate::error::Error;
@@ -37,7 +41,7 @@ use crate::reservation::ReservationTable;
 use crate::route::{RouteError, SourceRoute};
 use crate::router::{EvalEnv, RouterCore, RouterOutput};
 use crate::topology::Topology;
-use crate::util::{ActiveSet, TimingWheel, XorShift64};
+use crate::util::{ActiveSet, Calendar, XorShift64};
 
 /// Receive half of a directed channel: everything touched when a flit
 /// *arrives* at the channel's destination router. Owned by the cell of
@@ -123,8 +127,6 @@ pub(crate) struct NetShared {
     pub tx_starts: Vec<usize>,
     /// Owning cell per node.
     pub cell_of_node: Vec<usize>,
-    /// Furthest-ahead schedulable event; sizes every timing wheel.
-    pub horizon: u64,
     /// Launch-to-delivery latency of a link traversal.
     pub flit_latency: u64,
     /// Tile-port inject-pipe latency.
@@ -256,14 +258,18 @@ pub(crate) struct ShardCell {
     pub tx_base: usize,
     pub routers: Vec<RouterCore>,
     pub interfaces: Vec<TileInterface>,
-    pub inject_pipes: Vec<VecDeque<(Cycle, Flit)>>,
-    pub eject_pipes: Vec<VecDeque<(Cycle, Flit)>>,
+    /// Tile pipes by local pipe index: `2 * node` is the node's inject
+    /// pipe and `2 * node + 1` its eject pipe, so an ascending drain
+    /// delivers node by node, inject before eject.
+    pub pipes: Calendar<Flit>,
     pub rx_links: Vec<SteeredLink>,
-    pub rx_flits: Vec<VecDeque<(Cycle, Flit)>>,
+    /// Flits in flight on the owned receive halves.
+    pub rx: Calendar<Flit>,
     /// Per-receive-half transient-fault RNG: fault draws stay on a
     /// private stream per link, whatever the cell cut.
     pub rx_rng: Vec<XorShift64>,
-    pub tx_credits: Vec<VecDeque<(Cycle, VcId)>>,
+    /// Credits in flight back to the owned transmit halves.
+    pub tx: Calendar<VcId>,
     pub tx_flits_carried: Vec<u64>,
     pub tx_bit_pitches: Vec<f64>,
     /// Per-node packet sequence numbers (`PacketId` = seq ≪ 16 | node).
@@ -272,18 +278,19 @@ pub(crate) struct ShardCell {
     pub route_rng: Vec<XorShift64>,
     pub active_routers: ActiveSet,
     pub inject_pending: ActiveSet,
-    pub rx_next_due: Vec<Cycle>,
-    pub rx_wheel: TimingWheel,
-    pub tx_next_due: Vec<Cycle>,
-    pub tx_wheel: TimingWheel,
-    pub pipe_next_due: Vec<Cycle>,
-    pub pipe_wheel: TimingWheel,
     pub stats: CellStats,
     pub idx_scratch: Vec<usize>,
     pub out_scratch: RouterOutput,
     /// Cross-cell pushes generated this window, in creation order.
     pub outbox: Vec<BoundaryMsg>,
 }
+
+// A calendar cell holds `Option<Flit>`; the flit's kind leaves a niche
+// for `None`, so a cell is exactly one 128-byte flit.
+const _: () = assert!(std::mem::size_of::<Option<Flit>>() == 128);
+
+/// In-flight entries of one delay line, as `(global index, due, value)`.
+pub(crate) type Pending<T> = Vec<(usize, Cycle, T)>;
 
 /// The global (concatenated) component state of a network, independent
 /// of any particular cell cut. `Network::new` builds a fresh one;
@@ -292,12 +299,12 @@ pub(crate) struct ShardCell {
 pub(crate) struct GlobalState {
     pub routers: Vec<RouterCore>,
     pub interfaces: Vec<TileInterface>,
-    pub inject_pipes: Vec<VecDeque<(Cycle, Flit)>>,
-    pub eject_pipes: Vec<VecDeque<(Cycle, Flit)>>,
+    /// Pipe index `2 * node` (inject) or `2 * node + 1` (eject).
+    pub pipes: Pending<Flit>,
     pub rx_links: Vec<SteeredLink>,
-    pub rx_flits: Vec<VecDeque<(Cycle, Flit)>>,
+    pub rx: Pending<Flit>,
     pub rx_rng: Vec<XorShift64>,
-    pub tx_credits: Vec<VecDeque<(Cycle, VcId)>>,
+    pub tx: Pending<VcId>,
     pub tx_flits_carried: Vec<u64>,
     pub tx_bit_pitches: Vec<f64>,
     pub next_seq: Vec<u64>,
@@ -311,18 +318,16 @@ pub(crate) struct GlobalState {
 /// The rebuild is exact, not approximate: between steps the gated
 /// engine's invariants pin every derived structure — a router's active
 /// bit is set iff it is non-quiescent, a tile's injection bit iff its
-/// queues are non-empty, and every deque's earliest entry is its next
-/// due cycle (deques are due-sorted). So a settled network can be
-/// re-cut into any number of cells without perturbing behaviour.
+/// queues are non-empty — and every in-flight entry is re-filed in the
+/// calendar slot of its due cycle. So a settled network can be re-cut
+/// into any number of cells without perturbing behaviour.
 pub(crate) fn build_cells(
     shared: &NetShared,
     mut state: GlobalState,
     cycle: Cycle,
 ) -> Vec<ShardCell> {
     let cells = shared.num_cells();
-    // The wheels' reference cycle: every pending due is >= `cycle` and
-    // was scheduled no earlier than one full horizon before it.
-    let wheel_now = cycle.saturating_sub(1);
+    let cfg = &shared.cfg;
     let mut out: Vec<ShardCell> = Vec::with_capacity(cells);
     for index in (0..cells).rev() {
         let node_base = shared.node_starts[index];
@@ -335,14 +340,10 @@ pub(crate) fn build_cells(
 
         let routers = state.routers.split_off(node_base);
         let interfaces = state.interfaces.split_off(node_base);
-        let inject_pipes = state.inject_pipes.split_off(node_base);
-        let eject_pipes = state.eject_pipes.split_off(node_base);
         let next_seq = state.next_seq.split_off(node_base);
         let route_rng = state.route_rng.split_off(node_base);
         let rx_links = state.rx_links.split_off(rx_base);
-        let rx_flits = state.rx_flits.split_off(rx_base);
         let rx_rng = state.rx_rng.split_off(rx_base);
-        let tx_credits = state.tx_credits.split_off(tx_base);
         let tx_flits_carried = state.tx_flits_carried.split_off(tx_base);
         let tx_bit_pitches = state.tx_bit_pitches.split_off(tx_base);
 
@@ -365,37 +366,6 @@ pub(crate) fn build_cells(
             }
         }
 
-        let mut rx_next_due = vec![Cycle::MAX; rx_local];
-        let mut rx_wheel = TimingWheel::new(shared.horizon, rx_local);
-        for (i, q) in rx_flits.iter().enumerate() {
-            if let Some(&(due, _)) = q.front() {
-                rx_next_due[i] = due;
-                rx_wheel.schedule(i, due, wheel_now);
-            }
-        }
-        let mut tx_next_due = vec![Cycle::MAX; tx_local];
-        let mut tx_wheel = TimingWheel::new(shared.horizon, tx_local);
-        for (i, q) in tx_credits.iter().enumerate() {
-            if let Some(&(due, _)) = q.front() {
-                tx_next_due[i] = due;
-                tx_wheel.schedule(i, due, wheel_now);
-            }
-        }
-        let mut pipe_next_due = vec![Cycle::MAX; n_local];
-        let mut pipe_wheel = TimingWheel::new(shared.horizon, n_local);
-        for i in 0..n_local {
-            let due = match (inject_pipes[i].front(), eject_pipes[i].front()) {
-                (Some(&(a, _)), Some(&(b, _))) => a.min(b),
-                (Some(&(a, _)), None) => a,
-                (None, Some(&(b, _))) => b,
-                (None, None) => Cycle::MAX,
-            };
-            if due != Cycle::MAX {
-                pipe_next_due[i] = due;
-                pipe_wheel.schedule(i, due, wheel_now);
-            }
-        }
-
         out.push(ShardCell {
             index,
             node_base,
@@ -404,35 +374,52 @@ pub(crate) fn build_cells(
             tx_base,
             routers,
             interfaces,
-            inject_pipes,
-            eject_pipes,
+            pipes: Calendar::new(shared.inject_latency.max(cfg.channel_latency), 2 * n_local),
             rx_links,
-            rx_flits,
+            rx: Calendar::new(shared.flit_latency, rx_local),
             rx_rng,
-            tx_credits,
+            tx: Calendar::new(cfg.credit_latency, tx_local),
             tx_flits_carried,
             tx_bit_pitches,
             next_seq,
             route_rng,
             active_routers,
             inject_pending,
-            rx_next_due,
-            rx_wheel,
-            tx_next_due,
-            tx_wheel,
-            pipe_next_due,
-            pipe_wheel,
             stats: if index == 0 {
                 state.stats
             } else {
                 CellStats::default()
             },
-            idx_scratch: Vec::with_capacity(rx_local.max(n_local)),
+            idx_scratch: Vec::with_capacity(rx_local.max(2 * n_local)),
             out_scratch: RouterOutput::default(),
             outbox: Vec::new(),
         });
     }
     out.reverse();
+
+    // Every pending entry is due in `cycle..cycle + horizon`, so it can
+    // be re-filed as seen from the last executed cycle; a slot is a
+    // function of the due cycle alone, so it lands where it was.
+    let now = cycle.saturating_sub(1);
+    let owner = |starts: &[usize], g: usize| starts.partition_point(|&s| s <= g) - 1;
+    for (g, due, flit) in state.rx {
+        let cell = &mut out[owner(&shared.rx_starts, g)];
+        // INVARIANT: wake-rule (channels) — each (index, due) pair held
+        // one entry before the re-cut, so its cell is still free.
+        cell.rx.schedule(g - cell.rx_base, due, now, flit);
+    }
+    for (g, due, vc) in state.tx {
+        let cell = &mut out[owner(&shared.tx_starts, g)];
+        // INVARIANT: wake-rule (channels) — as above, one credit per
+        // (index, due) pair.
+        cell.tx.schedule(g - cell.tx_base, due, now, vc);
+    }
+    for (g, due, flit) in state.pipes {
+        let cell = &mut out[shared.cell_of_node[g / 2]];
+        // INVARIANT: wake-rule (pipes) — as above, one flit per
+        // (index, due) pair.
+        cell.pipes.schedule(g - 2 * cell.node_base, due, now, flit);
+    }
     out
 }
 
@@ -443,22 +430,8 @@ pub(crate) fn build_cells(
 // phase visit a non-no-op must wake it through one of these helpers,
 // and (b) the sets are fixed-order bitsets iterated in ascending index
 // order, so the order wake-ups fire in can never influence the order
-// entities are processed in.
-
-/// Marks a channel half or tile pipe as holding an entry due at `due`.
-// INVARIANT: wake-rule (channels, pipes) — called on every push into a
-// due-sorted event deque; `next_due` only ever decreases here, and
-// every decrease files a wheel entry in the new due cycle's slot, so a
-// slot drain can never miss a queued delivery. A non-decreasing `due`
-// needs no entry: one already exists for the earlier due cycle, and
-// delivery drains everything due, not just the waking entry.
-#[inline]
-fn wake_channel(wheel: &mut TimingWheel, next_due: &mut [Cycle], i: usize, due: Cycle, now: Cycle) {
-    if due < next_due[i] {
-        next_due[i] = due;
-        wheel.schedule(i, due, now);
-    }
-}
+// entities are processed in. Channels and pipes need no helper: an
+// entry filed with `Calendar::schedule` is its own wake-up.
 
 impl ShardCell {
     /// Marks local router `i` for the next evaluation sweep.
@@ -481,21 +454,24 @@ impl ShardCell {
         self.inject_pending.set(i);
     }
 
-    /// Queues a flit on local receive half `rl` (a push from this or
+    /// Files a flit on local receive half `rl` (a push from this or
     /// another cell's launch).
     fn push_rx(&mut self, rl: usize, due: Cycle, flit: Flit, now: Cycle) {
-        self.rx_flits[rl].push_back((due, flit));
-        // INVARIANT: wake — the flit just queued must be delivered
-        // downstream when its latency elapses.
-        wake_channel(&mut self.rx_wheel, &mut self.rx_next_due, rl, due, now);
+        // INVARIANT: wake-rule (channels) — a link launches at most one
+        // flit per cycle (VC link arbitration, the dropping router's
+        // `used[]`, the deflection router's one launch per output) with a
+        // fixed latency, so each (half, due) cell takes one flit. A
+        // boundary message applied later at the window barrier names the
+        // same due cycle, hence the same slot.
+        self.rx.schedule(rl, due, now, flit);
     }
 
-    /// Queues a credit on local transmit half `tl`.
+    /// Files a credit on local transmit half `tl`.
     fn push_tx(&mut self, tl: usize, due: Cycle, vc: VcId, now: Cycle) {
-        self.tx_credits[tl].push_back((due, vc));
-        // INVARIANT: wake — the credit just queued must reach the
-        // upstream router when its latency elapses.
-        wake_channel(&mut self.tx_wheel, &mut self.tx_next_due, tl, due, now);
+        // INVARIANT: wake-rule (channels) — an input port frees at most
+        // one buffer slot per cycle, so it returns at most one credit per
+        // cycle and each (half, due) cell takes one credit.
+        self.tx.schedule(tl, due, now, vc);
     }
 
     /// Applies one boundary message from another cell. `now` is any
@@ -532,9 +508,18 @@ impl ShardCell {
                 "deflection flow control carries single-flit packets only".into(),
             ));
         }
+        // A packet the injection queue can never hold is not transient
+        // backpressure: no amount of waiting lets it in.
+        let max_flits = shared.cfg.inject_queue_flits.min(usize::from(u16::MAX));
+        if num_flits > max_flits {
+            return Err(Error::Config(format!(
+                "a {num_flits}-flit packet exceeds the {max_flits}-flit limit \
+                 (the injection queue depth, at most 65535)"
+            )));
+        }
 
-        let (dirs, valiant_boundary) = self.compute_route(shared, spec.src, spec.dst, spec.class);
-        let route = SourceRoute::compile(&dirs)?;
+        let (route, valiant_boundary) =
+            self.compute_route(shared, spec.src, spec.dst, spec.class)?;
         if shared.cfg.require_paper_route_field && !route.fits_paper_field() {
             return Err(Error::Route(RouteError::TooLong {
                 entries: route.num_entries(),
@@ -587,6 +572,7 @@ impl ShardCell {
         let id = PacketId::new(spec.src, self.next_seq[local]);
         self.next_seq[local] += 1;
         let flits = flitize(spec, id, route, now, packet_mask, valiant_boundary);
+        // INVARIANT: `choose_vc` picked a queue with room for every flit.
         iface.enqueue_packet(vc, flits).expect("space was checked");
         // INVARIANT: wake — a tile with queued flits must stay in the
         // injection set until its queues drain; the bit is cleared only
@@ -598,20 +584,20 @@ impl ShardCell {
         Ok(id)
     }
 
-    /// Computes the hop sequence for a packet, returning the hops and
-    /// the length of the first Valiant segment (0 for minimal routes).
+    /// Compiles the source route for a packet, returning it and the
+    /// length of the first Valiant segment (0 for minimal routes).
     fn compute_route(
         &mut self,
         shared: &NetShared,
         src: NodeId,
         dst: NodeId,
         class: ServiceClass,
-    ) -> (Vec<Direction>, u8) {
+    ) -> Result<(SourceRoute, u8), RouteError> {
         // Only bulk traffic is randomized: priority and reserved classes
         // have a single dateline VC pair each, which is only sufficient
         // for single-segment (minimal) routes.
         if shared.cfg.routing == RoutingAlg::DimensionOrder || class != ServiceClass::Bulk {
-            return (shared.topo.route_dirs(src, dst), 0);
+            return Ok((shared.topo.source_route(src, dst)?, 0));
         }
         // Valiant: src -> random intermediate -> dst. The relative-turn
         // encoding cannot express a reversal at the junction, so resample
@@ -631,8 +617,8 @@ impl ShardCell {
             if dirs.len() > u8::MAX as usize {
                 continue;
             }
-            if SourceRoute::compile(&dirs).is_ok() {
-                return (dirs, seg1_len as u8);
+            if let Ok(route) = SourceRoute::compile(&dirs) {
+                return Ok((route, seg1_len as u8));
             }
         }
         // Fallback: the direct route, still carried on the two-segment
@@ -654,10 +640,21 @@ impl ShardCell {
                 corner.unwrap_or(n / 2) as u8
             }
         };
-        (dirs, boundary)
+        Ok((SourceRoute::compile(&dirs)?, boundary))
     }
 
     // ── Cycle phases ──────────────────────────────────────────────────
+
+    /// Lists the indices a delivery phase visits at `now`: those with an
+    /// entry due in `line`, or every index under naive stepping.
+    fn visit_list<T: Copy>(line: &Calendar<T>, now: Cycle, naive: bool, out: &mut Vec<usize>) {
+        out.clear();
+        if naive {
+            out.extend(0..line.capacity());
+        } else {
+            line.due_into(now, out);
+        }
+    }
 
     /// Phase 1: deliver due flits on owned receive halves, ascending.
     pub(crate) fn phase_rx(
@@ -667,209 +664,131 @@ impl ShardCell {
         naive: bool,
         probe: &mut dyn Probe,
     ) {
-        if naive {
-            self.rx_wheel.clear_slot(now);
-            for r in 0..self.rx_flits.len() {
-                self.deliver_rx(shared, r, now, probe);
-                self.settle_rx(r, now);
+        let mut idx = std::mem::take(&mut self.idx_scratch);
+        Self::visit_list(&self.rx, now, naive, &mut idx);
+        for &r in &idx {
+            if let Some(flit) = self.rx.take(now, r) {
+                self.deliver_rx(shared, r, flit, now, probe);
             }
-        } else if self.rx_wheel.has_due(now) {
-            let mut idx = std::mem::take(&mut self.idx_scratch);
-            idx.clear();
-            self.rx_wheel.drain_into(now, &mut idx);
-            for &r in &idx {
-                if self.rx_next_due[r] > now {
-                    // Stale hint (re-settled to a later cycle, which
-                    // filed its own entry) or already delivered.
-                    continue;
-                }
-                self.deliver_rx(shared, r, now, probe);
-                self.settle_rx(r, now);
-            }
-            self.idx_scratch = idx;
         }
+        self.idx_scratch = idx;
     }
 
-    /// Delivers every due flit on local receive half `r`.
-    fn deliver_rx(&mut self, shared: &NetShared, r: usize, now: Cycle, probe: &mut dyn Probe) {
-        loop {
-            let due = matches!(self.rx_flits[r].front(), Some(&(t, _)) if t <= now);
-            if !due {
-                break;
-            }
-            let meta = &shared.rx_meta[self.rx_base + r];
-            let (_, mut flit) = self.rx_flits[r].pop_front().expect("checked front");
-            let (payload, steering_hit) = self.rx_links[r].transmit(&flit.payload);
-            flit.payload = payload;
-            let mut hop_corrupt = steering_hit;
-            if meta.dateline {
-                flit.meta.dateline_class = 1;
-            }
-            let (dst, port) = (meta.dst, meta.in_port);
-            let rng = &mut self.rx_rng[r];
-            if shared.transient_rate > 0.0
-                && (rng.next_u64() as f64 / u64::MAX as f64) < shared.transient_rate
-            {
-                flit.payload.flip_bit(rng.below(256) as usize);
-                hop_corrupt = true;
-            }
-            // Link-level SEC-DED repairs single-bit damage at the
-            // receiving router (paper §2.5's alternative protocol).
-            if hop_corrupt && shared.secded {
-                match crate::ecc::decode(&mut flit.payload, flit.meta.ecc) {
-                    crate::ecc::EccOutcome::Corrected { .. } => {
-                        hop_corrupt = false;
-                        self.stats.ecc_corrections += 1;
-                    }
-                    crate::ecc::EccOutcome::Uncorrectable => {
-                        self.stats.ecc_uncorrectable += 1;
-                    }
-                    crate::ecc::EccOutcome::Clean => {}
+    /// Delivers one flit arriving on local receive half `r`.
+    fn deliver_rx(
+        &mut self,
+        shared: &NetShared,
+        r: usize,
+        mut flit: Flit,
+        now: Cycle,
+        probe: &mut dyn Probe,
+    ) {
+        let meta = &shared.rx_meta[self.rx_base + r];
+        let (payload, steering_hit) = self.rx_links[r].transmit(&flit.payload);
+        flit.payload = payload;
+        let mut hop_corrupt = steering_hit;
+        if meta.dateline {
+            flit.meta.dateline_class = 1;
+        }
+        let (dst, port) = (meta.dst, meta.in_port);
+        let rng = &mut self.rx_rng[r];
+        if shared.transient_rate > 0.0
+            && (rng.next_u64() as f64 / u64::MAX as f64) < shared.transient_rate
+        {
+            flit.payload.flip_bit(rng.below(256) as usize);
+            hop_corrupt = true;
+        }
+        // Link-level SEC-DED repairs single-bit damage at the
+        // receiving router (paper §2.5's alternative protocol).
+        if hop_corrupt && shared.secded {
+            match crate::ecc::decode(&mut flit.payload, flit.meta.ecc) {
+                crate::ecc::EccOutcome::Corrected { .. } => {
+                    hop_corrupt = false;
+                    self.stats.ecc_corrections += 1;
                 }
-            }
-            flit.meta.corrupted |= hop_corrupt;
-            if flit.kind.is_head() {
-                probe.record(
-                    now,
-                    Event::HeadArrived {
-                        node: dst,
-                        in_port: port,
-                        packet: flit.meta.packet,
-                    },
-                );
-            }
-            let local = dst.index() - self.node_base;
-            self.routers[local].receive(port, flit);
-            // INVARIANT: wake — the receive above gave the router work.
-            self.wake_router(local);
-        }
-    }
-
-    /// Refreshes receive half `r`'s due-cycle bookkeeping from its deque
-    /// front (due-sorted: push times increase and the per-entry latency
-    /// is a per-run constant).
-    fn settle_rx(&mut self, r: usize, now: Cycle) {
-        let due = self.rx_flits[r].front().map_or(Cycle::MAX, |&(t, _)| t);
-        if due != self.rx_next_due[r] {
-            self.rx_next_due[r] = due;
-            if due != Cycle::MAX {
-                self.rx_wheel.schedule(r, due, now);
+                crate::ecc::EccOutcome::Uncorrectable => {
+                    self.stats.ecc_uncorrectable += 1;
+                }
+                crate::ecc::EccOutcome::Clean => {}
             }
         }
+        flit.meta.corrupted |= hop_corrupt;
+        if flit.kind.is_head() {
+            probe.record(
+                now,
+                Event::HeadArrived {
+                    node: dst,
+                    in_port: port,
+                    packet: flit.meta.packet,
+                },
+            );
+        }
+        let local = dst.index() - self.node_base;
+        self.routers[local].receive(port, flit);
+        // INVARIANT: wake — the receive above gave the router work.
+        self.wake_router(local);
     }
 
     /// Phase 2: deliver due credits on owned transmit halves, ascending.
     pub(crate) fn phase_tx(&mut self, shared: &NetShared, now: Cycle, naive: bool) {
-        if naive {
-            self.tx_wheel.clear_slot(now);
-            for t in 0..self.tx_credits.len() {
-                self.deliver_tx(shared, t, now);
-                self.settle_tx(t, now);
-            }
-        } else if self.tx_wheel.has_due(now) {
-            let mut idx = std::mem::take(&mut self.idx_scratch);
-            idx.clear();
-            self.tx_wheel.drain_into(now, &mut idx);
-            for &t in &idx {
-                if self.tx_next_due[t] > now {
-                    continue;
-                }
-                self.deliver_tx(shared, t, now);
-                self.settle_tx(t, now);
-            }
-            self.idx_scratch = idx;
-        }
-    }
-
-    /// Delivers every due credit on local transmit half `t` back to the
-    /// channel's source router.
-    fn deliver_tx(&mut self, shared: &NetShared, t: usize, now: Cycle) {
-        let meta = &shared.tx_meta[self.tx_base + t];
-        let local = meta.src.index() - self.node_base;
-        loop {
-            match self.tx_credits[t].front() {
-                Some(&(due, _)) if due <= now => {
-                    let (_, vc) = self.tx_credits[t].pop_front().expect("checked front");
-                    self.routers[local].credit_arrived(Port::Dir(meta.dir), vc);
-                    if !self.routers[local].is_quiescent() {
-                        // INVARIANT: wake — a fresh credit can unblock a
-                        // credit-stalled flit at the source router. A
-                        // quiescent router has nothing to send, so a
-                        // credit alone cannot make its evaluation a
-                        // non-no-op and needs no wake.
-                        self.wake_router(local);
-                    }
-                }
-                _ => break,
+        let mut idx = std::mem::take(&mut self.idx_scratch);
+        Self::visit_list(&self.tx, now, naive, &mut idx);
+        for &t in &idx {
+            let Some(vc) = self.tx.take(now, t) else {
+                continue;
+            };
+            // A credit returns to the channel's source router.
+            let meta = &shared.tx_meta[self.tx_base + t];
+            let local = meta.src.index() - self.node_base;
+            self.routers[local].credit_arrived(Port::Dir(meta.dir), vc);
+            if !self.routers[local].is_quiescent() {
+                // INVARIANT: wake — a fresh credit can unblock a
+                // credit-stalled flit at the source router. A quiescent
+                // router has nothing to send, so a credit alone cannot
+                // make its evaluation a non-no-op and needs no wake.
+                self.wake_router(local);
             }
         }
+        self.idx_scratch = idx;
     }
 
-    /// Refreshes transmit half `t`'s due-cycle bookkeeping.
-    fn settle_tx(&mut self, t: usize, now: Cycle) {
-        let due = self.tx_credits[t].front().map_or(Cycle::MAX, |&(t2, _)| t2);
-        if due != self.tx_next_due[t] {
-            self.tx_next_due[t] = due;
-            if due != Cycle::MAX {
-                self.tx_wheel.schedule(t, due, now);
-            }
-        }
-    }
-
-    /// Phase 3: deliver due tile-pipe flits for owned nodes, ascending.
+    /// Phase 3: deliver due tile-pipe flits for owned nodes, ascending
+    /// (node by node, inject pipe before eject pipe).
     pub(crate) fn phase_pipes(&mut self, now: Cycle, naive: bool, probe: &mut dyn Probe) {
-        if naive {
-            self.pipe_wheel.clear_slot(now);
-            for i in 0..self.routers.len() {
-                self.deliver_pipes(i, now, probe);
-                self.settle_pipe(i, now);
+        let mut idx = std::mem::take(&mut self.idx_scratch);
+        Self::visit_list(&self.pipes, now, naive, &mut idx);
+        for &p in &idx {
+            if let Some(flit) = self.pipes.take(now, p) {
+                self.deliver_pipe(p, flit, now, probe);
             }
-        } else if self.pipe_wheel.has_due(now) {
-            let mut idx = std::mem::take(&mut self.idx_scratch);
-            idx.clear();
-            self.pipe_wheel.drain_into(now, &mut idx);
-            for &i in &idx {
-                if self.pipe_next_due[i] > now {
-                    continue;
-                }
-                self.deliver_pipes(i, now, probe);
-                self.settle_pipe(i, now);
-            }
-            self.idx_scratch = idx;
         }
+        self.idx_scratch = idx;
     }
 
-    /// Delivers every due inject-pipe flit, then every due eject-pipe
-    /// flit, for local node `i`.
-    fn deliver_pipes(&mut self, i: usize, now: Cycle, probe: &mut dyn Probe) {
-        let node_id = NodeId::new((self.node_base + i) as u16);
-        while let Some(&(t, _)) = self.inject_pipes[i].front() {
-            if t > now {
-                break;
-            }
-            let (_, flit) = self.inject_pipes[i].pop_front().expect("front");
+    /// Delivers one flit leaving local pipe `p`: an inject-pipe flit to
+    /// its router, an eject-pipe flit to its tile interface.
+    fn deliver_pipe(&mut self, p: usize, flit: Flit, now: Cycle, probe: &mut dyn Probe) {
+        let i = p / 2;
+        let node = NodeId::new((self.node_base + i) as u16);
+        let packet = flit.meta.packet;
+        if p.is_multiple_of(2) {
             if flit.kind.is_head() {
+                let in_port = Port::Tile;
                 probe.record(
                     now,
                     Event::HeadArrived {
-                        node: node_id,
-                        in_port: Port::Tile,
-                        packet: flit.meta.packet,
+                        node,
+                        in_port,
+                        packet,
                     },
                 );
             }
             self.routers[i].receive(Port::Tile, flit);
             // INVARIANT: wake — the receive above gave the router work.
             self.wake_router(i);
-        }
-        while let Some(&(t, _)) = self.eject_pipes[i].front() {
-            if t > now {
-                break;
-            }
-            let (_, flit) = self.eject_pipes[i].pop_front().expect("front");
+        } else {
             let vc = flit.link_vc;
             if flit.kind.is_head() {
-                let (node, packet) = (node_id, flit.meta.packet);
                 probe.record(now, Event::HeadEjected { node, packet });
             }
             self.interfaces[i].receive(flit, now, probe);
@@ -879,22 +798,6 @@ impl ShardCell {
                 // credit-stalled ejection at this router. As above, a
                 // quiescent router cannot use a credit this cycle.
                 self.wake_router(i);
-            }
-        }
-    }
-
-    /// Refreshes local node `i`'s pipe due-cycle bookkeeping.
-    fn settle_pipe(&mut self, i: usize, now: Cycle) {
-        let due = match (self.inject_pipes[i].front(), self.eject_pipes[i].front()) {
-            (Some(&(a, _)), Some(&(b, _))) => a.min(b),
-            (Some(&(a, _)), None) => a,
-            (None, Some(&(b, _))) => b,
-            (None, None) => Cycle::MAX,
-        };
-        if due != self.pipe_next_due[i] {
-            self.pipe_next_due[i] = due;
-            if due != Cycle::MAX {
-                self.pipe_wheel.schedule(i, due, now);
             }
         }
     }
@@ -941,12 +844,11 @@ impl ShardCell {
                     },
                 );
             }
-            let due = now + shared.inject_latency;
-            self.inject_pipes[i].push_back((due, flit));
-            // INVARIANT: wake — the flit just queued must be delivered to
-            // the router when its pipe latency elapses (same
-            // schedule-on-decrease argument as `wake_channel`).
-            wake_channel(&mut self.pipe_wheel, &mut self.pipe_next_due, i, due, now);
+            // INVARIANT: wake-rule (pipes) — a tile injects at most one
+            // flit per cycle, so its inject pipe's (node, due) cell is
+            // free; the entry is delivered when the pipe latency elapses.
+            self.pipes
+                .schedule(2 * i, now + shared.inject_latency, now, flit);
             if !self.interfaces[i].injection_pending() {
                 // INVARIANT: the injection bit is cleared only when the
                 // tile's queues are empty; the next enqueue re-sets it.
@@ -1110,10 +1012,10 @@ impl ShardCell {
                 }
                 Port::Tile => {
                     let due = now + shared.cfg.channel_latency;
-                    self.eject_pipes[i].push_back((due, flit));
-                    // INVARIANT: wake — the ejected flit must reach the
-                    // tile interface when the eject pipe drains.
-                    wake_channel(&mut self.pipe_wheel, &mut self.pipe_next_due, i, due, now);
+                    // INVARIANT: wake-rule (pipes) — a router ejects at
+                    // most one flit per cycle (the tile port is one output
+                    // link), so its eject pipe's (node, due) cell is free.
+                    self.pipes.schedule(2 * i + 1, due, now, flit);
                 }
             }
         }
@@ -1152,7 +1054,8 @@ impl ShardCell {
     }
 }
 
-/// Builds the flit sequence for a packet.
+/// The flit sequence of a packet, generated as the interface queue
+/// takes it. `inject` bounds `spec.num_flits()` to `u16::MAX`.
 pub(crate) fn flitize(
     spec: &PacketSpec,
     id: PacketId,
@@ -1160,13 +1063,12 @@ pub(crate) fn flitize(
     now: Cycle,
     vc_mask: VcMask,
     valiant_boundary: u8,
-) -> Vec<Flit> {
+) -> impl ExactSizeIterator<Item = Flit> + '_ {
     let num_flits = spec.num_flits();
-    let mut flits = Vec::with_capacity(num_flits);
-    let mut remaining = spec.payload_bits.max(1);
-    for i in 0..num_flits {
-        let bits = remaining.min(FLIT_DATA_BITS);
-        remaining -= bits;
+    let packet_len = u16::try_from(num_flits).expect("inject bounds the flit count");
+    let payload_bits = spec.payload_bits.max(1);
+    (0..num_flits).map(move |i| {
+        let bits = (payload_bits - i * FLIT_DATA_BITS).min(FLIT_DATA_BITS);
         let kind = match (i == 0, i == num_flits - 1) {
             (true, true) => FlitKind::HeadTail,
             (true, false) => FlitKind::Head,
@@ -1178,7 +1080,7 @@ pub(crate) fn flitize(
             .as_ref()
             .and_then(|d| d.get(i).copied())
             .unwrap_or_else(|| Payload::from_u64(id.0 << 8 | i as u64));
-        flits.push(Flit {
+        Flit {
             kind,
             size: SizeCode::for_bits(bits).expect("1..=256 bits per flit"),
             vc_mask,
@@ -1192,7 +1094,7 @@ pub(crate) fn flitize(
                 src: spec.src,
                 dst: spec.dst,
                 flit_index: i as u16,
-                packet_len: num_flits as u16,
+                packet_len,
                 created_at: now,
                 injected_at: now,
                 class: spec.class,
@@ -1204,9 +1106,8 @@ pub(crate) fn flitize(
                 ecc: 0,
                 corrupted: false,
             },
-        });
-    }
-    flits
+        }
+    })
 }
 
 // ── Threaded-runner surface ───────────────────────────────────────────

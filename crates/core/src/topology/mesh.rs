@@ -1,6 +1,7 @@
 //! The 2-D mesh: the paper's §3.1 power-comparison baseline.
 
 use crate::ids::{Coord, Direction, NodeId};
+use crate::route::{RouteError, SourceRoute};
 
 use super::Topology;
 
@@ -107,6 +108,11 @@ impl Topology for Mesh2D {
             dirs.push(ydir);
         }
         dirs
+    }
+
+    fn source_route(&self, src: NodeId, dst: NodeId) -> Result<SourceRoute, RouteError> {
+        let (s, d) = (self.coord(src), self.coord(dst));
+        super::xy_route(d.x as isize - s.x as isize, d.y as isize - s.y as isize)
     }
 
     fn productive_dirs(&self, src: NodeId, dst: NodeId) -> super::DirVec {

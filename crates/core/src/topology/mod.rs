@@ -16,6 +16,23 @@ pub use ring::Ring;
 pub use torus::FoldedTorus2D;
 
 use crate::ids::{Coord, Direction, NodeId};
+use crate::route::{RouteError, SourceRoute};
+
+/// The dimension-order route of signed X and Y offsets: `|dx|` hops east
+/// (positive) or west, then `|dy|` hops north (positive) or south.
+fn xy_route(dx: isize, dy: isize) -> Result<SourceRoute, RouteError> {
+    let xdir = if dx > 0 {
+        Direction::East
+    } else {
+        Direction::West
+    };
+    let ydir = if dy > 0 {
+        Direction::North
+    } else {
+        Direction::South
+    };
+    SourceRoute::from_runs(&[(xdir, dx.unsigned_abs()), (ydir, dy.unsigned_abs())])
+}
 
 /// An inline fixed-capacity direction set: the allocation-free return
 /// type of [`Topology::productive_dirs`] (same pattern as the router
@@ -116,6 +133,19 @@ pub trait Topology: Send + Sync + std::fmt::Debug {
     /// A minimal dimension-order (X then Y) hop sequence from `src` to
     /// `dst`. Empty when `src == dst`.
     fn route_dirs(&self, src: NodeId, dst: NodeId) -> Vec<Direction>;
+
+    /// [`Topology::route_dirs`] compiled into a source route: what
+    /// `SourceRoute::compile(&self.route_dirs(src, dst))` returns,
+    /// computed without the hop vector by the shipped topologies, whose
+    /// closed forms use the same offsets as their `route_dirs`.
+    ///
+    /// # Errors
+    ///
+    /// As [`SourceRoute::compile`]; [`RouteError::Empty`] when
+    /// `src == dst`.
+    fn source_route(&self, src: NodeId, dst: NodeId) -> Result<SourceRoute, RouteError> {
+        SourceRoute::compile(&self.route_dirs(src, dst))
+    }
 
     /// Minimal hop count between two nodes.
     fn min_hops(&self, src: NodeId, dst: NodeId) -> usize {
@@ -234,6 +264,36 @@ pub(crate) fn folded_link_pitches(a: usize, b: usize, k: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every closed-form source route equals compiling the hop vector
+    /// it replaces, for every pair, including the ties and wrap-around
+    /// runs of odd and even tori and the k = 32 diameter routes.
+    #[test]
+    fn source_route_closed_forms_match_compiled_hops() {
+        let mut topos: Vec<Box<dyn Topology>> = Vec::new();
+        for k in [2, 4, 8, 32] {
+            topos.push(Box::new(Mesh2D::new(k)));
+        }
+        for k in [4, 5, 16, 32] {
+            topos.push(Box::new(FoldedTorus2D::new(k)));
+        }
+        for k in [3, 8] {
+            topos.push(Box::new(Ring::new(k)));
+        }
+        for t in &topos {
+            for s in 0..t.num_nodes() {
+                for d in 0..t.num_nodes() {
+                    let (s, d) = (NodeId::new(s as u16), NodeId::new(d as u16));
+                    assert_eq!(
+                        t.source_route(s, d),
+                        SourceRoute::compile(&t.route_dirs(s, d)),
+                        "{} {s:?}->{d:?}",
+                        t.name()
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn folded_order_matches_paper() {

@@ -2,6 +2,7 @@
 //! and for isolating single-dimension effects in experiments.
 
 use crate::ids::{Coord, Direction, NodeId};
+use crate::route::{RouteError, SourceRoute};
 
 use super::{folded_link_pitches, folded_position, Topology};
 
@@ -98,6 +99,19 @@ impl Topology for Ring {
             (Direction::West, k - fwd)
         };
         vec![dir; hops as usize]
+    }
+
+    fn source_route(&self, src: NodeId, dst: NodeId) -> Result<SourceRoute, RouteError> {
+        // Same forward-offset and tie-break arithmetic as route_dirs.
+        let k = self.k as isize;
+        let fwd = (dst.index() as isize - src.index() as isize).rem_euclid(k);
+        let tie_east = src.index().is_multiple_of(2);
+        let run = if 2 * fwd < k || (2 * fwd == k && tie_east) {
+            (Direction::East, fwd as usize)
+        } else {
+            (Direction::West, (k - fwd) as usize)
+        };
+        SourceRoute::from_runs(&[run])
     }
 
     fn productive_dirs(&self, src: NodeId, dst: NodeId) -> super::DirVec {

@@ -1,6 +1,7 @@
 //! The folded 2-D torus: the paper's baseline topology (§2, §3.1).
 
 use crate::ids::{Coord, Direction, NodeId};
+use crate::route::{RouteError, SourceRoute};
 
 use super::{folded_link_pitches, folded_position, Topology};
 
@@ -147,6 +148,11 @@ impl Topology for FoldedTorus2D {
             dirs.push(ydir);
         }
         dirs
+    }
+
+    fn source_route(&self, src: NodeId, dst: NodeId) -> Result<SourceRoute, RouteError> {
+        let (dx, dy) = self.min_offsets(src, dst);
+        super::xy_route(dx, dy)
     }
 
     fn productive_dirs(&self, src: NodeId, dst: NodeId) -> super::DirVec {

@@ -56,108 +56,169 @@ impl ActiveSet {
     }
 }
 
-/// A calendar queue over entity due-cycles: one slot per future cycle,
-/// modulo a power-of-two horizon, each slot a fixed-width bitset over
-/// entity indices.
+/// A calendar queue that holds its entries: one slot per future cycle,
+/// modulo a power-of-two length, each slot a fixed-width bitset over
+/// entity indices plus one storage cell per index.
 ///
-/// The cycle engine schedules an entity index into the slot of its next
-/// due cycle and, each cycle, drains exactly the one slot for `now` —
-/// idle cycles check a per-slot counter instead of rescanning every
-/// entity or maintaining a global minimum. Bitset slots keep the busy
-/// end cheap too: at 1024 tiles a saturated cycle delivers ~2k channels,
-/// and extracting them from bit words is linear where sorting a `Vec`
-/// slot each cycle was O(n log n). Contracts the engine relies on:
+/// The cycle engine files each in-flight flit or credit in the slot of
+/// the cycle it is due and, each cycle, takes exactly the entries of the
+/// one slot for `now` — idle cycles check a per-slot counter instead of
+/// rescanning every entity, and no per-entity queue, due tracker or
+/// front check exists. Bitset slots keep the busy end cheap too: at 1024
+/// tiles a saturated cycle delivers ~2k channels, and extracting them
+/// from bit words is linear where sorting a `Vec` slot each cycle was
+/// O(n log n). Contracts the engine relies on:
 ///
-/// * **Horizon.** `new(horizon, capacity)` sizes the wheel to a power of
-///   two strictly greater than `horizon + 1`, and every `schedule` must
-///   satisfy `due - now <= horizon`. A slot therefore never holds an
-///   entry for a *future* wrap of the same cycle index, so draining a
-///   slot may assume every entry's due cycle is `<= now`.
-/// * **Ordering.** [`TimingWheel::drain_into`] appends the slot's
-///   entries in ascending index order (bit words walked low-to-high,
-///   like [`ActiveSet::collect_into`]), so wake order within a cycle can
-///   never influence the order entities are processed in.
-/// * **Staleness.** An entry is a *hint*, not an obligation: an entity
-///   rescheduled to an earlier cycle leaves its old entry behind. The
-///   caller filters by the entity's authoritative `next_due` and
-///   ignores entries whose due cycle already fired. Scheduling is
-///   idempotent bit-setting, so duplicates collapse at the source.
+/// * **One entry per (index, due cycle).** Each delay line the engine
+///   models carries at most one entry per entity per cycle, so a cell
+///   holds at most one value. [`Calendar::schedule`] asserts the cell is
+///   free, so a second entry for the same index and cycle panics rather
+///   than overwriting the first.
+/// * **Horizon.** `new(horizon, capacity)` sizes the calendar to a power
+///   of two of at least `horizon` slots, and every `schedule` from cycle
+///   `now` must be due no more than `horizon` cycles later. The entries
+///   outstanding at any moment then fall within `horizon` consecutive
+///   cycles, no more than there are slots, so a slot never holds an
+///   entry for a *future* wrap of its cycle, and every entry in the slot
+///   of `now` is due at `now`. Entries are exact, never stale hints.
+/// * **Ordering.** [`Calendar::due_into`] lists a slot's entries in
+///   ascending index order (bit words walked low-to-high, like
+///   [`ActiveSet::collect_into`]), so the order entries were filed in
+///   can never influence the order entities are processed in.
 #[derive(Debug, Clone)]
-pub(crate) struct TimingWheel {
-    /// `len` slots × `words` bit words each, flattened.
+pub(crate) struct Calendar<T> {
+    /// `len` slots × `words` bit words each, flattened: bit `i` of a
+    /// slot is set iff that slot's cell for index `i` holds an entry.
     bits: Vec<u64>,
-    /// Set-bit count per slot, making `has_due` O(1).
+    /// Set-bit count per slot, so an idle slot costs one read.
     counts: Vec<u32>,
+    /// `len` slots × `capacity` cells, slot-major. Allocated by the first
+    /// `schedule`, so building a network touches none of it.
+    cells: Vec<Option<T>>,
     words: usize,
+    capacity: usize,
     mask: u64,
 }
 
-impl TimingWheel {
-    /// A wheel able to schedule up to `horizon` cycles ahead for
-    /// entity indices `0..capacity`.
-    pub(crate) fn new(horizon: u64, capacity: usize) -> TimingWheel {
-        let len =
-            usize::try_from((horizon + 2).next_power_of_two()).expect("wheel horizon fits usize");
+impl<T: Copy> Calendar<T> {
+    /// A calendar for entity indices `0..capacity` whose entries are
+    /// due at most `horizon` cycles after they are filed.
+    pub(crate) fn new(horizon: u64, capacity: usize) -> Calendar<T> {
+        let len = usize::try_from(horizon.max(1).next_power_of_two())
+            .expect("calendar horizon fits usize");
         let words = capacity.div_ceil(64).max(1);
-        TimingWheel {
+        Calendar {
             bits: vec![0; len * words],
             counts: vec![0; len],
+            cells: Vec::new(),
             words,
+            capacity,
             mask: len as u64 - 1,
         }
     }
 
-    /// Schedules index `i` for cycle `due`, as seen from cycle `now`.
-    ///
-    /// A due cycle at or before `now` is clamped to the next cycle's
-    /// slot — the engine processes a cycle's slot once, at the top of
-    /// the phase, so anything scheduled mid-cycle must land strictly in
-    /// the future (mirroring the global-minimum engine, which also only
-    /// observed such events on the next cycle).
     #[inline]
-    pub(crate) fn schedule(&mut self, i: usize, due: u64, now: u64) {
-        debug_assert!(
-            due <= now || due - now <= self.mask,
-            "due beyond wheel horizon"
-        );
-        let slot = (due.max(now + 1) & self.mask) as usize;
+    fn slot(&self, cycle: u64) -> usize {
+        (cycle & self.mask) as usize
+    }
+
+    /// Files `value` for index `i`, due at cycle `due`, as seen from cycle
+    /// `now`.
+    ///
+    /// A due cycle at or before `now` is clamped to the next cycle: the
+    /// engine takes a cycle's slot once, at the top of its phase, so
+    /// anything filed mid-cycle (a zero-latency credit) lands strictly in
+    /// the future.
+    ///
+    /// # Panics
+    ///
+    /// Panics if index `i` already has an entry due at `due`, or if
+    /// `due` lies beyond the calendar's horizon.
+    #[inline]
+    pub(crate) fn schedule(&mut self, i: usize, due: u64, now: u64, value: T) {
+        let due = due.max(now + 1);
+        // INVARIANT: no entry is filed more slots ahead than the calendar
+        // has, so its slot is next taken exactly at `due`. Checked in
+        // release builds too: a violation would deliver silently early.
+        assert!(due - now <= self.mask + 1, "due beyond calendar horizon");
+        if self.cells.is_empty() {
+            self.cells = vec![None; self.counts.len() * self.capacity];
+        }
+        let slot = self.slot(due);
         let word = &mut self.bits[slot * self.words + i / 64];
         let bit = 1u64 << (i % 64);
-        self.counts[slot] += u32::from(*word & bit == 0);
+        assert!(
+            *word & bit == 0,
+            "calendar cell for index {i} due at cycle {due} is double-booked"
+        );
         *word |= bit;
+        self.counts[slot] += 1;
+        self.cells[slot * self.capacity + i] = Some(value);
     }
 
-    /// Whether the slot for cycle `now` holds any entries.
-    #[inline]
-    pub(crate) fn has_due(&self, now: u64) -> bool {
-        self.counts[(now & self.mask) as usize] != 0
+    /// The number of entity indices, `0..capacity`.
+    pub(crate) fn capacity(&self) -> usize {
+        self.capacity
     }
 
-    /// Empties the slot for cycle `now` into `out`, ascending.
-    pub(crate) fn drain_into(&mut self, now: u64, out: &mut Vec<usize>) {
-        let slot = (now & self.mask) as usize;
-        for (w, word) in self.bits[slot * self.words..(slot + 1) * self.words]
-            .iter_mut()
+    /// Appends the indices with an entry due at `now` to `out`,
+    /// ascending. The entries stay filed until [`Self::take`] removes
+    /// them.
+    pub(crate) fn due_into(&self, now: u64, out: &mut Vec<usize>) {
+        let slot = self.slot(now);
+        if self.counts[slot] == 0 {
+            return;
+        }
+        for (w, &word) in self.bits[slot * self.words..(slot + 1) * self.words]
+            .iter()
             .enumerate()
         {
-            let mut bits = std::mem::take(word);
+            let mut bits = word;
             while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                out.push(w * 64 + b);
+                out.push(w * 64 + bits.trailing_zeros() as usize);
                 bits &= bits - 1;
             }
         }
-        self.counts[slot] = 0;
     }
 
-    /// Discards the slot for cycle `now` (naive stepping has already
-    /// visited every entity, so the hints are spent).
+    /// Removes and returns index `i`'s entry due at `now`, if it has one.
     #[inline]
-    pub(crate) fn clear_slot(&mut self, now: u64) {
-        let slot = (now & self.mask) as usize;
-        if self.counts[slot] != 0 {
-            self.bits[slot * self.words..(slot + 1) * self.words].fill(0);
-            self.counts[slot] = 0;
+    pub(crate) fn take(&mut self, now: u64, i: usize) -> Option<T> {
+        let slot = self.slot(now);
+        let word = &mut self.bits[slot * self.words + i / 64];
+        let bit = 1u64 << (i % 64);
+        if *word & bit == 0 {
+            return None;
+        }
+        *word &= !bit;
+        self.counts[slot] -= 1;
+        self.cells[slot * self.capacity + i].take()
+    }
+
+    /// Entries filed, across every slot.
+    pub(crate) fn len(&self) -> usize {
+        self.counts.iter().map(|&c| c as usize).sum()
+    }
+
+    /// Whether no entry is filed.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.counts.iter().all(|&c| c == 0)
+    }
+
+    /// Appends every filed entry to `out` as `(base + index, due, value)`.
+    /// `next` is the first cycle whose slot has not been taken: every
+    /// filed entry is due in `next..next + horizon`, so its slot names
+    /// its due cycle exactly.
+    pub(crate) fn pending_into(&self, next: u64, base: usize, out: &mut Vec<(usize, u64, T)>) {
+        let mut idx = Vec::new();
+        for due in next..=next + self.mask {
+            idx.clear();
+            self.due_into(due, &mut idx);
+            let row = self.slot(due) * self.capacity;
+            for &i in &idx {
+                let value = self.cells[row + i].expect("a set bit names a filed cell");
+                out.push((base + i, due, value));
+            }
         }
     }
 }
@@ -295,43 +356,86 @@ mod tests {
         }
     }
 
+    /// Taking the slot of `now` yields exactly the entries due then, in
+    /// ascending index order whatever order they were filed in, across
+    /// bit words; later slots keep theirs.
     #[test]
-    fn wheel_drains_ascending_and_only_its_slot() {
-        let mut w = TimingWheel::new(6, 10);
-        w.schedule(9, 5, 3);
-        w.schedule(2, 5, 3);
-        w.schedule(7, 4, 3);
-        let mut out = Vec::new();
-        w.drain_into(5, &mut out);
-        assert_eq!(out, vec![2, 9]);
-        assert!(!w.has_due(5));
-        assert!(w.has_due(4));
-        out.clear();
-        w.drain_into(4, &mut out);
-        assert_eq!(out, vec![7]);
+    fn calendar_drains_ascending_and_only_its_slot() {
+        let mut c = Calendar::new(6, 200);
+        for (i, due, v) in [
+            (130, 7, 'a'),
+            (9, 5, 'b'),
+            (63, 7, 'c'),
+            (2, 5, 'd'),
+            (64, 7, 'e'),
+        ] {
+            c.schedule(i, due, 3, v);
+        }
+        c.schedule(9, 4, 3, 'f'); // same index, another cycle
+        assert_eq!(c.len(), 6);
+        let drain = |c: &mut Calendar<char>, now: u64| {
+            let mut idx = Vec::new();
+            c.due_into(now, &mut idx);
+            idx.iter()
+                .map(|&i| (i, c.take(now, i).expect("listed entry")))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(drain(&mut c, 6), vec![]);
+        assert_eq!(drain(&mut c, 4), vec![(9, 'f')]);
+        assert_eq!(drain(&mut c, 5), vec![(2, 'd'), (9, 'b')]);
+        assert_eq!(drain(&mut c, 5), vec![]);
+        assert_eq!(drain(&mut c, 7), vec![(63, 'c'), (64, 'e'), (130, 'a')]);
+        assert!(c.is_empty());
+        assert_eq!(c.take(7, 63), None);
+    }
+
+    /// A calendar reused for many more cycles than it has slots delivers
+    /// every entry at its due cycle, with the full horizon in flight, and
+    /// `pending_into` names every outstanding entry's due cycle.
+    #[test]
+    fn calendar_survives_many_wraps() {
+        for horizon in [1u64, 2, 3, 4, 5, 8] {
+            let mut c = Calendar::new(horizon, 3);
+            let mut delivered = 0u64;
+            for now in 0..200u64 {
+                for i in 0..3 {
+                    if let Some(filed) = c.take(now, i) {
+                        assert_eq!(filed + horizon - i as u64 % horizon, now);
+                        delivered += 1;
+                    }
+                }
+                for i in 0..3 {
+                    c.schedule(i, now + horizon - i as u64 % horizon, now, now);
+                }
+            }
+            assert_eq!(delivered, 3 * 200 - c.len() as u64, "horizon {horizon}");
+            let mut pending = Vec::new();
+            c.pending_into(200, 10, &mut pending);
+            assert_eq!(pending.len(), c.len());
+            for (i, due, filed) in pending {
+                assert_eq!(due, filed + horizon - (i - 10) as u64 % horizon);
+                assert!((200..200 + horizon).contains(&due));
+            }
+        }
     }
 
     #[test]
-    fn wheel_clamps_past_due_to_next_cycle() {
-        let mut w = TimingWheel::new(4, 2);
-        w.schedule(1, 10, 10); // due == now: lands at now + 1
-        assert!(!w.has_due(10));
-        assert!(w.has_due(11));
-        w.clear_slot(11);
-        assert!(!w.has_due(11));
+    fn calendar_clamps_past_due_to_next_cycle() {
+        let mut c = Calendar::new(2, 2);
+        c.schedule(1, 10, 10, ()); // due == now: lands at now + 1
+        assert_eq!(c.take(10, 1), None);
+        assert_eq!(c.take(11, 1), Some(()));
+        assert!(c.is_empty());
     }
 
+    /// Two entries for one index and one cycle would share a cell; the
+    /// second is caught instead of overwriting the first.
     #[test]
-    fn wheel_spans_words_and_dedups() {
-        let mut w = TimingWheel::new(4, 200);
-        w.schedule(130, 7, 5);
-        w.schedule(63, 7, 5);
-        w.schedule(64, 7, 5);
-        w.schedule(130, 7, 6); // duplicate collapses at the source
-        let mut out = Vec::new();
-        w.drain_into(7, &mut out);
-        assert_eq!(out, vec![63, 64, 130]);
-        assert!(!w.has_due(7));
+    #[should_panic(expected = "double-booked")]
+    fn calendar_catches_a_double_booked_cell() {
+        let mut c = Calendar::new(4, 8);
+        c.schedule(5, 9, 6, 1u8);
+        c.schedule(5, 9, 7, 2u8);
     }
 
     #[test]

@@ -143,16 +143,19 @@ pub fn all_rules() -> Vec<Rule> {
         },
         Rule {
             name: "unannotated-wake-site",
-            summary: "wake-up calls in the gated engine without an INVARIANT note",
-            patterns: &["wake_router", "wake_channel", "wake_pipe", "wake_injector"],
+            summary:
+                "wake-up calls and calendar filings in the gated engine without an INVARIANT note",
+            patterns: &["wake_router", "wake_injector", "schedule"],
             include: &["crates/core/src/network.rs", "crates/core/src/shard.rs"],
             exclude: &[],
             scope: CodeScope::OutsideTests,
             suppression: Suppression::AllowOrInvariant,
-            advice: "every wake-up site is load-bearing for the activity-gated \
-                     engine's bit-identity with naive stepping (DESIGN.md \
-                     \u{a7}3.13); state the wake rule it implements in an \
-                     // INVARIANT: comment",
+            advice: "every wake-up site and every calendar filing \
+                     (`Calendar::schedule`) is load-bearing for the \
+                     activity-gated engine's bit-identity with naive stepping \
+                     (DESIGN.md \u{a7}3.13); state the wake rule it implements, \
+                     or why its (index, due) cell is free, in an // INVARIANT: \
+                     comment",
         },
         Rule {
             name: "println-in-core",

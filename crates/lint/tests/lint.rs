@@ -163,8 +163,8 @@ fn fixture_unannotated_wake_site() {
     assert_eq!(
         hits(&a),
         vec![
-            ("unannotated-wake-site".to_string(), 5),
-            ("unannotated-wake-site".to_string(), 10),
+            ("unannotated-wake-site".to_string(), 6),
+            ("unannotated-wake-site".to_string(), 11),
         ],
         "{:#?}",
         a.findings

@@ -4,7 +4,8 @@
 use ocin::core::{
     Error, FlowControl, Network, NetworkConfig, PacketSpec, RoutingAlg, ServiceClass, TopologySpec,
 };
-use ocin::traffic::{InjectionProcess, TrafficPattern, Workload};
+use ocin::sim::{SimConfig, Simulation};
+use ocin::traffic::{InjectionProcess, LengthDist, TrafficPattern, Workload};
 
 /// Drives `net` with `wl` for `cycles`, returning (injected, delivered).
 fn drive(net: &mut Network, wl: &Workload, cycles: u64, seed: u64) -> (u64, u64) {
@@ -87,6 +88,22 @@ fn every_flow_control_carries_traffic() {
             }
         }
     }
+}
+
+/// Packets longer than the 64-flit injection queue can never enter, so
+/// the run stops at the unroutable-packet check instead of running to
+/// its end and reporting nothing injected.
+#[test]
+#[should_panic(expected = "unroutable packet")]
+fn packets_longer_than_the_injection_queue_stop_the_run() {
+    let wl = Workload::new(16, 4, TrafficPattern::Uniform)
+        .injection(InjectionProcess::Bernoulli { flit_rate: 0.1 })
+        .length(LengthDist::Fixed { flits: 65 });
+    let mut sim = Simulation::new(NetworkConfig::paper_baseline(), SimConfig::quick())
+        .expect("valid config")
+        .with_workload(&wl);
+    let report = sim.run();
+    panic!("the run reported {report:?} instead of stopping");
 }
 
 #[test]

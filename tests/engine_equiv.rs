@@ -6,12 +6,15 @@
 //! bit-identical reports — same latency samples, same counters, same
 //! rendered metrics JSON, same probe-derived artifacts. The property
 //! test below samples across flow-control methods, offered loads,
-//! probing/journey collection, transient faults, and static-flow
-//! reservations; a directed test checks the engines even compose, i.e.
-//! a run that flips modes midway matches both pure runs.
+//! probing/journey collection, transient faults, static-flow
+//! reservations, and channel timing (latencies, phits, SEC-DED); a
+//! directed test checks the engines even compose, i.e. a run that flips
+//! modes midway matches both pure runs.
 
 use ocin::core::probe::ProbeConfig;
-use ocin::core::{FlowControl, Network, NetworkConfig, PacketSpec, StaticFlowSpec, TopologySpec};
+use ocin::core::{
+    FlowControl, LinkProtection, Network, NetworkConfig, PacketSpec, StaticFlowSpec, TopologySpec,
+};
 use ocin::sim::{SimConfig, SimReport, Simulation};
 use ocin::traffic::{InjectionProcess, TrafficPattern, Workload};
 use proptest::prelude::*;
@@ -20,6 +23,51 @@ fn quick_cfg(fc: FlowControl, k: usize) -> NetworkConfig {
     NetworkConfig::paper_baseline()
         .with_topology(TopologySpec::FoldedTorus { k })
         .with_flow_control(fc)
+}
+
+/// Channel timing: link and credit latency, phits per flit, and SEC-DED
+/// link protection. Slow links stretch the engine's calendars past the
+/// four slots the paper's 1/1/1 timing fills, so entries wrap them.
+#[derive(Debug, Clone, Copy)]
+struct Links {
+    channel: u64,
+    credit: u64,
+    phits: u64,
+    secded: bool,
+}
+
+impl Links {
+    /// Applies the timing to `cfg`, keeping one phit per flit where
+    /// `validate` rejects serialization (the bufferless cores).
+    fn apply(self, mut cfg: NetworkConfig) -> NetworkConfig {
+        cfg.channel_latency = self.channel;
+        cfg.credit_latency = self.credit;
+        cfg.channel_phits = self.phits;
+        if self.secded {
+            cfg.link_protection = LinkProtection::Secded;
+        }
+        if cfg.validate().is_err() {
+            cfg.channel_phits = 1;
+        }
+        cfg
+    }
+}
+
+/// Channel latency 1 or 3, credit latency 1, 2 or 4, 1 or 2 phits, with
+/// or without SEC-DED.
+fn links() -> impl Strategy<Value = Links> {
+    (
+        prop_oneof![Just(1u64), Just(3)],
+        prop_oneof![Just(1u64), Just(2), Just(4)],
+        prop_oneof![Just(1u64), Just(2)],
+        any::<bool>(),
+    )
+        .prop_map(|(channel, credit, phits, secded)| Links {
+            channel,
+            credit,
+            phits,
+            secded,
+        })
 }
 
 /// One quick simulation with every sampled knob applied.
@@ -32,9 +80,10 @@ fn run(
     journeys: bool,
     fault_rate: f64,
     reserved: bool,
+    links: Links,
     naive: bool,
 ) -> SimReport {
-    let mut cfg = quick_cfg(fc, k);
+    let mut cfg = links.apply(quick_cfg(fc, k));
     if reserved {
         cfg = cfg
             .with_reservation_period(8)
@@ -76,17 +125,18 @@ proptest! {
         journeys in any::<bool>(),
         faulty in any::<bool>(),
         reserved in any::<bool>(),
+        links in links(),
     ) {
         // Reservations ride on VC lanes; faults use the fixed-seed
         // transient-upset stream, exercising RNG-draw alignment.
         let reserved = reserved && fc == FlowControl::VirtualChannel;
         let fault_rate = if faulty { 0.02 } else { 0.0 };
-        let gated = run(fc, 4, load, probed, journeys, fault_rate, reserved, false);
-        let naive = run(fc, 4, load, probed, journeys, fault_rate, reserved, true);
+        let gated = run(fc, 4, load, probed, journeys, fault_rate, reserved, links, false);
+        let naive = run(fc, 4, load, probed, journeys, fault_rate, reserved, links, true);
         prop_assert!(
             gated == naive,
             "gated and naive reports differ ({fc:?} @ {load:.3}, probed={probed}, \
-             journeys={journeys}, faults={faulty}, reserved={reserved})"
+             journeys={journeys}, faults={faulty}, reserved={reserved}, {links:?})"
         );
         if probed {
             let g = gated.metrics.as_ref().expect("probed run carries metrics");
@@ -100,9 +150,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// The same bit-identity on the 256-tile k = 16 torus, where the
-    /// calendar-queue wheel actually earns its keep: stale wheel hints,
-    /// slot wraps, and the struct-of-arrays router state must all stay
-    /// invisible at scale. Fewer cases than the k = 4 test — each one
+    /// calendars actually earn their keep: slot wraps, dense slots, and
+    /// the struct-of-arrays router state must all stay invisible at
+    /// scale. Fewer cases than the k = 4 test — each one
     /// simulates 256 routers — but every knob still varies.
     #[test]
     fn gated_engine_matches_naive_at_k16(
@@ -115,15 +165,16 @@ proptest! {
         probed in any::<bool>(),
         faulty in any::<bool>(),
         reserved in any::<bool>(),
+        links in links(),
     ) {
         let reserved = reserved && fc == FlowControl::VirtualChannel;
         let fault_rate = if faulty { 0.01 } else { 0.0 };
-        let gated = run(fc, 16, load, probed, false, fault_rate, reserved, false);
-        let naive = run(fc, 16, load, probed, false, fault_rate, reserved, true);
+        let gated = run(fc, 16, load, probed, false, fault_rate, reserved, links, false);
+        let naive = run(fc, 16, load, probed, false, fault_rate, reserved, links, true);
         prop_assert!(
             gated == naive,
             "k=16 gated and naive reports differ ({fc:?} @ {load:.3}, probed={probed}, \
-             faults={faulty}, reserved={reserved})"
+             faults={faulty}, reserved={reserved}, {links:?})"
         );
         if probed {
             let g = gated.metrics.as_ref().expect("probed run carries metrics");

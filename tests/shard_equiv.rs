@@ -7,14 +7,15 @@
 //! a report — and rendered metrics, when probed — bit-identical to
 //! `Simulation`. The property tests below sample across flow-control
 //! methods, offered loads, probing/journey collection, transient
-//! faults, static-flow reservations, and shard counts; directed tests
-//! check conservation at region seams and that shard-count flips
-//! compose with the engine-mode flips from the activity-gating suite.
+//! faults, static-flow reservations, channel timing, and shard counts;
+//! directed tests check conservation at region seams and that
+//! shard-count flips compose with the engine-mode flips from the
+//! activity-gating suite, with the slowest links in flight.
 
 use ocin::core::probe::ProbeConfig;
 use ocin::core::{
-    replay_logs, Cycle, Event, FlowControl, LogProbe, Network, NetworkConfig, PacketSpec,
-    PhasedProbe, Probe, ServiceClass, StaticFlowSpec, TopologySpec,
+    replay_logs, Cycle, Event, FlowControl, LinkProtection, LogProbe, Network, NetworkConfig,
+    PacketSpec, PhasedProbe, Probe, ServiceClass, StaticFlowSpec, TopologySpec,
 };
 use ocin::sim::{ShardedSimulation, SimConfig, SimReport, Simulation};
 use ocin::traffic::{InjectionProcess, LengthDist, TrafficPattern, Workload};
@@ -24,6 +25,60 @@ fn quick_cfg(fc: FlowControl, k: usize) -> NetworkConfig {
     NetworkConfig::paper_baseline()
         .with_topology(TopologySpec::FoldedTorus { k })
         .with_flow_control(fc)
+}
+
+/// Channel timing: link and credit latency, phits per flit, and SEC-DED
+/// link protection. Slow links stretch the engine's calendars past the
+/// four slots the paper's 1/1/1 timing fills, so entries wrap them.
+#[derive(Debug, Clone, Copy)]
+struct Links {
+    channel: u64,
+    credit: u64,
+    phits: u64,
+    secded: bool,
+}
+
+impl Links {
+    /// The paper's timing: one cycle per link and per credit, full-width
+    /// channels, no SEC-DED.
+    const PAPER: Links = Links {
+        channel: 1,
+        credit: 1,
+        phits: 1,
+        secded: false,
+    };
+
+    /// Applies the timing to `cfg`, keeping one phit per flit where
+    /// `validate` rejects serialization (the bufferless cores).
+    fn apply(self, mut cfg: NetworkConfig) -> NetworkConfig {
+        cfg.channel_latency = self.channel;
+        cfg.credit_latency = self.credit;
+        cfg.channel_phits = self.phits;
+        if self.secded {
+            cfg.link_protection = LinkProtection::Secded;
+        }
+        if cfg.validate().is_err() {
+            cfg.channel_phits = 1;
+        }
+        cfg
+    }
+}
+
+/// Channel latency 1 or 3, credit latency 1, 2 or 4, 1 or 2 phits, with
+/// or without SEC-DED.
+fn links() -> impl Strategy<Value = Links> {
+    (
+        prop_oneof![Just(1u64), Just(3)],
+        prop_oneof![Just(1u64), Just(2), Just(4)],
+        prop_oneof![Just(1u64), Just(2)],
+        any::<bool>(),
+    )
+        .prop_map(|(channel, credit, phits, secded)| Links {
+            channel,
+            credit,
+            phits,
+            secded,
+        })
 }
 
 /// One quick simulation with every sampled knob applied, stepped on
@@ -38,9 +93,10 @@ fn run(
     journeys: bool,
     fault_rate: f64,
     reserved: bool,
+    links: Links,
     shards: usize,
 ) -> SimReport {
-    let mut cfg = quick_cfg(fc, k);
+    let mut cfg = links.apply(quick_cfg(fc, k));
     if reserved {
         cfg = cfg
             .with_reservation_period(8)
@@ -82,17 +138,19 @@ proptest! {
         journeys in any::<bool>(),
         faulty in any::<bool>(),
         reserved in any::<bool>(),
+        links in links(),
         shards in prop_oneof![Just(2usize), Just(3), Just(4), Just(8)],
     ) {
         let reserved = reserved && fc == FlowControl::VirtualChannel;
         let fault_rate = if faulty { 0.02 } else { 0.0 };
         let cfg = SimConfig::quick();
-        let seq = run(fc, 4, cfg, load, probed, journeys, fault_rate, reserved, 1);
-        let shd = run(fc, 4, cfg, load, probed, journeys, fault_rate, reserved, shards);
+        let seq = run(fc, 4, cfg, load, probed, journeys, fault_rate, reserved, links, 1);
+        let shd = run(fc, 4, cfg, load, probed, journeys, fault_rate, reserved, links, shards);
         prop_assert!(
             seq == shd,
             "sequential and {shards}-shard reports differ ({fc:?} @ {load:.3}, \
-             probed={probed}, journeys={journeys}, faults={faulty}, reserved={reserved})"
+             probed={probed}, journeys={journeys}, faults={faulty}, reserved={reserved}, \
+             {links:?})"
         );
         if probed {
             let s = seq.metrics.as_ref().expect("probed run carries metrics");
@@ -115,15 +173,16 @@ proptest! {
         ],
         load in 0.02f64..0.15,
         probed in any::<bool>(),
+        links in links(),
         shards in prop_oneof![Just(2usize), Just(4), Just(8)],
     ) {
         let cfg = SimConfig::quick();
-        let seq = run(fc, 16, cfg, load, probed, false, 0.0, false, 1);
-        let shd = run(fc, 16, cfg, load, probed, false, 0.0, false, shards);
+        let seq = run(fc, 16, cfg, load, probed, false, 0.0, false, links, 1);
+        let shd = run(fc, 16, cfg, load, probed, false, 0.0, false, links, shards);
         prop_assert!(
             seq == shd,
             "k=16 sequential and {shards}-shard reports differ ({fc:?} @ {load:.3}, \
-             probed={probed})"
+             probed={probed}, {links:?})"
         );
         if probed {
             let s = seq.metrics.as_ref().expect("probed run carries metrics");
@@ -153,6 +212,7 @@ fn sharded_run_matches_sequential_at_k32() {
         false,
         0.0,
         false,
+        Links::PAPER,
         1,
     );
     for shards in [2usize, 4, 8] {
@@ -165,6 +225,7 @@ fn sharded_run_matches_sequential_at_k32() {
             false,
             0.0,
             false,
+            Links::PAPER,
             shards,
         );
         assert!(
@@ -241,17 +302,38 @@ proptest! {
 /// Shard-count flips compose with engine-mode flips mid-run: re-cutting
 /// the live network while also toggling gated/naive stepping changes
 /// nothing, mirroring `engines_compose_mid_run` in the activity-gating
-/// suite.
+/// suite. It holds with the paper's timing and with the slowest links
+/// the equivalence suites sample, whose calendars hold flits and
+/// credits up to six cycles ahead at every re-cut.
 #[test]
 fn shard_counts_compose_with_engine_flips() {
+    let slowest = Links {
+        channel: 3,
+        credit: 4,
+        phits: 2,
+        secded: true,
+    };
+    for links in [Links::PAPER, slowest] {
+        shard_counts_compose_with_engine_flips_on(links);
+    }
+}
+
+fn shard_counts_compose_with_engine_flips_on(links: Links) {
     let drive = |plan: &[(u64, usize, bool)]| {
-        let mut net = Network::new(quick_cfg(FlowControl::VirtualChannel, 4)).expect("valid");
+        let cfg = links.apply(quick_cfg(FlowControl::VirtualChannel, 4));
+        let mut net = Network::new(cfg).expect("valid");
         let wl = Workload::new(16, 4, TrafficPattern::Uniform)
             .injection(InjectionProcess::Bernoulli { flit_rate: 0.2 });
         let mut generation = wl.generator(7);
         let mut delivered = 0u64;
         for now in 0..600u64 {
-            if let Some(&(_, shards, naive)) = plan.iter().rev().find(|&&(at, ..)| now >= at) {
+            if let Some(&(at, shards, naive)) = plan.iter().rev().find(|&&(at, ..)| now >= at) {
+                if now == at && at > 0 {
+                    assert!(
+                        net.flits_in_flight() > 0,
+                        "re-cut at {at} with nothing in flight"
+                    );
+                }
                 net.set_shards(shards);
                 net.set_naive_stepping(naive);
             }
@@ -275,8 +357,8 @@ fn shard_counts_compose_with_engine_flips() {
         (300, 1, false),
         (450, 4, true),
     ]);
-    assert_eq!(reference, pure_sharded);
-    assert_eq!(reference, mixed);
+    assert_eq!(reference, pure_sharded, "{links:?}");
+    assert_eq!(reference, mixed, "{links:?}");
 }
 
 /// Keeps the raw event stream, in the order it is recorded.
