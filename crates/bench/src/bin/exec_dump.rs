@@ -16,7 +16,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use ocin_bench::exec_workers_arg;
+use ocin_bench::{exec_workers_arg, or_exit};
 use ocin_core::{NetworkConfig, TopologySpec};
 use ocin_sim::{LoadSweep, SimConfig, SimPool};
 use ocin_traffic::{TrafficPattern, Workload};
@@ -43,7 +43,7 @@ fn main() {
         println!("serial: evaluating {} points in order", LOADS.len());
         sweep.run_serial(&LOADS)
     } else {
-        let pool = Arc::new(SimPool::with_workers(exec_workers_arg()));
+        let pool = Arc::new(SimPool::with_workers(or_exit(exec_workers_arg())));
         let points = sweep.with_pool(Arc::clone(&pool)).run(&LOADS);
         // Decisions go to the log, never the diffed artifact.
         println!("exec summary: {}", pool.exec_summary_json());

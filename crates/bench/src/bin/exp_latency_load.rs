@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use ocin_bench::{
-    banner, check, f1, f3, probe_enabled, quick_mode, radix_arg, sim_config, write_metrics,
+    banner, check, f1, f3, or_exit, probe_enabled, quick_mode, radix_arg, sim_config, write_metrics,
 };
 use ocin_core::{NetworkConfig, RoutingAlg, TopologySpec};
 use ocin_sim::{render_metrics_heatmap, LatencyReport, LoadSweep, SimPool, Table};
@@ -46,7 +46,7 @@ fn main() {
     // radix requested via --radix / OCIN_RADIX (e.g. 16 for the
     // 256-tile network).
     let mut radices = vec![4usize, 8];
-    let extra = radix_arg(4);
+    let extra = or_exit(radix_arg(4));
     if !radices.contains(&extra) {
         radices.push(extra);
     }

@@ -22,7 +22,8 @@
 use std::time::Instant;
 
 use ocin_bench::{
-    banner, check, exec_workers_arg, f1, probe_enabled, quick_mode, radix_arg, write_metrics,
+    banner, check, exec_workers_arg, f1, or_exit, probe_enabled, quick_mode, radix_arg,
+    write_metrics,
 };
 use ocin_core::{FlowControl, Network, NetworkConfig, PacketSpec, ProbeConfig, TopologySpec};
 use ocin_sim::{PointSpec, ShardedSimulation, SimConfig, SimPool, Simulation, Table};
@@ -106,7 +107,7 @@ fn main() {
         "activity-gated stepping matches naive sweeps bit-for-bit and wins wall clock at low load",
     );
 
-    let k = radix_arg(4);
+    let k = or_exit(radix_arg(4));
     let nodes = k * k;
     let cycles: u64 = if quick_mode() { 2_000 } else { 20_000 };
     let fractions = [0.1, 0.5, 0.9];
@@ -309,7 +310,7 @@ fn main() {
     // Both must produce bit-identical reports; wall clock is the only
     // thing allowed to move, and only when real cores exist.
     println!("\ntwo-level executor, lone k = 32 point + k = 16 saturation search\n");
-    let workers = exec_workers_arg();
+    let workers = or_exit(exec_workers_arg());
     let exec_cfg = SimConfig {
         warmup_cycles: 0,
         measure_cycles: cycles,

@@ -44,29 +44,106 @@ pub fn probe_enabled() -> bool {
     std::env::args().any(|a| a == "--probe") || std::env::var("OCIN_PROBE").is_ok_and(|v| v == "1")
 }
 
+/// A bad value in a flag or environment variable an experiment reads.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ArgError {
+    /// The flag is the last argument, with no value after it.
+    MissingValue {
+        /// The flag, e.g. `--radix`.
+        flag: &'static str,
+    },
+    /// The value is not a non-negative integer.
+    NotANumber {
+        /// Where the value came from: a flag or a variable name.
+        source: &'static str,
+        /// The text as given.
+        value: String,
+    },
+    /// The value is below the smallest one that makes sense.
+    TooSmall {
+        /// Where the value came from: a flag or a variable name.
+        source: &'static str,
+        /// The value as given.
+        value: usize,
+        /// The smallest accepted value.
+        min: usize,
+    },
+}
+
+impl std::fmt::Display for ArgError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ArgError::MissingValue { flag } => write!(f, "{flag} needs a value"),
+            ArgError::NotANumber { source, value } => {
+                write!(f, "{source}: '{value}' is not a positive integer")
+            }
+            ArgError::TooSmall { source, value, min } => {
+                write!(f, "{source}: {value} is below the minimum of {min}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ArgError {}
+
+/// Returns `r`'s value, or prints its error and exits with status 2
+/// (a bad command line), the convention of every experiment binary.
+pub fn or_exit<T>(r: Result<T, ArgError>) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
+/// The value after `flag` in `args`: `Ok(None)` if the flag is absent.
+fn flag_value(
+    mut args: impl Iterator<Item = String>,
+    flag: &'static str,
+) -> Result<Option<String>, ArgError> {
+    match args.by_ref().find(|a| a == flag) {
+        None => Ok(None),
+        Some(_) => args.next().map(Some).ok_or(ArgError::MissingValue { flag }),
+    }
+}
+
+/// Parses `value` as an integer of at least `min`.
+fn at_least(source: &'static str, value: &str, min: usize) -> Result<usize, ArgError> {
+    let n: usize = value.parse().map_err(|_| ArgError::NotANumber {
+        source,
+        value: value.to_string(),
+    })?;
+    if n < min {
+        return Err(ArgError::TooSmall {
+            source,
+            value: n,
+            min,
+        });
+    }
+    Ok(n)
+}
+
 /// The torus radix an experiment should run at: `--radix <k>` on the
 /// command line, else `OCIN_RADIX`, else `default` (the paper's k = 4).
 /// Experiments use this to scale from the paper's 16-tile chip to the
 /// k = 16 (256-tile) and k = 32 (1024-tile) networks.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the flag or variable is present but not a positive integer
-/// — a misconfigured sweep should fail loudly, not fall back silently.
-pub fn radix_arg(default: usize) -> usize {
-    let mut args = std::env::args();
-    let from_cli = args
-        .by_ref()
-        .find(|a| a == "--radix")
-        .and_then(|_| args.next());
-    let raw = from_cli.or_else(|| std::env::var("OCIN_RADIX").ok());
-    match raw {
-        None => default,
-        Some(s) => {
-            let k: usize = s.parse().expect("radix must be a positive integer");
-            assert!(k >= 2, "radix must be at least 2");
-            k
-        }
+/// An [`ArgError`] if the flag or variable is present but not an
+/// integer of at least 2 — a misconfigured sweep should fail loudly, not
+/// fall back silently.
+pub fn radix_arg(default: usize) -> Result<usize, ArgError> {
+    radix_from(std::env::args(), std::env::var("OCIN_RADIX").ok(), default)
+}
+
+fn radix_from(
+    args: impl Iterator<Item = String>,
+    env: Option<String>,
+    default: usize,
+) -> Result<usize, ArgError> {
+    match flag_value(args, "--radix")? {
+        Some(v) => at_least("--radix", &v, 2),
+        None => env.map_or(Ok(default), |v| at_least("OCIN_RADIX", &v, 2)),
     }
 }
 
@@ -75,24 +152,18 @@ pub fn radix_arg(default: usize) -> usize {
 /// `OCIN_EXEC_WORKERS`, else the machine's available parallelism (the
 /// same resolution `ocin_sim::exec::default_workers` performs).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the flag is present but not a positive integer — a
-/// misconfigured run should fail loudly, not fall back silently.
-pub fn exec_workers_arg() -> usize {
-    let mut args = std::env::args();
-    let from_cli = args
-        .by_ref()
-        .find(|a| a == "--exec-workers")
-        .and_then(|_| args.next());
-    match from_cli {
-        Some(s) => {
-            let w: usize = s.parse().expect("exec workers must be a positive integer");
-            assert!(w >= 1, "exec workers must be at least 1");
-            w
-        }
-        None => ocin_sim::exec::default_workers(),
-    }
+/// An [`ArgError`] if the flag is present but not a positive integer —
+/// a misconfigured run should fail loudly, not fall back silently.
+pub fn exec_workers_arg() -> Result<usize, ArgError> {
+    Ok(exec_workers_from(std::env::args())?.unwrap_or_else(ocin_sim::exec::default_workers))
+}
+
+fn exec_workers_from(args: impl Iterator<Item = String>) -> Result<Option<usize>, ArgError> {
+    flag_value(args, "--exec-workers")?
+        .map(|v| at_least("--exec-workers", &v, 1))
+        .transpose()
 }
 
 /// Where probed experiments write their metrics snapshot:
@@ -167,6 +238,66 @@ mod tests {
         assert_eq!(f2(1.005), "1.00");
         assert_eq!(f3(0.12349), "0.123");
         assert_eq!(f1(9.96), "10.0");
+    }
+
+    fn args(list: &[&str]) -> impl Iterator<Item = String> {
+        let v: Vec<String> = list.iter().map(ToString::to_string).collect();
+        v.into_iter()
+    }
+
+    #[test]
+    fn radix_resolves_flag_then_env_then_default() {
+        assert_eq!(radix_from(args(&["exp"]), None, 4), Ok(4));
+        assert_eq!(radix_from(args(&["exp"]), Some("16".into()), 4), Ok(16));
+        let flag = args(&["exp", "--radix", "8"]);
+        assert_eq!(radix_from(flag, Some("16".into()), 4), Ok(8));
+    }
+
+    #[test]
+    fn bad_radix_is_an_error() {
+        assert_eq!(
+            radix_from(args(&["exp", "--radix", "abc"]), None, 4),
+            Err(ArgError::NotANumber {
+                source: "--radix",
+                value: "abc".into()
+            })
+        );
+        assert_eq!(
+            radix_from(args(&["exp", "--radix", "1"]), None, 4),
+            Err(ArgError::TooSmall {
+                source: "--radix",
+                value: 1,
+                min: 2
+            })
+        );
+        assert_eq!(
+            radix_from(args(&["exp", "--radix"]), None, 4),
+            Err(ArgError::MissingValue { flag: "--radix" })
+        );
+        for bad in ["x", "-3", "", "1"] {
+            let err = radix_from(args(&["exp"]), Some(bad.into()), 4).unwrap_err();
+            assert!(err.to_string().starts_with("OCIN_RADIX: "), "{err}");
+        }
+    }
+
+    #[test]
+    fn exec_workers_flag_is_validated() {
+        assert_eq!(exec_workers_from(args(&["exp"])), Ok(None));
+        let two = args(&["exp", "--exec-workers", "2"]);
+        assert_eq!(exec_workers_from(two), Ok(Some(2)));
+        assert_eq!(
+            exec_workers_from(args(&["exp", "--exec-workers", "0"])),
+            Err(ArgError::TooSmall {
+                source: "--exec-workers",
+                value: 0,
+                min: 1
+            })
+        );
+        let err = exec_workers_from(args(&["exp", "--exec-workers", "two"])).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "--exec-workers: 'two' is not a positive integer"
+        );
     }
 
     #[test]

@@ -1190,6 +1190,16 @@ impl ShardHandle<'_> {
         std::mem::take(&mut self.cell.outbox)
     }
 
+    /// Moves the boundary messages generated since the last take into
+    /// `by_cell[dest_cell()]`, in creation order. Unlike
+    /// [`Self::take_outbox`] it keeps the outbox's allocation, so a
+    /// runner that routes every window allocates nothing for it.
+    pub fn route_outbox(&mut self, by_cell: &mut [Vec<BoundaryMsg>]) {
+        for m in self.cell.outbox.drain(..) {
+            by_cell[m.dest_cell()].push(m);
+        }
+    }
+
     /// Applies boundary messages addressed to this cell. `now` must be
     /// the last cycle this cell has executed.
     pub fn apply_boundary(&mut self, msgs: impl IntoIterator<Item = BoundaryMsg>, now: Cycle) {
@@ -1261,7 +1271,8 @@ pub struct LogEvent {
     pub(crate) event: Event,
 }
 
-// Every event of a sharded probed run waits in a log until replay.
+// Every event of a probed windowed run waits in a log until its
+// hand-off is replayed.
 const _: () = assert!(std::mem::size_of::<LogEvent>() <= 40);
 
 /// Records every event as a [`LogEvent`] tagged with the current
@@ -1280,6 +1291,24 @@ impl LogProbe {
     /// log by construction).
     pub fn into_events(self) -> Vec<LogEvent> {
         self.events
+    }
+
+    /// Events recorded since the last [`Self::swap_events`].
+    pub fn len(&self) -> usize {
+        self.events.len()
+    }
+
+    /// Whether no event was recorded since the last
+    /// [`Self::swap_events`].
+    pub fn is_empty(&self) -> bool {
+        self.events.is_empty()
+    }
+
+    /// Exchanges the recorded events with `buf`: a streaming runner
+    /// hands the log off at a window boundary and keeps recording into
+    /// the (emptied) buffer it got back.
+    pub fn swap_events(&mut self, buf: &mut Vec<LogEvent>) {
+        std::mem::swap(&mut self.events, buf);
     }
 }
 
@@ -1308,12 +1337,22 @@ impl Probe for LogProbe {
 /// `(cycle, phase)` all events of a given key come from exactly one
 /// worker, so a stable k-way merge on `(cycle, phase, key, worker)`
 /// reproduces the order a single-cell run would have emitted.
-pub fn replay_logs(logs: &[Vec<LogEvent>], probe: &mut dyn Probe) {
+///
+/// The logs may cover any stretch of cycles, provided every log stops
+/// at the same cycle boundary: replaying consecutive stretches one
+/// after another then gives the whole run's order.
+pub fn replay_logs<L: AsRef<[LogEvent]>>(logs: &[L], probe: &mut dyn Probe) {
+    if let [log] = logs {
+        for e in log.as_ref() {
+            probe.record(e.cycle, e.event);
+        }
+        return;
+    }
     let mut pos = vec![0usize; logs.len()];
     loop {
         let mut best: Option<(u64, u8, NodeId, usize)> = None;
         for (w, log) in logs.iter().enumerate() {
-            if let Some(e) = log.get(pos[w]) {
+            if let Some(e) = log.as_ref().get(pos[w]) {
                 let key = (e.cycle, e.phase, e.key, w);
                 if best.is_none_or(|b| key < b) {
                     best = Some(key);
@@ -1321,7 +1360,7 @@ pub fn replay_logs(logs: &[Vec<LogEvent>], probe: &mut dyn Probe) {
             }
         }
         let Some((_, _, _, w)) = best else { break };
-        let e = &logs[w][pos[w]];
+        let e = &logs[w].as_ref()[pos[w]];
         probe.record(e.cycle, e.event);
         pos[w] += 1;
     }

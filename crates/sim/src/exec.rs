@@ -47,8 +47,11 @@
 //! workspace (enforced by ocin-lint's `raw-thread-spawn` rule):
 //! [`run_scoped`] executes a finished set of tasks, and [`run_with`] runs
 //! persistent workers alongside a coordinator on the calling thread
-//! (used by [`crate::multichip::MultiChipSim`]'s parallel stepping).
-//! `SimPool` and `ShardedSimulation` both borrow their threads from here.
+//! (used by [`crate::multichip::MultiChipSim`]'s parallel stepping and
+//! by the windowed runner in [`crate::shard`], whose coordinator
+//! collects the cells' streamed outputs). `SimPool`,
+//! `ShardedSimulation` and probed `Simulation` runs all borrow their
+//! threads from here.
 
 use crate::pool::PointSpec;
 use crate::sweep::LoadPoint;
@@ -84,7 +87,8 @@ pub fn default_workers() -> usize {
 ///
 /// # Panics
 ///
-/// Propagates a panic from any task.
+/// Resumes the panic of the first task (in task order) that panicked,
+/// with its own payload, once every task has finished.
 pub fn run_scoped<T, F>(tasks: Vec<F>) -> Vec<T>
 where
     T: Send,
@@ -96,13 +100,7 @@ where
             let task = tasks.into_iter().next().expect("length checked");
             vec![task()]
         }
-        _ => std::thread::scope(|s| {
-            let joins: Vec<_> = tasks.into_iter().map(|f| s.spawn(f)).collect();
-            joins
-                .into_iter()
-                .map(|j| j.join().expect("executor task panicked"))
-                .collect()
-        }),
+        _ => std::thread::scope(|s| join_all(tasks.into_iter().map(|f| s.spawn(f)).collect())),
     }
 }
 
@@ -110,11 +108,15 @@ where
 /// thread, and joins everything: returns `(worker results in task order,
 /// coordinator result)`. The coordinator is responsible for telling the
 /// workers to finish (via whatever shared protocol the caller set up)
-/// before it returns, or the scope will never close.
+/// before it returns, or the scope will never close; a coordinator that
+/// returns early because a worker died must leave its peers a way out
+/// too.
 ///
 /// # Panics
 ///
-/// Propagates a panic from any worker.
+/// Resumes the panic of the first worker (in task order) that panicked,
+/// with its own payload, once every worker has finished; a panicking
+/// coordinator's panic propagates after the workers finish.
 pub fn run_with<T, R, F, M>(workers: Vec<F>, coordinator: M) -> (Vec<T>, R)
 where
     T: Send,
@@ -124,12 +126,22 @@ where
     std::thread::scope(|s| {
         let joins: Vec<_> = workers.into_iter().map(|f| s.spawn(f)).collect();
         let out = coordinator();
-        let results = joins
-            .into_iter()
-            .map(|j| j.join().expect("executor worker panicked"))
-            .collect();
-        (results, out)
+        (join_all(joins), out)
     })
+}
+
+/// Joins every thread, then returns their results in task order, or
+/// resumes the first panic in task order with its original payload, so
+/// the caller sees the failing task's own message.
+fn join_all<T>(joins: Vec<std::thread::ScopedJoinHandle<'_, T>>) -> Vec<T> {
+    let joined: Vec<_> = joins
+        .into_iter()
+        .map(std::thread::ScopedJoinHandle::join)
+        .collect();
+    joined
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
 
 /// The largest shard count worth giving a network of `num_nodes` nodes.

@@ -5,7 +5,7 @@ use std::collections::{BTreeMap, VecDeque};
 use ocin_core::ids::{FlowId, NodeId};
 use ocin_core::interface::DeliveredPacket;
 use ocin_core::network::{EnergyCounters, Network, PacketSpec};
-use ocin_core::probe::{NetworkMetrics, NetworkProbe, ProbeConfig};
+use ocin_core::probe::{NetworkMetrics, ProbeConfig};
 use ocin_core::reservation::StaticFlowSpec;
 use ocin_core::{Error, NetworkConfig};
 use ocin_traffic::{MatrixGenerator, TrafficMatrix, Workload, WorkloadGenerator};
@@ -310,10 +310,15 @@ impl Simulation {
     }
 
     /// Runs warmup, measurement, and drain; returns the report.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workload produces an unroutable packet.
     pub fn run(&mut self) -> SimReport {
-        if let Some(pc) = self.probe_cfg {
-            self.net
-                .attach_probe(NetworkProbe::for_network(self.net.config(), pc));
+        if self.probe_cfg.is_some() {
+            // The windowed runner at one cell: a scoped worker steps the
+            // network while this thread replays its probe events.
+            return crate::shard::run_windowed(self, 1);
         }
         let warm_end = self.cfg.warmup_cycles;
         let meas_end = warm_end + self.cfg.measure_cycles;
@@ -411,10 +416,6 @@ impl Simulation {
             }
         }
 
-        let metrics = self
-            .net
-            .take_probe()
-            .map(|p| p.into_metrics(self.net.cycle()));
         assemble_report(
             &self.net,
             &self.cfg,
@@ -426,7 +427,7 @@ impl Simulation {
                 energy_start,
                 energy_end,
             },
-            metrics,
+            None,
         )
     }
 

@@ -1,4 +1,4 @@
-//! Deterministic sharded execution of one simulation run.
+//! Deterministic windowed execution of one simulation run.
 //!
 //! [`ShardedSimulation`] steps a single [`Simulation`] on several worker
 //! threads — one per contiguous tile-region cell cut by
@@ -10,7 +10,26 @@
 //! through per-pair mailboxes and agree on the harness exit condition
 //! via per-cycle injection/delivery tallies, then continue.
 //!
-//! The result is bit-identical to [`Simulation::run`]: the same
+//! The same runner runs a probed [`Simulation::run`] as its one-cell
+//! case: one scoped worker steps the network while the calling thread
+//! replays its probe events.
+//!
+//! # Streamed outputs
+//!
+//! A worker keeps nothing for the whole run. It buffers the probe events
+//! and delivered packets of the cycles since its last hand-off, and at a
+//! window boundary it hands both to the coordinator on the calling
+//! thread. All cells cut at the same boundaries: each publishes its
+//! buffered count with its window tallies, and every cell cuts once the
+//! counts sum to `HANDOFF_ITEMS` (and always at exit), so a round of
+//! hand-offs covers the same cycles in every cell. Hand-offs travel over
+//! a bounded channel (`HANDOFFS_IN_FLIGHT` deep) and their buffers come
+//! back emptied for reuse, so a run holds a constant number of buffers
+//! per cell however long it runs.
+//!
+//! # Determinism
+//!
+//! The result is bit-identical to the sequential loop: the same
 //! [`SimReport`], the same probe metrics, the same journey exports,
 //! regardless of shard count or thread scheduling. Every source of
 //! nondeterminism is removed structurally rather than tolerated:
@@ -18,23 +37,30 @@
 //! * workload draws come from per-node (and per-matrix-row) RNG
 //!   streams, so each worker's cloned generator reproduces exactly the
 //!   draws the sequential harness would have made for its nodes;
-//! * deliveries are merged by a stable sort on delivery cycle, which
-//!   restores the sequential cycle-major, node-ascending collection
-//!   order because each worker drains its own (ascending) node range
-//!   every cycle;
-//! * probe events are recorded per worker into [`LogProbe`] event logs
-//!   and replayed through one [`NetworkProbe`] in sequential order by
-//!   [`replay_logs`];
+//! * each round's deliveries are merged by `(delivered_at, cell)`,
+//!   which restores the sequential cycle-major, node-ascending
+//!   collection order because each worker drains its own (ascending)
+//!   node range every cycle;
+//! * each round's probe events are merged into the sequential order by
+//!   [`replay_logs`] and fed to one [`NetworkProbe`];
 //! * the measured-outstanding exit counter is replicated on every
 //!   worker from the shared per-cycle tallies, so all workers take the
 //!   same exit decision on the same cycle the sequential loop would;
 //! * energy-counter landmarks are cell-local snapshots summed in cell
 //!   order, reproducing the sequential float-accumulation order.
 //!
+//! # Failure
+//!
+//! A worker that stops early — by panicking, or because the coordinator
+//! has gone — breaks the window barrier on its way out, so its peers
+//! stop too instead of waiting for it; the run then panics with the
+//! failing worker's own message ([`crate::exec::run_with`]).
+//!
 //! See DESIGN.md §3.15 for the lookahead-window argument.
 
 use std::collections::VecDeque;
-use std::sync::{Barrier, Mutex};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use ocin_core::ids::{FlowId, NodeId};
 use ocin_core::interface::DeliveredPacket;
@@ -48,6 +74,14 @@ use ocin_core::{
 use ocin_traffic::{MatrixGenerator, WorkloadGenerator};
 
 use crate::runner::{assemble_report, MeasureAcc, RunTotals, SimReport, Simulation};
+
+/// Probe events plus deliveries buffered across all cells at which
+/// every cell hands its outputs to the coordinator (checked at window
+/// boundaries).
+const HANDOFF_ITEMS: usize = 4_096;
+
+/// Hand-offs a cell may have queued for the coordinator before it waits.
+const HANDOFFS_IN_FLIGHT: usize = 2;
 
 /// Reads the shard count from the `OCIN_SHARDS` environment variable
 /// (default 1, i.e. sequential execution).
@@ -104,130 +138,246 @@ impl ShardedSimulation {
     ///
     /// Panics if the workload produces an unroutable packet or a worker
     /// thread panics — the same conditions that abort the sequential
-    /// runner.
+    /// runner — with the failing worker's message.
     pub fn run(&mut self) -> SimReport {
         if self.shards <= 1 {
             return self.sim.run();
         }
-        let probed = self.sim.probe_cfg.is_some();
-        if probed {
-            self.run_sharded::<LogProbe>()
-        } else {
-            self.run_sharded::<NoProbe>()
+        run_windowed(&mut self.sim, self.shards)
+    }
+}
+
+/// Runs `sim` through the windowed runner on `shards` cells: one scoped
+/// worker per cell steps it, and the calling thread collects the
+/// streamed deliveries and probe events.
+pub(crate) fn run_windowed(sim: &mut Simulation, shards: usize) -> SimReport {
+    if sim.probe_cfg.is_some() {
+        drive::<LogProbe>(sim, shards)
+    } else {
+        drive::<NoProbe>(sim, shards)
+    }
+}
+
+fn drive<P: WorkerProbe>(sim: &mut Simulation, shards: usize) -> SimReport {
+    let warm_end = sim.cfg.warmup_cycles;
+    let meas_end = warm_end + sim.cfg.measure_cycles;
+    let hard_end = meas_end + sim.cfg.drain_cycles;
+
+    sim.net.set_shards(shards);
+    let cells = sim.net.shards();
+    let cfg = WorkerCfg {
+        start: sim.net.cycle(),
+        warm_end,
+        meas_end,
+        hard_end,
+        window: sim.net.lookahead_window(),
+        reservation_period: sim.reservation_period,
+    };
+    let ctx = SyncCtx::new(cells);
+    let probe = sim
+        .probe_cfg
+        .map(|pc| NetworkProbe::for_network(sim.net.config(), pc));
+    let (to_coord, from_cells): (Vec<_>, Vec<_>) =
+        (0..cells).map(|_| sync_channel(HANDOFFS_IN_FLIGHT)).unzip();
+    let (spares_back, spares): (Vec<_>, Vec<_>) = (0..cells).map(|_| channel()).unzip();
+    let flows = &sim.flows;
+    let generator = &sim.generator;
+    let matrix = &sim.matrix;
+
+    // Threads are borrowed from the executor seam (`exec.rs`), the
+    // workspace's one sanctioned spawn site; worker results come back in
+    // cell order regardless of finish order.
+    let workers: Vec<_> = sim
+        .net
+        .shard_handles()
+        .into_iter()
+        .zip(to_coord.into_iter().zip(spares))
+        .map(|(h, (to_coord, spares))| {
+            let ctx = &ctx;
+            let flows = flows.clone();
+            let generator = generator.clone();
+            let matrix = matrix.clone();
+            let link = CellLink { to_coord, spares };
+            move || worker_loop::<P>(h, ctx, cfg, flows, generator, matrix, &link)
+        })
+        .collect();
+    // The coordinator owns the receiving ends: however it returns, they
+    // drop with it, which releases any worker still waiting to send.
+    let (outs, collected) = crate::exec::run_with(workers, move || {
+        collect(&from_cells, &spares_back, probe, warm_end, meas_end)
+    });
+    // A cell stops early only after a peer panicked, and `run_with` has
+    // already resumed that panic.
+    let outs: Vec<WorkerOut> = outs
+        .into_iter()
+        .collect::<Option<_>>()
+        .expect("every cell ran to the end");
+    let (probe, mut acc) = collected.expect("the coordinator saw every hand-off");
+
+    let end_cycle = outs[0].end_cycle;
+    sim.net.finish_sharded_run(end_cycle);
+
+    let injected_packets: u64 = outs.iter().map(|o| o.injected_measured).sum();
+    let unfinished_packets = outs[0].outstanding;
+    let energy_start = sum_snaps(outs.iter().map(|o| o.warm_snap.as_ref())).unwrap_or_default();
+    let mut energy_end = sum_snaps(outs.iter().map(|o| o.meas_snap.as_ref())).unwrap_or_default();
+    if energy_end == EnergyCounters::default() {
+        if let Some(e) = sum_snaps(outs.iter().map(|o| o.exit_snap.as_ref())) {
+            energy_end = e;
         }
     }
 
-    fn run_sharded<P: WorkerProbe>(&mut self) -> SimReport {
-        let warm_end = self.sim.cfg.warmup_cycles;
-        let meas_end = warm_end + self.sim.cfg.measure_cycles;
-        let hard_end = meas_end + self.sim.cfg.drain_cycles;
+    assemble_report(
+        &sim.net,
+        &sim.cfg,
+        sim.offered_rate,
+        &mut acc,
+        RunTotals {
+            injected_packets,
+            unfinished_packets,
+            energy_start,
+            energy_end,
+        },
+        probe.map(|p| p.into_metrics(end_cycle)),
+    )
+}
 
-        self.sim.net.set_shards(self.shards);
-        let shards = self.sim.net.shards();
-        let cfg = WorkerCfg {
-            warm_end,
-            meas_end,
-            hard_end,
-            window: self.sim.net.lookahead_window(),
-            reservation_period: self.sim.reservation_period,
-        };
-        let ctx = SyncCtx::new(shards);
-        let flows = &self.sim.flows;
-        let generator = &self.sim.generator;
-        let matrix = &self.sim.matrix;
+/// The calling thread's side of a windowed run. Takes one hand-off from
+/// every cell per round (they cover the same cycles), replays the
+/// round's events into `probe` and folds its deliveries into the
+/// measurement, then sends the emptied buffers back. Returns `None` if a
+/// cell stopped before its last hand-off.
+fn collect(
+    from_cells: &[Receiver<Handoff>],
+    spares_back: &[Sender<Handoff>],
+    mut probe: Option<NetworkProbe>,
+    warm_end: u64,
+    meas_end: u64,
+) -> Option<(Option<NetworkProbe>, MeasureAcc)> {
+    let mut acc = MeasureAcc::default();
+    let mut round: Vec<Handoff> = Vec::with_capacity(from_cells.len());
+    let mut heads = vec![0usize; from_cells.len()];
+    loop {
+        for cell in from_cells {
+            round.push(cell.recv().ok()?);
+        }
+        if let Some(p) = probe.as_mut() {
+            replay_logs(&round, p);
+        }
+        merge_deliveries(&round, &mut heads, |pkt| {
+            acc.on_delivered(pkt, warm_end, meas_end);
+        });
+        let last = round[0].last;
+        for (mut h, back) in round.drain(..).zip(spares_back) {
+            h.events.clear();
+            h.delivered.clear();
+            // A cell that already finished no longer needs its spares.
+            let _ = back.send(h);
+        }
+        if last {
+            return Some((probe, acc));
+        }
+    }
+}
 
-        // Threads are borrowed from the executor seam (`exec.rs`), the
-        // workspace's one sanctioned spawn site; results come back in
-        // cell order regardless of finish order.
-        let handles = self.sim.net.shard_handles();
-        let mut outs: Vec<WorkerOut> = crate::exec::run_scoped(
-            handles
-                .into_iter()
-                .map(|h| {
-                    let ctx = &ctx;
-                    let flows = flows.clone();
-                    let generator = generator.clone();
-                    let matrix = matrix.clone();
-                    move || worker_loop::<P>(h, ctx, cfg, flows, generator, matrix)
-                })
-                .collect(),
-        );
-
-        let end_cycle = outs[0].end_cycle;
-        self.sim.net.finish_sharded_run(end_cycle);
-
-        let injected_packets: u64 = outs.iter().map(|o| o.injected_measured).sum();
-        let unfinished_packets = outs[0].outstanding;
-        let energy_start = sum_snaps(outs.iter().map(|o| o.warm_snap.as_ref())).unwrap_or_default();
-        let mut energy_end =
-            sum_snaps(outs.iter().map(|o| o.meas_snap.as_ref())).unwrap_or_default();
-        if energy_end == EnergyCounters::default() {
-            if let Some(e) = sum_snaps(outs.iter().map(|o| o.exit_snap.as_ref())) {
-                energy_end = e;
+/// Feeds one round's deliveries to `f` in `(delivered_at, cell)` order.
+/// Each cell's list is already in delivery-cycle order, so this is the
+/// order a stable sort of the cell-ordered concatenation would give.
+fn merge_deliveries(round: &[Handoff], heads: &mut [usize], mut f: impl FnMut(&DeliveredPacket)) {
+    if let [only] = round {
+        only.delivered.iter().for_each(f);
+        return;
+    }
+    heads.fill(0);
+    loop {
+        let mut best: Option<(u64, usize)> = None;
+        for (c, h) in round.iter().enumerate() {
+            if let Some(p) = h.delivered.get(heads[c]) {
+                if best.is_none_or(|(at, _)| p.delivered_at < at) {
+                    best = Some((p.delivered_at, c));
+                }
             }
         }
-
-        // Concatenating per-worker delivery logs in cell order and
-        // stable-sorting by delivery cycle restores the sequential
-        // collection order: within a cycle each worker's packets are
-        // already node-ascending, and cells own ascending node ranges.
-        let mut delivered: Vec<DeliveredPacket> = Vec::new();
-        for o in &mut outs {
-            delivered.append(&mut o.delivered);
-        }
-        delivered.sort_by_key(|p| p.delivered_at);
-        let mut acc = MeasureAcc::default();
-        for pkt in &delivered {
-            acc.on_delivered(pkt, warm_end, meas_end);
-        }
-
-        let metrics = self.sim.probe_cfg.map(|pc| {
-            let mut probe = NetworkProbe::for_network(self.sim.net.config(), pc);
-            let logs: Vec<_> = outs.into_iter().map(|o| o.log).collect();
-            replay_logs(&logs, &mut probe);
-            probe.into_metrics(end_cycle)
-        });
-
-        assemble_report(
-            &self.sim.net,
-            &self.sim.cfg,
-            self.sim.offered_rate,
-            &mut acc,
-            RunTotals {
-                injected_packets,
-                unfinished_packets,
-                energy_start,
-                energy_end,
-            },
-            metrics,
-        )
+        let Some((_, c)) = best else { break };
+        f(&round[c].delivered[heads[c]]);
+        heads[c] += 1;
     }
 }
 
 /// Worker-side probe plumbing: the probed engine records [`LogProbe`]
-/// events for post-run replay; the unprobed engine records nothing.
+/// events for the coordinator; the unprobed engine records nothing.
 trait WorkerProbe: PhasedProbe + Default + Send {
     const ENABLED: bool;
-    fn into_log(self) -> Vec<LogEvent>;
+    /// Events recorded since the last hand-off.
+    fn buffered(&self) -> usize;
+    /// Exchanges the recorded events with `buf` (see
+    /// [`LogProbe::swap_events`]).
+    fn swap_log(&mut self, buf: &mut Vec<LogEvent>);
 }
 
 impl WorkerProbe for NoProbe {
     const ENABLED: bool = false;
-    fn into_log(self) -> Vec<LogEvent> {
-        Vec::new()
+    fn buffered(&self) -> usize {
+        0
     }
+    fn swap_log(&mut self, _buf: &mut Vec<LogEvent>) {}
 }
 
 impl WorkerProbe for LogProbe {
     const ENABLED: bool = true;
-    fn into_log(self) -> Vec<LogEvent> {
-        self.into_events()
+    fn buffered(&self) -> usize {
+        self.len()
+    }
+    fn swap_log(&mut self, buf: &mut Vec<LogEvent>) {
+        self.swap_events(buf);
+    }
+}
+
+/// One cell's outputs for the cycles since its previous hand-off.
+#[derive(Default)]
+struct Handoff {
+    events: Vec<LogEvent>,
+    delivered: Vec<DeliveredPacket>,
+    /// The run ends with this round.
+    last: bool,
+}
+
+impl AsRef<[LogEvent]> for Handoff {
+    fn as_ref(&self) -> &[LogEvent] {
+        &self.events
+    }
+}
+
+/// A worker's two channels to the coordinator.
+struct CellLink {
+    to_coord: SyncSender<Handoff>,
+    /// Emptied buffers coming back for reuse.
+    spares: Receiver<Handoff>,
+}
+
+impl CellLink {
+    /// Sends the cell's buffered events and deliveries to the
+    /// coordinator and leaves the worker recording into a recycled
+    /// buffer (a new one only while every earlier buffer is still in
+    /// flight). `None` if the coordinator has gone.
+    fn hand_off<P: WorkerProbe>(
+        &self,
+        probe: &mut P,
+        delivered: &mut Vec<DeliveredPacket>,
+        last: bool,
+    ) -> Option<()> {
+        let mut out = self.spares.try_recv().unwrap_or_default();
+        probe.swap_log(&mut out.events);
+        std::mem::swap(delivered, &mut out.delivered);
+        out.last = last;
+        self.to_coord.send(out).ok()
     }
 }
 
 /// Immutable per-run parameters copied into every worker.
 #[derive(Debug, Clone, Copy)]
 struct WorkerCfg {
+    start: u64,
     warm_end: u64,
     meas_end: u64,
     hard_end: u64,
@@ -237,34 +387,120 @@ struct WorkerCfg {
 
 /// Barrier-window synchronization state shared by all workers.
 struct SyncCtx {
-    barrier: Barrier,
+    barrier: WindowBarrier,
     /// `mailboxes[dst][src]`: boundary messages from cell `src` to cell
     /// `dst`, in creation order. Each (src, dst) pair has its own slot,
     /// and the destination drains slots in source order, so application
     /// order is independent of thread scheduling.
     mailboxes: Vec<Vec<Mutex<Vec<BoundaryMsg>>>>,
-    /// Per-worker, per-cycle (measured injections, measured deliveries)
-    /// for the current window; every worker folds all tallies in cycle
-    /// order to replicate the sequential exit counter exactly.
-    tallies: Vec<Mutex<Vec<(u64, u64)>>>,
+    /// What each worker published for the current window.
+    posts: Vec<Mutex<WindowPost>>,
 }
 
 impl SyncCtx {
     fn new(shards: usize) -> SyncCtx {
         SyncCtx {
-            barrier: Barrier::new(shards),
+            barrier: WindowBarrier::new(shards),
             mailboxes: (0..shards)
                 .map(|_| (0..shards).map(|_| Mutex::new(Vec::new())).collect())
                 .collect(),
-            tallies: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
+            posts: (0..shards).map(|_| Mutex::default()).collect(),
         }
     }
 }
 
-/// What one worker hands back to the main thread.
+/// One worker's window summary, read by every worker after the barrier.
+#[derive(Default)]
+struct WindowPost {
+    /// Per-cycle (measured injections, measured deliveries); every
+    /// worker folds all tallies in cycle order to replicate the
+    /// sequential exit counter exactly.
+    tallies: Vec<(u64, u64)>,
+    /// Events plus deliveries waiting for the next hand-off.
+    buffered: usize,
+}
+
+/// Locks `m`, ignoring poison: a worker that panicked holding a lock
+/// has also broken the barrier, and its peers only read on their way
+/// out.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A reusable barrier that a stopping worker can break, so its peers
+/// stop waiting for a cell that will never arrive.
+struct WindowBarrier {
+    parties: usize,
+    state: Mutex<BarrierState>,
+    turn: Condvar,
+}
+
+#[derive(Default)]
+struct BarrierState {
+    arrived: usize,
+    generation: u64,
+    broken: bool,
+}
+
+/// A peer stopped before reaching the barrier.
+struct Broken;
+
+impl WindowBarrier {
+    fn new(parties: usize) -> WindowBarrier {
+        WindowBarrier {
+            parties,
+            state: Mutex::default(),
+            turn: Condvar::new(),
+        }
+    }
+
+    /// Waits until every party has arrived, or until one breaks the
+    /// barrier.
+    fn wait(&self) -> Result<(), Broken> {
+        if self.parties == 1 {
+            return Ok(());
+        }
+        let mut s = lock(&self.state);
+        if s.broken {
+            return Err(Broken);
+        }
+        let generation = s.generation;
+        s.arrived += 1;
+        if s.arrived == self.parties {
+            s.arrived = 0;
+            s.generation += 1;
+            self.turn.notify_all();
+            return Ok(());
+        }
+        while s.generation == generation && !s.broken {
+            s = self.turn.wait(s).unwrap_or_else(PoisonError::into_inner);
+        }
+        if s.generation == generation {
+            Err(Broken)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Wakes every waiter with [`Broken`] and fails every later wait.
+    fn break_all(&self) {
+        lock(&self.state).broken = true;
+        self.turn.notify_all();
+    }
+}
+
+/// Breaks the window barrier when its worker returns or unwinds. After a
+/// normal exit no peer waits again, so breaking is harmless there.
+struct BreakOnDrop<'a>(&'a WindowBarrier);
+
+impl Drop for BreakOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.break_all();
+    }
+}
+
+/// What one worker hands back to the main thread at the end of the run.
 struct WorkerOut {
-    delivered: Vec<DeliveredPacket>,
-    log: Vec<LogEvent>,
     injected_measured: u64,
     outstanding: u64,
     warm_snap: Option<CellEnergySnapshot>,
@@ -273,6 +509,8 @@ struct WorkerOut {
     end_cycle: u64,
 }
 
+/// Steps one cell window by window. Returns `None` if a peer or the
+/// coordinator stopped first.
 fn worker_loop<P: WorkerProbe>(
     mut h: ShardHandle<'_>,
     ctx: &SyncCtx,
@@ -280,9 +518,11 @@ fn worker_loop<P: WorkerProbe>(
     flows: Vec<(FlowId, StaticFlowSpec)>,
     mut generator: Option<WorkloadGenerator>,
     mut matrix: Option<MatrixGenerator>,
-) -> WorkerOut {
+    link: &CellLink,
+) -> Option<WorkerOut> {
+    let _stop = BreakOnDrop(&ctx.barrier);
     let me = h.cell_index();
-    let shards = ctx.tallies.len();
+    let shards = ctx.posts.len();
     let base = h.nodes().start;
     let owned: Vec<usize> = h.nodes().collect();
     let flows: Vec<_> = flows
@@ -299,8 +539,11 @@ fn worker_loop<P: WorkerProbe>(
     let mut warm_snap = None;
     let mut meas_snap = None;
     let mut exit_snap = None;
+    // Per-window scratch, reused so a window allocates nothing.
     let mut window_tallies: Vec<(u64, u64)> = Vec::new();
-    let mut now = 0u64;
+    let mut sums: Vec<(u64, u64)> = Vec::new();
+    let mut outbound: Vec<Vec<BoundaryMsg>> = (0..shards).map(|_| Vec::new()).collect();
+    let mut now = cfg.start;
     let end_cycle;
     loop {
         // Landmark snapshots happen at window starts: windows are
@@ -314,6 +557,9 @@ fn worker_loop<P: WorkerProbe>(
             meas_snap = Some(h.energy_snapshot());
         }
         if now >= cfg.hard_end {
+            // Only a run started at or past its end gets here: later
+            // windows end at hard_end at the latest and exit below.
+            link.hand_off(&mut probe, &mut delivered, true)?;
             end_cycle = now;
             break;
         }
@@ -382,57 +628,71 @@ fn worker_loop<P: WorkerProbe>(
             }
             h.step_cycle(t, &mut probe, P::ENABLED);
             for &node in &owned {
-                for pkt in h.drain_delivered(NodeId::new(node as u16)) {
+                for mut pkt in h.drain_delivered(NodeId::new(node as u16)) {
                     if pkt.created_at >= cfg.warm_end && pkt.created_at < cfg.meas_end {
                         del += 1;
                     }
+                    // The coordinator reads only the timing fields. Freeing
+                    // the payloads on the thread that allocated them keeps
+                    // them in its allocator arena; freed on the
+                    // coordinator's thread they fragment it, and a
+                    // process's peak RSS creeps up run after run.
+                    pkt.payloads = Vec::new();
                     delivered.push(pkt);
                 }
             }
             window_tallies.push((inj, del));
         }
 
-        // Publish boundary messages and this window's tallies, then
-        // wait for every cell to reach the window boundary.
-        let mut grouped: Vec<Vec<BoundaryMsg>> = (0..shards).map(|_| Vec::new()).collect();
-        for m in h.take_outbox() {
-            grouped[m.dest_cell()].push(m);
-        }
-        for (dst, msgs) in grouped.into_iter().enumerate() {
+        // Publish boundary messages, this window's tallies and the
+        // buffered count, then wait for every cell to reach the window
+        // boundary.
+        h.route_outbox(&mut outbound);
+        for (dst, msgs) in outbound.iter_mut().enumerate() {
             if !msgs.is_empty() {
-                ctx.mailboxes[dst][me].lock().unwrap().extend(msgs);
+                lock(&ctx.mailboxes[dst][me]).append(msgs);
             }
         }
-        *ctx.tallies[me].lock().unwrap() = std::mem::take(&mut window_tallies);
-        ctx.barrier.wait();
+        {
+            let mut post = lock(&ctx.posts[me]);
+            std::mem::swap(&mut post.tallies, &mut window_tallies);
+            post.buffered = probe.buffered() + delivered.len();
+        }
+        window_tallies.clear();
+        ctx.barrier.wait().ok()?;
 
         // Apply inbound boundary traffic (source order fixes the
         // application order) and fold everyone's tallies, cycle by
-        // cycle, into the replicated exit counter.
+        // cycle, into the replicated exit counter. Every worker reads
+        // the same posts, so all agree on whether to hand off.
         for src in 0..shards {
-            let msgs = std::mem::take(&mut *ctx.mailboxes[me][src].lock().unwrap());
-            h.apply_boundary(msgs, wend - 1);
+            h.apply_boundary(lock(&ctx.mailboxes[me][src]).drain(..), wend - 1);
         }
-        let cycles = (wend - now) as usize;
-        let mut inj_sum = vec![0u64; cycles];
-        let mut del_sum = vec![0u64; cycles];
-        for w in 0..shards {
-            let tw = ctx.tallies[w].lock().unwrap();
-            for i in 0..cycles {
-                inj_sum[i] += tw[i].0;
-                del_sum[i] += tw[i].1;
+        sums.clear();
+        sums.resize((wend - now) as usize, (0, 0));
+        let mut buffered = 0;
+        for post in &ctx.posts {
+            let post = lock(post);
+            buffered += post.buffered;
+            for (sum, &(inj, del)) in sums.iter_mut().zip(&post.tallies) {
+                sum.0 += inj;
+                sum.1 += del;
             }
         }
-        for i in 0..cycles {
-            outstanding = (outstanding + inj_sum[i]).saturating_sub(del_sum[i]);
+        for &(inj, del) in &sums {
+            outstanding = (outstanding + inj).saturating_sub(del);
         }
+        let cut = buffered >= HANDOFF_ITEMS;
         let exit = wend >= cfg.hard_end || (wend >= cfg.meas_end && outstanding == 0);
         if exit {
             exit_snap = Some(h.energy_snapshot());
         }
         // Second barrier: nobody may start writing the next window's
-        // mailboxes or tallies while a peer is still reading this one's.
-        ctx.barrier.wait();
+        // mailboxes or posts while a peer is still reading this one's.
+        ctx.barrier.wait().ok()?;
+        if cut || exit {
+            link.hand_off(&mut probe, &mut delivered, exit)?;
+        }
         if exit {
             end_cycle = wend;
             break;
@@ -440,16 +700,14 @@ fn worker_loop<P: WorkerProbe>(
         now = wend;
     }
 
-    WorkerOut {
-        delivered,
-        log: probe.into_log(),
+    Some(WorkerOut {
         injected_measured,
         outstanding,
         warm_snap,
         meas_snap,
         exit_snap,
         end_cycle,
-    }
+    })
 }
 
 /// Sums cell snapshots in cell order into one [`EnergyCounters`],

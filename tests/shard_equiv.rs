@@ -15,10 +15,10 @@
 use ocin::core::probe::ProbeConfig;
 use ocin::core::{
     replay_logs, Cycle, Event, FlowControl, LinkProtection, LogProbe, Network, NetworkConfig,
-    PacketSpec, PhasedProbe, Probe, ServiceClass, StaticFlowSpec, TopologySpec,
+    PacketSpec, PhasedProbe, Probe, ServiceClass, ShardHandle, StaticFlowSpec, TopologySpec,
 };
 use ocin::sim::{ShardedSimulation, SimConfig, SimReport, Simulation};
-use ocin::traffic::{InjectionProcess, LengthDist, TrafficPattern, Workload};
+use ocin::traffic::{InjectionProcess, LengthDist, TrafficMatrix, TrafficPattern, Workload};
 use proptest::prelude::*;
 
 fn quick_cfg(fc: FlowControl, k: usize) -> NetworkConfig {
@@ -417,7 +417,10 @@ fn step_cells<P: PhasedProbe + Default>(fc: FlowControl, k: usize, cells: usize)
             }
             h.step_cycle(now, probe, true);
         }
-        let msgs: Vec<_> = handles.iter_mut().flat_map(|h| h.take_outbox()).collect();
+        let msgs: Vec<_> = handles
+            .iter_mut()
+            .flat_map(ShardHandle::take_outbox)
+            .collect();
         for m in msgs {
             handles[m.dest_cell()].apply_boundary([m], now);
         }
@@ -458,5 +461,64 @@ fn replayed_stream_matches_single_cell_order() {
                 );
             }
         }
+    }
+}
+
+/// A run whose only source offers 65-flit packets, which can never fit
+/// the 64-flit injection queue: the worker owning node 0 panics at the
+/// unroutable-packet check on the first offer.
+fn unroutable_run(probed: bool) -> Simulation {
+    let k = 8;
+    let mut matrix = TrafficMatrix::new(k * k).payload_bits(65 * 256);
+    matrix.set(0.into(), 9.into(), 1.0);
+    let sim = Simulation::new(
+        quick_cfg(FlowControl::VirtualChannel, k),
+        SimConfig::quick(),
+    )
+    .expect("valid config")
+    .with_traffic_matrix(&matrix);
+    if probed {
+        sim.with_probe(ProbeConfig::counters().with_journeys(0))
+    } else {
+        sim
+    }
+}
+
+/// Runs `sim` on `shards` workers on a watchdog thread and returns its
+/// panic message. A run that hangs fails the test after the timeout
+/// instead of blocking the suite.
+fn panic_message(sim: Simulation, shards: usize) -> String {
+    let (tx, rx) = std::sync::mpsc::channel();
+    // ocin-lint: allow(raw-thread-spawn) — watchdog: a hung run must fail the test, not block it
+    std::thread::spawn(move || {
+        let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ShardedSimulation::new(sim, shards).run()
+        }));
+        let msg = got.err().map(|p| {
+            p.downcast_ref::<String>()
+                .cloned()
+                .or_else(|| p.downcast_ref::<&str>().map(ToString::to_string))
+                .unwrap_or_default()
+        });
+        let _ = tx.send(msg);
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the run hung instead of panicking")
+        .expect("the run finished instead of panicking")
+}
+
+/// A worker that panics breaks the window barrier, so its peers and
+/// the coordinator stop too, and the run panics with the worker's own
+/// message rather than leaving a peer blocked forever. The probed cases
+/// go through the coordinator's shutdown path at one cell as well.
+#[test]
+fn worker_panic_stops_its_peers() {
+    let want = "workload produced an unroutable packet";
+    for (probed, shards) in [(false, 1), (false, 2), (true, 1), (true, 2), (false, 3)] {
+        let msg = panic_message(unroutable_run(probed), shards);
+        assert!(
+            msg.starts_with(want),
+            "probed {probed}, {shards} shards: panicked with {msg:?}"
+        );
     }
 }
