@@ -292,6 +292,11 @@ impl TileInterface {
         self.delivered.drain(..).collect()
     }
 
+    /// Moves all packets delivered so far onto the end of `out`.
+    pub fn drain_delivered_into(&mut self, out: &mut Vec<DeliveredPacket>) {
+        out.extend(self.delivered.drain(..));
+    }
+
     /// Number of flits waiting in the injection queues. O(1): maintained
     /// incrementally by `enqueue_packet` / `pick_injection`.
     pub fn pending_flits(&self) -> usize {

@@ -1208,14 +1208,15 @@ impl ShardHandle<'_> {
         }
     }
 
-    /// Removes and returns packets delivered to owned node `node`.
+    /// Moves the packets delivered to owned node `node` onto the end of
+    /// `out`, in delivery order.
     ///
     /// # Panics
     ///
     /// Panics if `node` is not owned by this cell.
-    pub fn drain_delivered(&mut self, node: NodeId) -> Vec<DeliveredPacket> {
+    pub fn drain_delivered_into(&mut self, node: NodeId, out: &mut Vec<DeliveredPacket>) {
         assert!(self.nodes().contains(&node.index()), "drain an owned node");
-        self.cell.interfaces[node.index() - self.cell.node_base].drain_delivered()
+        self.cell.interfaces[node.index() - self.cell.node_base].drain_delivered_into(out);
     }
 
     /// Snapshot of this cell's energy-counter contributions. Summing

@@ -184,8 +184,8 @@ pub fn all_rules() -> Vec<Rule> {
             suppression: Suppression::AllowComment,
             advice: "all parallelism must flow through the executor seam \
                      (crates/sim/src/exec.rs, DESIGN.md \u{a7}3.18): SimPool \
-                     batches, ShardedSimulation, and MultiChipSim all borrow \
-                     its scoped workers; ad-hoc threads reintroduce \
+                     batches and threaded ShardedSimulation runs borrow its \
+                     scoped workers; ad-hoc threads reintroduce \
                      scheduling-dependent behaviour",
         },
         Rule {

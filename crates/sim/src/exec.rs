@@ -47,11 +47,10 @@
 //! workspace (enforced by ocin-lint's `raw-thread-spawn` rule):
 //! [`run_scoped`] executes a finished set of tasks, and [`run_with`] runs
 //! persistent workers alongside a coordinator on the calling thread
-//! (used by [`crate::multichip::MultiChipSim`]'s parallel stepping and
-//! by the windowed runner in [`crate::shard`], whose coordinator
-//! collects the cells' streamed outputs). `SimPool`,
-//! `ShardedSimulation` and probed `Simulation` runs all borrow their
-//! threads from here.
+//! (used by the windowed runner in [`crate::shard`], whose coordinator
+//! collects the cells' streamed outputs). `SimPool` and every threaded
+//! run — probed, or of several cells — borrow their threads from here;
+//! an unprobed one-cell run steps on the calling thread.
 
 use crate::pool::PointSpec;
 use crate::sweep::LoadPoint;
@@ -72,7 +71,7 @@ pub fn exec_workers_from_env() -> Option<usize> {
 
 /// The machine's available parallelism, overridden by
 /// [`exec_workers_from_env`] when set. The default worker budget for
-/// [`Executor::from_env`], `SimPool::new`, and multichip stepping.
+/// [`Executor::from_env`] and `SimPool::new`.
 pub fn default_workers() -> usize {
     exec_workers_from_env()
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))

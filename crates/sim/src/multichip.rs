@@ -7,28 +7,13 @@
 //! 256-bit datagram is serialized over `serialization` cycles and flies
 //! for `latency` cycles of board time.
 //!
-//! # Parallel stepping
-//!
-//! The per-cycle logic is split into a *coordinator* (gateways, link,
-//! bookkeeping — the private `step_on`) and a `ChipSeam` the coordinator drives
-//! the two chips through. The sequential seam steps the chips inline;
-//! the threaded seam gives each chip its own worker (borrowed from the
-//! executor, `exec.rs`) that steps the chip's single
-//! [`ocin_core::shard::ShardHandle`] cell and answers barrier-paced
-//! inject/step/drain commands. Because both seams run the *same*
-//! coordinator and because a one-cell handle step is exactly
-//! `Network::step`, the two paths are bit-identical
-//! (`tests/exec_equiv.rs`); the threaded path simply stops serializing
-//! the two chips.
+//! Each [`MultiChipSim::step`] steps both chips in turn on the calling
+//! thread; [`MultiChipSim::run`] is that step repeated.
 
 use std::collections::VecDeque;
-use std::sync::{Barrier, Mutex};
 
 use ocin_core::ids::{Cycle, NodeId};
 use ocin_core::network::{Network, PacketSpec};
-use ocin_core::probe::NoProbe;
-use ocin_core::shard::ShardHandle;
-use ocin_core::DeliveredPacket;
 use ocin_core::{Error, NetworkConfig};
 use ocin_services::gateway::{decapsulate, encapsulate, GatewayDatagram, GatewayEndpoint};
 use ocin_services::{GlobalAddress, Message};
@@ -69,19 +54,12 @@ pub struct MultiChipSim {
     pending: Vec<(GlobalAddress, GatewayDatagram, Cycle)>,
     delivered: Vec<GlobalDelivery>,
     sent_at: Vec<(GatewayDatagram, Cycle)>,
-    /// Worker budget for [`MultiChipSim::run`]: with at least 2 workers
-    /// (and no probes attached) the chips step on the threaded seam.
-    parallel_workers: usize,
 }
 
 impl MultiChipSim {
     /// Builds two identical chips whose gateways sit at `gateway_node`,
     /// joined by a link that serializes one datagram per
     /// `serialization` cycles with `latency` cycles of flight time.
-    ///
-    /// The parallel-stepping worker budget defaults to
-    /// [`crate::exec::default_workers`] (so `OCIN_EXEC_WORKERS` applies);
-    /// see [`MultiChipSim::set_parallel_workers`].
     ///
     /// # Errors
     ///
@@ -109,7 +87,6 @@ impl MultiChipSim {
             pending: Vec::new(),
             delivered: Vec::new(),
             sent_at: Vec::new(),
-            parallel_workers: crate::exec::default_workers(),
         })
     }
 
@@ -133,12 +110,6 @@ impl MultiChipSim {
         self.link.carried
     }
 
-    /// Sets the worker budget consulted by [`MultiChipSim::run`]
-    /// (clamped to at least 1; 1 forces sequential stepping).
-    pub fn set_parallel_workers(&mut self, workers: usize) {
-        self.parallel_workers = workers.max(1);
-    }
-
     /// Queues a global send of up to 4 words.
     pub fn send(&mut self, src: GlobalAddress, dst: GlobalAddress, words: Vec<u64>) {
         let dgram = GatewayDatagram { src, dst, words };
@@ -150,102 +121,97 @@ impl MultiChipSim {
         std::mem::take(&mut self.delivered)
     }
 
-    /// Advances the whole system one cycle (sequential seam).
+    /// Runs `cycles` steps.
+    pub fn run(&mut self, cycles: u64) {
+        for _ in 0..cycles {
+            self.step();
+        }
+    }
+
+    /// Advances the whole system one cycle: gateway injections, chip
+    /// stepping, delivery pickup, and the off-chip link.
     pub fn step(&mut self) {
         let now = self.cycle;
-        let MultiChipSim {
-            chips,
-            gateways,
-            link,
-            pending,
-            delivered,
-            sent_at,
-            ..
-        } = self;
-        let mut coord = Coord {
-            gateways,
-            link,
-            pending,
-            delivered,
-            sent_at,
-        };
-        step_on(&mut coord, &mut DirectSeam { chips }, now);
+        // Inject pending global sends at their source tiles (local
+        // destinations shortcut straight to the network; remote ones go
+        // via the gateway tile).
+        for (src, dgram, created) in std::mem::take(&mut self.pending) {
+            let chip = src.chip as usize;
+            let mut msg = encapsulate(self.gateways[chip].node, &dgram);
+            if dgram.dst.chip == src.chip {
+                // Local delivery needs no gateway.
+                msg.dst = dgram.dst.node;
+            }
+            if self.chips[chip].inject(&spec_of(src.node, &msg)).is_ok() {
+                self.sent_at.push((dgram, created));
+            } else {
+                self.pending.push((src, dgram, created));
+            }
+        }
+
+        // Step both chips; gateways pick up deliveries at their tiles and
+        // final tiles complete global sends.
+        for (c, chip) in self.chips.iter_mut().enumerate() {
+            chip.step();
+            let gateway = &mut self.gateways[c];
+            for node in 0..chip.topology().num_nodes() as u16 {
+                for pkt in chip.drain_delivered(node.into()) {
+                    // At the gateway tile, only datagrams bound for
+                    // *another* chip are forwarded; a datagram whose final
+                    // destination is the gateway tile itself is an
+                    // ordinary delivery.
+                    if pkt.dst == gateway.node
+                        && decapsulate(&pkt).is_some_and(|d| d.dst.chip != c as u8)
+                        && gateway.on_packet(&pkt)
+                    {
+                        continue;
+                    }
+                    if let Some(dgram) = decapsulate(&pkt) {
+                        complete(&mut self.sent_at, &mut self.delivered, dgram, now);
+                    }
+                }
+            }
+        }
+
+        // Off-chip link: accept one datagram per direction when free.
+        let link = &mut self.link;
+        for (c, gateway) in self.gateways.iter_mut().enumerate() {
+            if now >= link.free_at[c] {
+                if let Some(dgram) = gateway.next_outbound() {
+                    link.free_at[c] = now + link.serialization;
+                    link.in_flight.push_back((
+                        now + link.serialization + link.latency,
+                        c == 0,
+                        dgram,
+                    ));
+                    link.carried += 1;
+                }
+            }
+        }
+        // Arrivals re-inject on the far chip, which has already stepped
+        // to `now + 1`.
+        while let Some(&(t, a_to_b, _)) = link.in_flight.front() {
+            if t > now {
+                break;
+            }
+            let (_, _, dgram) = link.in_flight.pop_front().expect("front");
+            let dest_chip = usize::from(a_to_b);
+            let gateway = &mut self.gateways[dest_chip];
+            if dgram.dst.chip as usize == dest_chip && dgram.dst.node == gateway.node {
+                // Addressed to the gateway tile itself: it has arrived.
+                gateway.reinjected += 1;
+                complete(&mut self.sent_at, &mut self.delivered, dgram, now);
+                continue;
+            }
+            let msg = gateway.on_arrival(&dgram);
+            let spec = spec_of(gateway.node, &msg);
+            if self.chips[dest_chip].inject(&spec).is_err() {
+                // Tile port is briefly full: retry next cycle.
+                link.in_flight.push_front((t + 1, a_to_b, dgram));
+                break;
+            }
+        }
         self.cycle = now + 1;
-    }
-
-    /// Runs `cycles` steps: on the threaded seam when the worker budget
-    /// allows (≥ 2 workers), sequentially otherwise. Both paths produce
-    /// bit-identical system state (`tests/exec_equiv.rs`).
-    pub fn run(&mut self, cycles: u64) {
-        if self.parallel_workers >= 2 {
-            self.run_parallel(cycles);
-        } else {
-            for _ in 0..cycles {
-                self.step();
-            }
-        }
-    }
-
-    /// Advances the system `cycles` steps with each chip on its own
-    /// worker thread, stepped through its single [`ShardHandle`] cell.
-    /// Falls back to sequential stepping when a chip has a probe
-    /// attached (the handle protocol is unprobed).
-    pub fn run_parallel(&mut self, cycles: u64) {
-        if cycles == 0 {
-            return;
-        }
-        if self.chips.iter().any(|c| c.probe().is_some()) {
-            for _ in 0..cycles {
-                self.step();
-            }
-            return;
-        }
-        let start = self.cycle;
-        for chip in &mut self.chips {
-            chip.set_shards(1);
-        }
-        let MultiChipSim {
-            chips,
-            gateways,
-            link,
-            pending,
-            delivered,
-            sent_at,
-            ..
-        } = self;
-        let sync = SeamSync {
-            barrier: Barrier::new(3),
-            cmd: Mutex::new(SeamCmd::Finish),
-            io: [Mutex::new(SeamIo::default()), Mutex::new(SeamIo::default())],
-        };
-        let handles: Vec<ShardHandle<'_>> =
-            chips.iter_mut().flat_map(Network::shard_handles).collect();
-        let workers: Vec<_> = handles
-            .into_iter()
-            .enumerate()
-            .map(|(idx, h)| {
-                let sync = &sync;
-                move || chip_worker(h, sync, idx)
-            })
-            .collect();
-        crate::exec::run_with(workers, || {
-            let mut coord = Coord {
-                gateways,
-                link,
-                pending,
-                delivered,
-                sent_at,
-            };
-            let mut seam = ThreadedSeam { sync: &sync };
-            for i in 0..cycles {
-                step_on(&mut coord, &mut seam, start + i);
-            }
-            seam.finish();
-        });
-        for chip in &mut self.chips {
-            chip.finish_sharded_run(start + cycles);
-        }
-        self.cycle = start + cycles;
     }
 }
 
@@ -257,302 +223,23 @@ fn spec_of(src: NodeId, msg: &Message) -> PacketSpec {
         .data(msg.payloads.clone())
 }
 
-/// Coordinator-owned state: everything in the system except the chips
-/// themselves. Mutated only on the coordinating thread, by [`step_on`].
-struct Coord<'a> {
-    gateways: &'a mut [GatewayEndpoint; 2],
-    link: &'a mut OffChipLink,
-    pending: &'a mut Vec<(GlobalAddress, GatewayDatagram, Cycle)>,
-    delivered: &'a mut Vec<GlobalDelivery>,
-    sent_at: &'a mut Vec<(GatewayDatagram, Cycle)>,
-}
-
-/// How the coordinator reaches the two chips. Implementations must make
-/// each call behave exactly like direct access to the chip at the given
-/// cycle; request order within a call is preserved.
-trait ChipSeam {
-    /// Offers each `(chip, packet)` in order at cycle `now`; returns
-    /// accept flags in request order.
-    fn inject_batch(&mut self, now: Cycle, reqs: &[(usize, PacketSpec)]) -> Vec<bool>;
-    /// Steps both chips through cycle `now`, then drains every tile in
-    /// node-ascending order per chip.
-    fn step_and_drain(&mut self, now: Cycle) -> [Vec<DeliveredPacket>; 2];
-    /// Offers one packet to `chip` at cycle `at` (used for link
-    /// arrivals, which inject after the chips have stepped past `now`).
-    fn inject_one(&mut self, chip: usize, at: Cycle, spec: &PacketSpec) -> bool;
-}
-
-/// One cycle of the whole system: gateway injections, chip stepping,
-/// delivery pickup, and the off-chip link — the single definition both
-/// the sequential and threaded seams execute.
-fn step_on(coord: &mut Coord<'_>, seam: &mut impl ChipSeam, now: Cycle) {
-    // Inject pending global sends at their source tiles (local
-    // destinations shortcut straight to the network; remote ones go
-    // via the gateway tile).
-    let taken = std::mem::take(coord.pending);
-    let reqs: Vec<(usize, PacketSpec)> = taken
+/// Records `dgram` as delivered at `now`, sent when [`MultiChipSim::step`]
+/// injected it (at `now` if it never was).
+fn complete(
+    sent_at: &mut Vec<(GatewayDatagram, Cycle)>,
+    delivered: &mut Vec<GlobalDelivery>,
+    dgram: GatewayDatagram,
+    now: Cycle,
+) {
+    let sent = sent_at
         .iter()
-        .map(|(src, dgram, _)| {
-            let msg = if dgram.dst.chip == src.chip {
-                // Local delivery needs no gateway.
-                let mut m = encapsulate(coord.gateways[src.chip as usize].node, dgram);
-                m.dst = dgram.dst.node;
-                m
-            } else {
-                encapsulate(coord.gateways[src.chip as usize].node, dgram)
-            };
-            (src.chip as usize, spec_of(src.node, &msg))
-        })
-        .collect();
-    let accepted = seam.inject_batch(now, &reqs);
-    for ((src, dgram, created), ok) in taken.into_iter().zip(accepted) {
-        if ok {
-            coord.sent_at.push((dgram, created));
-        } else {
-            coord.pending.push((src, dgram, created));
-        }
-    }
-
-    // Step both chips; gateways pick up deliveries at their tiles and
-    // final tiles complete global sends.
-    let drained = seam.step_and_drain(now);
-    for (c, pkts) in drained.into_iter().enumerate() {
-        let gw_node = coord.gateways[c].node;
-        for pkt in pkts {
-            // At the gateway tile, only datagrams bound for *another*
-            // chip are forwarded; a datagram whose final destination is
-            // the gateway tile itself is an ordinary delivery.
-            if pkt.dst == gw_node
-                && decapsulate(&pkt).is_some_and(|d| d.dst.chip != c as u8)
-                && coord.gateways[c].on_packet(&pkt)
-            {
-                continue;
-            }
-            if let Some(dgram) = decapsulate(&pkt) {
-                let sent = coord
-                    .sent_at
-                    .iter()
-                    .position(|(d, _)| *d == dgram)
-                    .map_or(now, |i| coord.sent_at.remove(i).1);
-                coord.delivered.push(GlobalDelivery {
-                    dgram,
-                    sent_at: sent,
-                    delivered_at: now,
-                });
-            }
-        }
-    }
-
-    // Off-chip link: accept one datagram per direction when free.
-    for c in 0..2usize {
-        if now >= coord.link.free_at[c] {
-            if let Some(dgram) = coord.gateways[c].next_outbound() {
-                coord.link.free_at[c] = now + coord.link.serialization;
-                coord.link.in_flight.push_back((
-                    now + coord.link.serialization + coord.link.latency,
-                    c == 0,
-                    dgram,
-                ));
-                coord.link.carried += 1;
-            }
-        }
-    }
-    // Arrivals re-inject on the far chip. The chips have already
-    // stepped to `now + 1`, so arrival packets are stamped there —
-    // exactly where `Network::inject` would stamp them sequentially.
-    while let Some(&(t, a_to_b, _)) = coord.link.in_flight.front() {
-        if t > now {
-            break;
-        }
-        let (_, _, dgram) = coord.link.in_flight.pop_front().expect("front");
-        let dest_chip = usize::from(a_to_b);
-        let gw_node = coord.gateways[dest_chip].node;
-        if dgram.dst.chip as usize == dest_chip && dgram.dst.node == gw_node {
-            // Addressed to the gateway tile itself: it has arrived.
-            coord.gateways[dest_chip].reinjected += 1;
-            let sent = coord
-                .sent_at
-                .iter()
-                .position(|(d, _)| *d == dgram)
-                .map_or(now, |i| coord.sent_at.remove(i).1);
-            coord.delivered.push(GlobalDelivery {
-                dgram,
-                sent_at: sent,
-                delivered_at: now,
-            });
-            continue;
-        }
-        let msg = coord.gateways[dest_chip].on_arrival(&dgram);
-        if !seam.inject_one(dest_chip, now + 1, &spec_of(gw_node, &msg)) {
-            // Tile port is briefly full: retry next cycle.
-            coord.link.in_flight.push_front((t + 1, a_to_b, dgram));
-            break;
-        }
-    }
-}
-
-/// Sequential seam: the chips stepped inline on the calling thread.
-struct DirectSeam<'a> {
-    chips: &'a mut [Network; 2],
-}
-
-impl ChipSeam for DirectSeam<'_> {
-    fn inject_batch(&mut self, now: Cycle, reqs: &[(usize, PacketSpec)]) -> Vec<bool> {
-        reqs.iter()
-            .map(|(c, spec)| {
-                debug_assert_eq!(self.chips[*c].cycle(), now);
-                self.chips[*c].inject(spec).is_ok()
-            })
-            .collect()
-    }
-
-    fn step_and_drain(&mut self, now: Cycle) -> [Vec<DeliveredPacket>; 2] {
-        let mut out = [Vec::new(), Vec::new()];
-        for (c, chip) in self.chips.iter_mut().enumerate() {
-            debug_assert_eq!(chip.cycle(), now);
-            chip.step();
-            let nodes = chip.topology().num_nodes() as u16;
-            for node in 0..nodes {
-                out[c].extend(chip.drain_delivered(node.into()));
-            }
-        }
-        out
-    }
-
-    fn inject_one(&mut self, chip: usize, at: Cycle, spec: &PacketSpec) -> bool {
-        debug_assert_eq!(self.chips[chip].cycle(), at);
-        self.chips[chip].inject(spec).is_ok()
-    }
-}
-
-/// A command round for the chip workers. Every round is: coordinator
-/// writes the command (and any per-chip requests), one barrier releases
-/// the workers, they execute against their cell, a second barrier hands
-/// control back to the coordinator.
-#[derive(Clone, Copy)]
-enum SeamCmd {
-    /// Inject this worker's queued requests at the given cycle.
-    Inject(Cycle),
-    /// Step the cell through the given cycle, then drain every owned
-    /// tile in node order.
-    Step(Cycle),
-    /// Exit the worker loop.
-    Finish,
-}
-
-/// Per-worker request/response slots, written on opposite sides of the
-/// round's barriers (never contended).
-#[derive(Default)]
-struct SeamIo {
-    inject: Vec<PacketSpec>,
-    accepted: Vec<bool>,
-    drained: Vec<DeliveredPacket>,
-}
-
-/// Shared state between the coordinator and the two chip workers.
-struct SeamSync {
-    barrier: Barrier,
-    cmd: Mutex<SeamCmd>,
-    io: [Mutex<SeamIo>; 2],
-}
-
-/// Worker loop: one chip's single cell, stepped by command. A one-cell
-/// handle step is exactly `Network::step` for an unprobed network, and
-/// injections through the handle are exactly `Network::inject` at the
-/// commanded cycle — the equivalence the threaded seam rests on.
-fn chip_worker(mut h: ShardHandle<'_>, sync: &SeamSync, idx: usize) {
-    loop {
-        sync.barrier.wait();
-        let cmd = *sync.cmd.lock().expect("seam cmd");
-        match cmd {
-            SeamCmd::Inject(at) => {
-                let mut io = sync.io[idx].lock().expect("seam io");
-                let reqs = std::mem::take(&mut io.inject);
-                for spec in &reqs {
-                    io.accepted.push(h.inject(spec, at, &mut NoProbe).is_ok());
-                }
-            }
-            SeamCmd::Step(at) => {
-                h.step_cycle(at, &mut NoProbe, false);
-                let outbox = h.take_outbox();
-                debug_assert!(outbox.is_empty(), "one-cell chips have no boundary traffic");
-                let mut io = sync.io[idx].lock().expect("seam io");
-                for node in h.nodes() {
-                    let node = NodeId::new(node as u16);
-                    io.drained.extend(h.drain_delivered(node));
-                }
-            }
-            SeamCmd::Finish => return,
-        }
-        sync.barrier.wait();
-    }
-}
-
-/// Threaded seam: each chip answered by its worker, one barrier-paced
-/// command round per call (injection rounds are skipped entirely when
-/// there is nothing to inject).
-struct ThreadedSeam<'a> {
-    sync: &'a SeamSync,
-}
-
-impl ThreadedSeam<'_> {
-    fn round(&self, cmd: SeamCmd) {
-        *self.sync.cmd.lock().expect("seam cmd") = cmd;
-        self.sync.barrier.wait();
-        self.sync.barrier.wait();
-    }
-
-    /// Releases the workers into their `Finish` arm (which exits
-    /// without a completion barrier).
-    fn finish(&self) {
-        *self.sync.cmd.lock().expect("seam cmd") = SeamCmd::Finish;
-        self.sync.barrier.wait();
-    }
-}
-
-impl ChipSeam for ThreadedSeam<'_> {
-    fn inject_batch(&mut self, now: Cycle, reqs: &[(usize, PacketSpec)]) -> Vec<bool> {
-        if reqs.is_empty() {
-            return Vec::new();
-        }
-        for (c, spec) in reqs {
-            self.sync.io[*c]
-                .lock()
-                .expect("seam io")
-                .inject
-                .push(spec.clone());
-        }
-        self.round(SeamCmd::Inject(now));
-        // Reassemble per-chip accept flags back into request order.
-        let mut per = self
-            .sync
-            .io
-            .each_ref()
-            .map(|io| std::mem::take(&mut io.lock().expect("seam io").accepted).into_iter());
-        reqs.iter()
-            .map(|(c, _)| per[*c].next().expect("one flag per request"))
-            .collect()
-    }
-
-    fn step_and_drain(&mut self, now: Cycle) -> [Vec<DeliveredPacket>; 2] {
-        self.round(SeamCmd::Step(now));
-        self.sync
-            .io
-            .each_ref()
-            .map(|io| std::mem::take(&mut io.lock().expect("seam io").drained))
-    }
-
-    fn inject_one(&mut self, chip: usize, at: Cycle, spec: &PacketSpec) -> bool {
-        self.sync.io[chip]
-            .lock()
-            .expect("seam io")
-            .inject
-            .push(spec.clone());
-        self.round(SeamCmd::Inject(at));
-        let mut io = self.sync.io[chip].lock().expect("seam io");
-        debug_assert_eq!(io.accepted.len(), 1);
-        io.accepted.pop().expect("one flag per request")
-    }
+        .position(|(d, _)| *d == dgram)
+        .map_or(now, |i| sent_at.remove(i).1);
+    delivered.push(GlobalDelivery {
+        dgram,
+        sent_at: sent,
+        delivered_at: now,
+    });
 }
 
 #[cfg(test)]
@@ -617,25 +304,5 @@ mod tests {
         assert!(sys.link_carried() <= 8, "carried {}", sys.link_carried());
         sys.run(300);
         assert_eq!(sys.drain_delivered().len(), 20, "but all eventually arrive");
-    }
-
-    #[test]
-    fn parallel_stepping_matches_sequential() {
-        // The real matrix lives in tests/exec_equiv.rs; this is the
-        // fast in-crate smoke check of the threaded seam.
-        let mut seq = system();
-        let mut par = system();
-        par.set_parallel_workers(2);
-        for sys in [&mut seq, &mut par] {
-            sys.send(addr(0, 0), addr(1, 10), vec![0xAB]);
-            sys.send(addr(1, 5), addr(0, 2), vec![0xCD]);
-        }
-        for _ in 0..250 {
-            seq.step();
-        }
-        par.run_parallel(250);
-        assert_eq!(seq.cycle(), par.cycle());
-        assert_eq!(seq.link_carried(), par.link_carried());
-        assert_eq!(seq.drain_delivered(), par.drain_delivered());
     }
 }

@@ -1,10 +1,15 @@
-//! The workload-driven simulation runner: warmup, measurement, drain.
+//! The workload-driven simulation: warmup, measurement, drain.
+//!
+//! [`Simulation`] holds one network and what drives it; its report is
+//! assembled here. The run itself is the windowed driver in
+//! [`crate::shard`] at one cell, so a plain run and a sharded one step,
+//! inject and measure through the same loop.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
-use ocin_core::ids::{FlowId, NodeId};
+use ocin_core::ids::FlowId;
 use ocin_core::interface::DeliveredPacket;
-use ocin_core::network::{EnergyCounters, Network, PacketSpec};
+use ocin_core::network::{EnergyCounters, Network};
 use ocin_core::probe::{NetworkMetrics, ProbeConfig};
 use ocin_core::reservation::StaticFlowSpec;
 use ocin_core::{Error, NetworkConfig};
@@ -110,11 +115,10 @@ pub struct SimReport {
     pub metrics: Option<NetworkMetrics>,
 }
 
-/// Measurement-window accumulator shared by the sequential and sharded
-/// runners. Deliveries must be fed in the sequential collection order
-/// (cycle-major, then node-ascending) so latency sample streams — and
-/// therefore every percentile in the report — are bit-identical across
-/// engines.
+/// Measurement-window accumulator. Deliveries must be fed in the
+/// one-cell collection order (cycle-major, then node-ascending) so
+/// latency sample streams — and therefore every percentile in the
+/// report — are bit-identical at every shard count.
 #[derive(Debug, Default)]
 pub(crate) struct MeasureAcc {
     pub(crate) lat_net: Samples,
@@ -126,22 +130,16 @@ pub(crate) struct MeasureAcc {
 }
 
 impl MeasureAcc {
-    /// Folds one delivery into the accumulator; returns whether the
-    /// packet was tagged for measurement (created inside the window).
-    pub(crate) fn on_delivered(
-        &mut self,
-        pkt: &DeliveredPacket,
-        warm_end: u64,
-        meas_end: u64,
-    ) -> bool {
+    /// Folds one delivery into the accumulator.
+    pub(crate) fn on_delivered(&mut self, pkt: &DeliveredPacket, warm_end: u64, meas_end: u64) {
         // Accepted throughput counts every flit that lands inside the
         // window, whatever its creation time.
         if pkt.delivered_at >= warm_end && pkt.delivered_at < meas_end {
             self.delivered_flits += pkt.num_flits as u64;
         }
-        let measured = pkt.created_at >= warm_end && pkt.created_at < meas_end;
-        if !measured {
-            return false;
+        // Only packets created inside the window are measured.
+        if pkt.created_at < warm_end || pkt.created_at >= meas_end {
+            return;
         }
         self.delivered_packets += 1;
         self.lat_net.push(pkt.network_latency() as f64);
@@ -156,12 +154,10 @@ impl MeasureAcc {
                 .or_default()
                 .push(pkt.network_latency() as f64);
         }
-        true
     }
 }
 
-/// Scalar run totals fed into [`assemble_report`] — the same four
-/// values whichever engine (sequential or sharded) produced them.
+/// Scalar run totals fed into [`assemble_report`].
 #[derive(Clone, Copy)]
 pub(crate) struct RunTotals {
     pub injected_packets: u64,
@@ -171,8 +167,7 @@ pub(crate) struct RunTotals {
 }
 
 /// Builds the final [`SimReport`] from a finished network and the
-/// measurement accumulator — the single place where report math lives,
-/// so the sequential and sharded engines cannot drift apart.
+/// measurement accumulator.
 pub(crate) fn assemble_report(
     net: &Network,
     cfg: &SimConfig,
@@ -242,11 +237,6 @@ pub struct Simulation {
     pub(crate) cfg: SimConfig,
     pub(crate) generator: Option<WorkloadGenerator>,
     pub(crate) matrix: Option<MatrixGenerator>,
-    pub(crate) offered_rate: f64,
-    /// Per-node source queues holding offered packets the tile port has
-    /// not yet accepted (unbounded, so offered load is preserved even
-    /// past saturation).
-    pub(crate) pending: Vec<VecDeque<PacketSpec>>,
     pub(crate) flows: Vec<(FlowId, StaticFlowSpec)>,
     pub(crate) reservation_period: u64,
     pub(crate) probe_cfg: Option<ProbeConfig>,
@@ -261,7 +251,6 @@ impl Simulation {
     pub fn new(net_cfg: NetworkConfig, cfg: SimConfig) -> Result<Simulation, Error> {
         let reservation_period = net_cfg.reservation_period;
         let net = Network::new(net_cfg)?;
-        let n = net.topology().num_nodes();
         let flows = net
             .reservation_table()
             .map(|t| t.flows().iter().map(|f| (f.id, f.spec)).collect::<Vec<_>>())
@@ -271,27 +260,34 @@ impl Simulation {
             cfg,
             generator: None,
             matrix: None,
-            offered_rate: 0.0,
-            pending: vec![VecDeque::new(); n],
             flows,
             reservation_period,
             probe_cfg: None,
         })
     }
 
-    /// Attaches a dynamic workload.
+    /// Attaches a dynamic workload, replacing any earlier one.
     pub fn with_workload(mut self, workload: &Workload) -> Simulation {
-        self.offered_rate = workload.offered_flit_rate();
         self.generator = Some(workload.generator(self.cfg.seed));
         self
     }
 
-    /// Attaches a per-pair traffic matrix (may be combined with a
-    /// pattern workload; offered rates add).
+    /// Attaches a per-pair traffic matrix, replacing any earlier one (may
+    /// be combined with a pattern workload, in either order; offered
+    /// rates add).
     pub fn with_traffic_matrix(mut self, matrix: &TrafficMatrix) -> Simulation {
-        self.offered_rate += matrix.mean_load();
         self.matrix = Some(matrix.generator(self.cfg.seed ^ 0x5EED));
         self
+    }
+
+    /// Offered load of the attached workload plus traffic matrix,
+    /// flits/node/cycle.
+    pub(crate) fn offered_rate(&self) -> f64 {
+        let workload = self
+            .generator
+            .as_ref()
+            .map_or(0.0, WorkloadGenerator::offered_flit_rate);
+        workload + self.matrix.as_ref().map_or(0.0, MatrixGenerator::mean_load)
     }
 
     /// Attaches an observability probe; the run's [`SimReport::metrics`]
@@ -303,8 +299,10 @@ impl Simulation {
         self
     }
 
-    /// Read access to the network (e.g. for fault injection before
-    /// running).
+    /// Mutable access to the network (e.g. for fault injection before
+    /// running). [`Simulation::run`] steps the network's cells itself
+    /// and never drives a probe attached here; probe a run with
+    /// [`Simulation::with_probe`].
     pub fn network_mut(&mut self) -> &mut Network {
         &mut self.net
     }
@@ -315,120 +313,7 @@ impl Simulation {
     ///
     /// Panics if the workload produces an unroutable packet.
     pub fn run(&mut self) -> SimReport {
-        if self.probe_cfg.is_some() {
-            // The windowed runner at one cell: a scoped worker steps the
-            // network while this thread replays its probe events.
-            return crate::shard::run_windowed(self, 1);
-        }
-        let warm_end = self.cfg.warmup_cycles;
-        let meas_end = warm_end + self.cfg.measure_cycles;
-        let hard_end = meas_end + self.cfg.drain_cycles;
-
-        let mut acc = MeasureAcc::default();
-        let mut injected_packets = 0u64;
-        let mut energy_start = EnergyCounters::default();
-        let mut energy_end = EnergyCounters::default();
-        let mut measured_outstanding: u64 = 0;
-
-        let n = self.net.topology().num_nodes();
-        loop {
-            let now = self.net.cycle();
-            if now == warm_end {
-                energy_start = self.net.stats().energy;
-            }
-            if now == meas_end {
-                energy_end = self.net.stats().energy;
-            }
-            if now >= hard_end {
-                break;
-            }
-
-            // Offer static-flow packets at their phases.
-            if now < meas_end {
-                for (id, spec) in &self.flows {
-                    if now % self.reservation_period == spec.phase {
-                        let ps = PacketSpec::new(spec.src, spec.dst)
-                            .payload_bits(spec.payload_bits.max(1))
-                            .flow(*id);
-                        self.pending[spec.src.index()].push_back(ps);
-                    }
-                }
-                // Offer dynamic packets.
-                if let Some(generation) = self.generator.as_mut() {
-                    for node in 0..n {
-                        if let Some(req) = generation.next_request(now, NodeId::new(node as u16)) {
-                            self.pending[node].push_back(
-                                PacketSpec::new(NodeId::new(node as u16), req.dst)
-                                    .payload_bits(req.payload_bits)
-                                    .class(req.class),
-                            );
-                        }
-                    }
-                }
-                if let Some(matrix) = self.matrix.as_mut() {
-                    for node in 0..n {
-                        for req in matrix.requests_for(NodeId::new(node as u16)) {
-                            self.pending[node].push_back(
-                                PacketSpec::new(NodeId::new(node as u16), req.dst)
-                                    .payload_bits(req.payload_bits)
-                                    .class(req.class),
-                            );
-                        }
-                    }
-                }
-            }
-
-            // Drain source queues into the tile ports.
-            let in_window = now >= warm_end && now < meas_end;
-            for node in 0..n {
-                while let Some(spec) = self.pending[node].front() {
-                    match self.net.inject(spec) {
-                        Ok(_) => {
-                            self.pending[node].pop_front();
-                            if in_window {
-                                injected_packets += 1;
-                                measured_outstanding += 1;
-                            }
-                        }
-                        Err(Error::InjectionBackpressure { .. }) => break,
-                        Err(e) => panic!("workload produced an unroutable packet: {e}"),
-                    }
-                }
-            }
-
-            self.net.step();
-
-            // Collect deliveries.
-            for node in 0..n {
-                for pkt in self.net.drain_delivered(NodeId::new(node as u16)) {
-                    if acc.on_delivered(&pkt, warm_end, meas_end) {
-                        measured_outstanding = measured_outstanding.saturating_sub(1);
-                    }
-                }
-            }
-
-            let now = self.net.cycle();
-            if now >= hard_end || (now >= meas_end && measured_outstanding == 0) {
-                if energy_end == EnergyCounters::default() {
-                    energy_end = self.net.stats().energy;
-                }
-                break;
-            }
-        }
-
-        assemble_report(
-            &self.net,
-            &self.cfg,
-            self.offered_rate,
-            &mut acc,
-            RunTotals {
-                injected_packets,
-                unfinished_packets: measured_outstanding,
-                energy_start,
-                energy_end,
-            },
-            None,
-        )
+        crate::shard::run_windowed(self, 1)
     }
 
     /// Measured energy events per delivered packet: `(hop_bits,
@@ -447,7 +332,7 @@ impl Simulation {
 mod tests {
     use super::*;
     use ocin_core::TopologySpec;
-    use ocin_traffic::{InjectionProcess, TrafficPattern};
+    use ocin_traffic::{InjectionProcess, TrafficMatrix, TrafficPattern};
 
     fn quick_sim(rate: f64) -> SimReport {
         let wl = Workload::new(16, 4, TrafficPattern::Uniform)
@@ -520,6 +405,30 @@ mod tests {
         assert!(jitter <= 1.0, "reserved flow jitter {jitter}");
         let fl = r.flow_latency[&FlowId(0)];
         assert!(fl.count > 0);
+    }
+
+    #[test]
+    fn offered_rates_add_in_either_order() {
+        let wl = |rate| {
+            Workload::new(16, 4, TrafficPattern::Uniform)
+                .injection(InjectionProcess::Bernoulli { flit_rate: rate })
+        };
+        let mut matrix = TrafficMatrix::new(16);
+        matrix.set(1.into(), 10.into(), 0.4);
+        let want = wl(0.1).offered_flit_rate() + matrix.mean_load();
+        let sim = || Simulation::new(NetworkConfig::paper_baseline(), SimConfig::quick()).unwrap();
+        let matrix_first = sim().with_traffic_matrix(&matrix).with_workload(&wl(0.1));
+        let workload_first = sim().with_workload(&wl(0.1)).with_traffic_matrix(&matrix);
+        // A replaced workload or matrix counts once, at its new rate.
+        let replaced = sim()
+            .with_workload(&wl(0.3))
+            .with_traffic_matrix(&matrix)
+            .with_traffic_matrix(&matrix)
+            .with_workload(&wl(0.1));
+        for s in [matrix_first, workload_first, replaced] {
+            assert_eq!(s.offered_rate().to_bits(), want.to_bits());
+        }
+        assert_eq!(sim().offered_rate(), 0.0);
     }
 
     #[test]

@@ -1,60 +1,69 @@
 //! Deterministic windowed execution of one simulation run.
 //!
-//! [`ShardedSimulation`] steps a single [`Simulation`] on several worker
-//! threads — one per contiguous tile-region cell cut by
-//! [`Network::set_shards`] — using conservative synchronization: every
-//! channel has at least one cycle of latency, so each cell can step a
-//! lookahead window of [`Network::lookahead_window`] cycles before any
-//! boundary flit or credit created by a neighbour could possibly arrive.
-//! At each window boundary the workers exchange boundary messages
-//! through per-pair mailboxes and agree on the harness exit condition
-//! via per-cycle injection/delivery tallies, then continue.
+//! Every [`Simulation::run`] and [`ShardedSimulation::run`] goes through
+//! the one driver here. It cuts the network into contiguous tile-region
+//! cells ([`Network::set_shards`]; one cell unless sharded) and steps
+//! each cell with the same worker loop, which offers, injects, steps and
+//! drains. Synchronization is conservative: every channel has at least
+//! one cycle of latency, so each cell can step a lookahead window of
+//! [`Network::lookahead_window`] cycles before any boundary flit or
+//! credit created by a neighbour could possibly arrive. At each window
+//! boundary the cells exchange boundary messages through per-pair
+//! mailboxes and agree on the harness exit condition via per-cycle
+//! injection/delivery tallies, then continue.
 //!
-//! The same runner runs a probed [`Simulation::run`] as its one-cell
-//! case: one scoped worker steps the network while the calling thread
-//! replays its probe events.
+//! # Inline and threaded runs
+//!
+//! An unprobed one-cell run — most points of a sweep — runs its worker
+//! on the calling thread and folds each window's deliveries into the
+//! measurement at once: no thread, no channel, and nothing buffered
+//! beyond one window. Every other run gives each cell a scoped worker
+//! and collects their streamed outputs on the calling thread, so a
+//! probed run replays its events there while its worker steps on. Both
+//! fold through one `Collector`, so they cannot disagree.
 //!
 //! # Streamed outputs
 //!
-//! A worker keeps nothing for the whole run. It buffers the probe events
-//! and delivered packets of the cycles since its last hand-off, and at a
-//! window boundary it hands both to the coordinator on the calling
-//! thread. All cells cut at the same boundaries: each publishes its
-//! buffered count with its window tallies, and every cell cuts once the
-//! counts sum to `HANDOFF_ITEMS` (and always at exit), so a round of
-//! hand-offs covers the same cycles in every cell. Hand-offs travel over
-//! a bounded channel (`HANDOFFS_IN_FLIGHT` deep) and their buffers come
-//! back emptied for reuse, so a run holds a constant number of buffers
-//! per cell however long it runs.
+//! A threaded worker keeps nothing for the whole run. It buffers the
+//! probe events and delivered packets of the cycles since its last
+//! hand-off, and at a window boundary it hands both to the coordinator
+//! on the calling thread. All cells cut at the same boundaries: each
+//! publishes its buffered count with its window tallies, and every cell
+//! cuts once the counts sum to `HANDOFF_ITEMS` (and always at exit), so
+//! a round of hand-offs covers the same cycles in every cell. Hand-offs
+//! travel over a bounded channel (`HANDOFFS_IN_FLIGHT` deep) and their
+//! buffers come back emptied for reuse, so a run holds a constant number
+//! of buffers per cell however long it runs.
 //!
 //! # Determinism
 //!
-//! The result is bit-identical to the sequential loop: the same
-//! [`SimReport`], the same probe metrics, the same journey exports,
-//! regardless of shard count or thread scheduling. Every source of
-//! nondeterminism is removed structurally rather than tolerated:
+//! The result is the same [`SimReport`], the same probe metrics and the
+//! same journey exports at any shard count, regardless of thread
+//! scheduling. Every source of nondeterminism is removed structurally
+//! rather than tolerated:
 //!
 //! * workload draws come from per-node (and per-matrix-row) RNG
 //!   streams, so each worker's cloned generator reproduces exactly the
-//!   draws the sequential harness would have made for its nodes;
+//!   draws one generator would have made for its nodes;
 //! * each round's deliveries are merged by `(delivered_at, cell)`,
-//!   which restores the sequential cycle-major, node-ascending
-//!   collection order because each worker drains its own (ascending)
-//!   node range every cycle;
-//! * each round's probe events are merged into the sequential order by
+//!   which restores the one-cell cycle-major, node-ascending collection
+//!   order because each worker drains its own (ascending) node range
+//!   every cycle;
+//! * each round's probe events are merged into the one-cell order by
 //!   [`replay_logs`] and fed to one [`NetworkProbe`];
 //! * the measured-outstanding exit counter is replicated on every
 //!   worker from the shared per-cycle tallies, so all workers take the
-//!   same exit decision on the same cycle the sequential loop would;
+//!   same exit decision on the same cycle;
 //! * energy-counter landmarks are cell-local snapshots summed in cell
-//!   order, reproducing the sequential float-accumulation order.
+//!   order, reproducing the one-cell float-accumulation order.
 //!
 //! # Failure
 //!
 //! A worker that stops early — by panicking, or because the coordinator
 //! has gone — breaks the window barrier on its way out, so its peers
 //! stop too instead of waiting for it; the run then panics with the
-//! failing worker's own message ([`crate::exec::run_with`]).
+//! failing worker's own message ([`crate::exec::run_with`]). An inline
+//! worker's panic unwinds straight through the caller.
 //!
 //! See DESIGN.md §3.15 for the lookahead-window argument.
 
@@ -84,7 +93,7 @@ const HANDOFF_ITEMS: usize = 4_096;
 const HANDOFFS_IN_FLIGHT: usize = 2;
 
 /// Reads the shard count from the `OCIN_SHARDS` environment variable
-/// (default 1, i.e. sequential execution).
+/// (default 1: one cell).
 pub fn shards_from_env() -> usize {
     // The blessed entry point for the shard count: it only changes how
     // fast a result arrives, never the result (sharding is
@@ -98,16 +107,16 @@ pub fn shards_from_env() -> usize {
         .unwrap_or(1)
 }
 
-/// A [`Simulation`] stepped across worker threads, bit-identical to the
-/// sequential runner at any shard count.
+/// A [`Simulation`] stepped across worker threads, bit-identical to
+/// [`Simulation::run`] at any shard count.
 pub struct ShardedSimulation {
     sim: Simulation,
     shards: usize,
 }
 
 impl ShardedSimulation {
-    /// Wraps `sim` to run on `shards` worker threads (1 = run
-    /// sequentially; clamped to the node count).
+    /// Wraps `sim` to run on `shards` worker threads (1 = as
+    /// [`Simulation::run`]; clamped to the node count).
     pub fn new(sim: Simulation, shards: usize) -> ShardedSimulation {
         ShardedSimulation {
             sim,
@@ -136,20 +145,17 @@ impl ShardedSimulation {
     ///
     /// # Panics
     ///
-    /// Panics if the workload produces an unroutable packet or a worker
-    /// thread panics — the same conditions that abort the sequential
-    /// runner — with the failing worker's message.
+    /// Panics if the workload produces an unroutable packet, with the
+    /// failing worker's message.
     pub fn run(&mut self) -> SimReport {
-        if self.shards <= 1 {
-            return self.sim.run();
-        }
         run_windowed(&mut self.sim, self.shards)
     }
 }
 
-/// Runs `sim` through the windowed runner on `shards` cells: one scoped
-/// worker per cell steps it, and the calling thread collects the
-/// streamed deliveries and probe events.
+/// Runs `sim` through the windowed runner on `shards` cells: inline on
+/// the calling thread when unprobed at one cell, otherwise one scoped
+/// worker per cell with the calling thread collecting their streamed
+/// deliveries and probe events.
 pub(crate) fn run_windowed(sim: &mut Simulation, shards: usize) -> SimReport {
     if sim.probe_cfg.is_some() {
         drive::<LogProbe>(sim, shards)
@@ -174,45 +180,62 @@ fn drive<P: WorkerProbe>(sim: &mut Simulation, shards: usize) -> SimReport {
         reservation_period: sim.reservation_period,
     };
     let ctx = SyncCtx::new(cells);
-    let probe = sim
-        .probe_cfg
-        .map(|pc| NetworkProbe::for_network(sim.net.config(), pc));
-    let (to_coord, from_cells): (Vec<_>, Vec<_>) =
-        (0..cells).map(|_| sync_channel(HANDOFFS_IN_FLIGHT)).unzip();
-    let (spares_back, spares): (Vec<_>, Vec<_>) = (0..cells).map(|_| channel()).unzip();
+    let mut collector = Collector {
+        probe: sim
+            .probe_cfg
+            .map(|pc| NetworkProbe::for_network(sim.net.config(), pc)),
+        acc: MeasureAcc::default(),
+        heads: vec![0; cells],
+        warm_end,
+        meas_end,
+    };
+    let offered_rate = sim.offered_rate();
     let flows = &sim.flows;
     let generator = &sim.generator;
     let matrix = &sim.matrix;
+    let handles = sim.net.shard_handles();
 
-    // Threads are borrowed from the executor seam (`exec.rs`), the
-    // workspace's one sanctioned spawn site; worker results come back in
-    // cell order regardless of finish order.
-    let workers: Vec<_> = sim
-        .net
-        .shard_handles()
-        .into_iter()
-        .zip(to_coord.into_iter().zip(spares))
-        .map(|(h, (to_coord, spares))| {
-            let ctx = &ctx;
-            let flows = flows.clone();
-            let generator = generator.clone();
-            let matrix = matrix.clone();
-            let link = CellLink { to_coord, spares };
-            move || worker_loop::<P>(h, ctx, cfg, flows, generator, matrix, &link)
-        })
-        .collect();
-    // The coordinator owns the receiving ends: however it returns, they
-    // drop with it, which releases any worker still waiting to send.
-    let (outs, collected) = crate::exec::run_with(workers, move || {
-        collect(&from_cells, &spares_back, probe, warm_end, meas_end)
-    });
-    // A cell stops early only after a peer panicked, and `run_with` has
-    // already resumed that panic.
-    let outs: Vec<WorkerOut> = outs
-        .into_iter()
-        .collect::<Option<_>>()
-        .expect("every cell ran to the end");
-    let (probe, mut acc) = collected.expect("the coordinator saw every hand-off");
+    let outs: Vec<WorkerOut> = if cells == 1 && !P::ENABLED {
+        let h = handles.into_iter().next().expect("one cell");
+        let mut inline = Inline {
+            collector: &mut collector,
+            round: [Handoff::default()],
+        };
+        let (flows, generator, matrix) = (flows.clone(), generator.clone(), matrix.clone());
+        let out = worker_loop::<P, _>(h, &ctx, cfg, flows, generator, matrix, &mut inline);
+        vec![out.expect("an inline cell has no peer to stop it")]
+    } else {
+        let (to_coord, from_cells): (Vec<_>, Vec<_>) =
+            (0..cells).map(|_| sync_channel(HANDOFFS_IN_FLIGHT)).unzip();
+        let (spares_back, spares): (Vec<_>, Vec<_>) = (0..cells).map(|_| channel()).unzip();
+        // Threads are borrowed from the executor seam (`exec.rs`), the
+        // workspace's one sanctioned spawn site; worker results come
+        // back in cell order regardless of finish order.
+        let workers: Vec<_> = handles
+            .into_iter()
+            .zip(to_coord.into_iter().zip(spares))
+            .map(|(h, (to_coord, spares))| {
+                let ctx = &ctx;
+                let flows = flows.clone();
+                let generator = generator.clone();
+                let matrix = matrix.clone();
+                let mut link = CellLink { to_coord, spares };
+                move || worker_loop::<P, _>(h, ctx, cfg, flows, generator, matrix, &mut link)
+            })
+            .collect();
+        // The coordinator owns the receiving ends: however it returns,
+        // they drop with it, which releases any worker still waiting to
+        // send.
+        let coll = &mut collector;
+        let (outs, collected) =
+            crate::exec::run_with(workers, move || collect(&from_cells, &spares_back, coll));
+        collected.expect("the coordinator saw every hand-off");
+        // A cell stops early only after a peer panicked, and `run_with`
+        // has already resumed that panic.
+        outs.into_iter()
+            .collect::<Option<_>>()
+            .expect("every cell ran to the end")
+    };
 
     let end_cycle = outs[0].end_cycle;
     sim.net.finish_sharded_run(end_cycle);
@@ -230,43 +253,58 @@ fn drive<P: WorkerProbe>(sim: &mut Simulation, shards: usize) -> SimReport {
     assemble_report(
         &sim.net,
         &sim.cfg,
-        sim.offered_rate,
-        &mut acc,
+        offered_rate,
+        &mut collector.acc,
         RunTotals {
             injected_packets,
             unfinished_packets,
             energy_start,
             energy_end,
         },
-        probe.map(|p| p.into_metrics(end_cycle)),
+        collector.probe.map(|p| p.into_metrics(end_cycle)),
     )
 }
 
-/// The calling thread's side of a windowed run. Takes one hand-off from
-/// every cell per round (they cover the same cycles), replays the
-/// round's events into `probe` and folds its deliveries into the
-/// measurement, then sends the emptied buffers back. Returns `None` if a
-/// cell stopped before its last hand-off.
+/// Folds the cells' outputs into the run's measurement and probe, one
+/// round of hand-offs at a time (every hand-off in a round covers the
+/// same cycles).
+struct Collector {
+    probe: Option<NetworkProbe>,
+    acc: MeasureAcc,
+    /// Per-cell merge cursors, reused from round to round.
+    heads: Vec<usize>,
+    warm_end: u64,
+    meas_end: u64,
+}
+
+impl Collector {
+    /// Replays the round's events into the probe and folds its
+    /// deliveries into the measurement, both in one-cell order.
+    fn fold(&mut self, round: &[Handoff]) {
+        if let Some(p) = self.probe.as_mut() {
+            replay_logs(round, p);
+        }
+        merge_deliveries(round, &mut self.heads, |pkt| {
+            self.acc.on_delivered(pkt, self.warm_end, self.meas_end);
+        });
+    }
+}
+
+/// The calling thread's side of a threaded run. Takes one hand-off from
+/// every cell per round, folds the round into `collector`, then sends
+/// the emptied buffers back. Returns `None` if a cell stopped before its
+/// last hand-off.
 fn collect(
     from_cells: &[Receiver<Handoff>],
     spares_back: &[Sender<Handoff>],
-    mut probe: Option<NetworkProbe>,
-    warm_end: u64,
-    meas_end: u64,
-) -> Option<(Option<NetworkProbe>, MeasureAcc)> {
-    let mut acc = MeasureAcc::default();
+    collector: &mut Collector,
+) -> Option<()> {
     let mut round: Vec<Handoff> = Vec::with_capacity(from_cells.len());
-    let mut heads = vec![0usize; from_cells.len()];
     loop {
         for cell in from_cells {
             round.push(cell.recv().ok()?);
         }
-        if let Some(p) = probe.as_mut() {
-            replay_logs(&round, p);
-        }
-        merge_deliveries(&round, &mut heads, |pkt| {
-            acc.on_delivered(pkt, warm_end, meas_end);
-        });
+        collector.fold(&round);
         let last = round[0].last;
         for (mut h, back) in round.drain(..).zip(spares_back) {
             h.events.clear();
@@ -275,7 +313,7 @@ fn collect(
             let _ = back.send(h);
         }
         if last {
-            return Some((probe, acc));
+            return Some(());
         }
     }
 }
@@ -348,20 +386,37 @@ impl AsRef<[LogEvent]> for Handoff {
     }
 }
 
-/// A worker's two channels to the coordinator.
+/// Where a worker's buffered events and deliveries go when the cells
+/// cut.
+trait Outlet {
+    /// Buffered events plus deliveries, summed over the cells, at which
+    /// every cell cuts (checked at window boundaries).
+    const CUT_AT: usize;
+    /// Passes on the cell's buffered events and deliveries and leaves
+    /// the worker recording into empty buffers. `None` if the
+    /// coordinator has gone.
+    fn hand_off<P: WorkerProbe>(
+        &mut self,
+        probe: &mut P,
+        delivered: &mut Vec<DeliveredPacket>,
+        last: bool,
+    ) -> Option<()>;
+}
+
+/// A threaded worker's two channels to the coordinator.
 struct CellLink {
     to_coord: SyncSender<Handoff>,
     /// Emptied buffers coming back for reuse.
     spares: Receiver<Handoff>,
 }
 
-impl CellLink {
-    /// Sends the cell's buffered events and deliveries to the
-    /// coordinator and leaves the worker recording into a recycled
-    /// buffer (a new one only while every earlier buffer is still in
-    /// flight). `None` if the coordinator has gone.
+impl Outlet for CellLink {
+    const CUT_AT: usize = HANDOFF_ITEMS;
+
+    /// Sends the buffers to the coordinator and takes a recycled pair
+    /// (a new one only while every earlier pair is still in flight).
     fn hand_off<P: WorkerProbe>(
-        &self,
+        &mut self,
         probe: &mut P,
         delivered: &mut Vec<DeliveredPacket>,
         last: bool,
@@ -371,6 +426,33 @@ impl CellLink {
         std::mem::swap(delivered, &mut out.delivered);
         out.last = last;
         self.to_coord.send(out).ok()
+    }
+}
+
+/// An inline worker's outlet: it runs on the calling thread and folds
+/// every window's outputs into the collector at once.
+struct Inline<'a> {
+    collector: &'a mut Collector,
+    round: [Handoff; 1],
+}
+
+impl Outlet for Inline<'_> {
+    const CUT_AT: usize = 0;
+
+    fn hand_off<P: WorkerProbe>(
+        &mut self,
+        probe: &mut P,
+        delivered: &mut Vec<DeliveredPacket>,
+        _last: bool,
+    ) -> Option<()> {
+        let [out] = &mut self.round;
+        probe.swap_log(&mut out.events);
+        std::mem::swap(delivered, &mut out.delivered);
+        self.collector.fold(&self.round);
+        let [out] = &mut self.round;
+        out.events.clear();
+        out.delivered.clear();
+        Some(())
     }
 }
 
@@ -413,8 +495,8 @@ impl SyncCtx {
 #[derive(Default)]
 struct WindowPost {
     /// Per-cycle (measured injections, measured deliveries); every
-    /// worker folds all tallies in cycle order to replicate the
-    /// sequential exit counter exactly.
+    /// worker folds all tallies in cycle order into the same exit
+    /// counter.
     tallies: Vec<(u64, u64)>,
     /// Events plus deliveries waiting for the next hand-off.
     buffered: usize,
@@ -511,14 +593,14 @@ struct WorkerOut {
 
 /// Steps one cell window by window. Returns `None` if a peer or the
 /// coordinator stopped first.
-fn worker_loop<P: WorkerProbe>(
+fn worker_loop<P: WorkerProbe, O: Outlet>(
     mut h: ShardHandle<'_>,
     ctx: &SyncCtx,
     cfg: WorkerCfg,
     flows: Vec<(FlowId, StaticFlowSpec)>,
     mut generator: Option<WorkloadGenerator>,
     mut matrix: Option<MatrixGenerator>,
-    link: &CellLink,
+    link: &mut O,
 ) -> Option<WorkerOut> {
     let _stop = BreakOnDrop(&ctx.barrier);
     let me = h.cell_index();
@@ -529,12 +611,14 @@ fn worker_loop<P: WorkerProbe>(
         .into_iter()
         .filter(|(_, spec)| h.nodes().contains(&spec.src.index()))
         .collect();
+    // Per-node source queues of offered packets the tile port has not
+    // yet accepted: unbounded, so offered load holds past saturation.
     let mut pending: Vec<VecDeque<PacketSpec>> = vec![VecDeque::new(); owned.len()];
     let mut probe = P::default();
     let mut delivered = Vec::new();
     let mut injected_measured = 0u64;
-    // Replica of the sequential `measured_outstanding` counter, rebuilt
-    // each window from the shared tallies; identical on every worker.
+    // Measured packets injected but not yet delivered, rebuilt each
+    // window from the shared tallies; identical on every worker.
     let mut outstanding = 0u64;
     let mut warm_snap = None;
     let mut meas_snap = None;
@@ -548,8 +632,8 @@ fn worker_loop<P: WorkerProbe>(
     loop {
         // Landmark snapshots happen at window starts: windows are
         // clipped at warm_end/meas_end below, so these cycles are never
-        // interior to a window and the cell-local counters here match
-        // what the sequential loop top would have observed.
+        // interior to a window and the cell-local counters here are the
+        // ones at the top of the landmark cycle.
         if now == cfg.warm_end {
             warm_snap = Some(h.energy_snapshot());
         }
@@ -563,9 +647,9 @@ fn worker_loop<P: WorkerProbe>(
             end_cycle = now;
             break;
         }
-        // After meas_end the sequential loop may exit on any cycle the
+        // After meas_end the run exits on the first cycle the
         // outstanding count hits zero, so drop to 1-cycle windows and
-        // re-check at exactly the cadence it would.
+        // re-check every cycle.
         let mut wend = now + if now >= cfg.meas_end { 1 } else { cfg.window };
         for bound in [cfg.warm_end, cfg.meas_end, cfg.hard_end] {
             if now < bound {
@@ -627,19 +711,20 @@ fn worker_loop<P: WorkerProbe>(
                 }
             }
             h.step_cycle(t, &mut probe, P::ENABLED);
+            let from = delivered.len();
             for &node in &owned {
-                for mut pkt in h.drain_delivered(NodeId::new(node as u16)) {
-                    if pkt.created_at >= cfg.warm_end && pkt.created_at < cfg.meas_end {
-                        del += 1;
-                    }
-                    // The coordinator reads only the timing fields. Freeing
-                    // the payloads on the thread that allocated them keeps
-                    // them in its allocator arena; freed on the
-                    // coordinator's thread they fragment it, and a
-                    // process's peak RSS creeps up run after run.
-                    pkt.payloads = Vec::new();
-                    delivered.push(pkt);
+                h.drain_delivered_into(NodeId::new(node as u16), &mut delivered);
+            }
+            for pkt in &mut delivered[from..] {
+                if pkt.created_at >= cfg.warm_end && pkt.created_at < cfg.meas_end {
+                    del += 1;
                 }
+                // The collector reads only the timing fields. Freeing the
+                // payloads on the thread that allocated them keeps them in
+                // its allocator arena; freed on the coordinator's thread
+                // they fragment it, and a process's peak RSS creeps up run
+                // after run.
+                pkt.payloads = Vec::new();
             }
             window_tallies.push((inj, del));
         }
@@ -682,7 +767,7 @@ fn worker_loop<P: WorkerProbe>(
         for &(inj, del) in &sums {
             outstanding = (outstanding + inj).saturating_sub(del);
         }
-        let cut = buffered >= HANDOFF_ITEMS;
+        let cut = buffered >= O::CUT_AT;
         let exit = wend >= cfg.hard_end || (wend >= cfg.meas_end && outstanding == 0);
         if exit {
             exit_snap = Some(h.energy_snapshot());
@@ -711,7 +796,7 @@ fn worker_loop<P: WorkerProbe>(
 }
 
 /// Sums cell snapshots in cell order into one [`EnergyCounters`],
-/// reproducing the float-accumulation order of the sequential
+/// reproducing the float-accumulation order of the one-cell
 /// `NetworkStats::energy`. Returns `None` if any cell has no snapshot
 /// (the landmark cycle was never reached).
 fn sum_snaps<'a>(

@@ -138,6 +138,11 @@ pub struct MatrixGenerator {
 }
 
 impl MatrixGenerator {
+    /// Network-wide offered load of the sampled matrix, flits/node/cycle.
+    pub fn mean_load(&self) -> f64 {
+        self.matrix.mean_load()
+    }
+
     /// The packets `src` offers this cycle (each (src,dst) pair is an
     /// independent Bernoulli process at its matrix rate; flit rates are
     /// converted to packet rates by the payload size).

@@ -109,6 +109,11 @@ pub struct WorkloadGenerator {
 }
 
 impl WorkloadGenerator {
+    /// Mean offered load of the generating workload, flits/node/cycle.
+    pub fn offered_flit_rate(&self) -> f64 {
+        self.workload.offered_flit_rate()
+    }
+
     /// The packet `node` offers at `cycle`, if any.
     ///
     /// Call exactly once per (cycle, node) to keep the process rates

@@ -7,15 +7,12 @@
 //! (batch size × worker counts × budget caps × probe/journeys/telemetry
 //! × flow control) against the serial `LoadSweep` reference; directed
 //! tests pin the budget policy itself (sharded tails, explicit-shards
-//! override) and the `MultiChipSim` threaded seam against the
-//! sequential two-chip path.
+//! override).
 
 use std::sync::Arc;
 
-use ocin::core::ids::NodeId;
 use ocin::core::{FlowControl, NetworkConfig, TopologySpec};
-use ocin::services::GlobalAddress;
-use ocin::sim::{Executor, LoadSweep, MultiChipSim, PointSpec, SimConfig, SimPool};
+use ocin::sim::{Executor, LoadSweep, PointSpec, SimConfig, SimPool};
 use ocin::traffic::{TrafficPattern, Workload};
 use proptest::prelude::*;
 
@@ -142,80 +139,4 @@ fn saturation_search_is_budget_invariant() {
     let a = with_budgets.saturation_load(0.05);
     let b = capped.saturation_load(0.05);
     assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
-}
-
-// ── MultiChipSim on the seam ─────────────────────────────────────────
-
-fn addr(chip: u8, node: u16) -> GlobalAddress {
-    GlobalAddress::new(chip, node.into())
-}
-
-fn two_chip_traffic(sys: &mut MultiChipSim) {
-    // Bursty bidirectional cross-chip traffic (saturating the 4-cycle
-    // link serializer and forcing arrival retries) plus local sends.
-    for i in 0..24u64 {
-        sys.send(
-            addr(0, (i % 5) as u16),
-            addr(1, 8 + (i % 6) as u16),
-            vec![i, i * 3],
-        );
-        if i % 3 == 0 {
-            sys.send(
-                addr(1, (i % 7) as u16),
-                addr(0, (13 - i % 4) as u16),
-                vec![!i],
-            );
-        }
-        if i % 5 == 0 {
-            sys.send(
-                addr(0, (i % 4) as u16),
-                addr(0, 15 - (i % 3) as u16),
-                vec![i],
-            );
-        }
-    }
-}
-
-/// The threaded two-chip seam must leave the whole system — deliveries,
-/// link counters, and both networks' statistics — bit-identical to
-/// sequential stepping, including across interleaved step()/run() use.
-#[test]
-fn multichip_threaded_seam_matches_sequential() {
-    let cfg = NetworkConfig::paper_baseline();
-    let mut seq = MultiChipSim::new(cfg.clone(), NodeId::new(3), 4, 10).unwrap();
-    let mut par = MultiChipSim::new(cfg, NodeId::new(3), 4, 10).unwrap();
-    par.set_parallel_workers(2);
-    two_chip_traffic(&mut seq);
-    two_chip_traffic(&mut par);
-
-    // Interleave seam entry/exit with sequential single-steps on the
-    // parallel system: every boundary must be seamless.
-    for _ in 0..40 {
-        seq.step();
-    }
-    par.run_parallel(25);
-    for _ in 0..5 {
-        par.step();
-    }
-    par.run_parallel(10);
-    assert_eq!(seq.cycle(), par.cycle());
-    assert_eq!(seq.drain_delivered(), par.drain_delivered());
-
-    // Second burst mid-flight, then run to completion on both paths.
-    two_chip_traffic(&mut seq);
-    two_chip_traffic(&mut par);
-    for _ in 0..400 {
-        seq.step();
-    }
-    par.run_parallel(400);
-    assert_eq!(seq.cycle(), par.cycle());
-    assert_eq!(seq.link_carried(), par.link_carried());
-    let seq_got = seq.drain_delivered();
-    let par_got = par.drain_delivered();
-    assert!(!seq_got.is_empty());
-    assert_eq!(seq_got, par_got);
-    for c in 0..2u8 {
-        assert_eq!(seq.chip(c).stats(), par.chip(c).stats());
-        assert_eq!(seq.chip(c).cycle(), par.chip(c).cycle());
-    }
 }

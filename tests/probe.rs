@@ -7,16 +7,15 @@
 //! of the same configuration and seed, and the probe's own counters
 //! must reconcile exactly with the simulator's independent statistics.
 
-use std::collections::{BTreeMap, VecDeque};
+mod common;
 
+use common::reference_run;
 use ocin_core::ids::NodeId;
 use ocin_core::{
-    EnergyCounters, Error, EventKind, EventTrace, FlowControl, Network, NetworkConfig,
-    NetworkProbe, PacketSpec, ProbeConfig, TopologySpec,
+    EventKind, EventTrace, FlowControl, Network, NetworkConfig, NetworkProbe, PacketSpec,
+    ProbeConfig, TopologySpec,
 };
-use ocin_sim::{
-    LatencyReport, LoadSweep, Samples, ShardedSimulation, SimConfig, SimReport, Simulation,
-};
+use ocin_sim::{LatencyReport, LoadSweep, ShardedSimulation, SimConfig, SimReport, Simulation};
 use ocin_traffic::{InjectionProcess, TrafficPattern, Workload};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -227,142 +226,15 @@ const JUNK_FIELDS: [&str; 12] = [
     "\u{663}",
 ];
 
-/// The sequential probed loop as it stood before probe collection was
-/// streamed, kept here as the reference: the probe rides on the network
-/// (`attach_probe`), every cycle offers, injects, steps and drains, and
-/// the report is assembled from the drained deliveries in order.
-fn reference_run(
-    net_cfg: NetworkConfig,
-    cfg: SimConfig,
-    wl: &Workload,
-    pc: ProbeConfig,
-) -> SimReport {
-    let mut net = Network::new(net_cfg).expect("valid config");
-    net.attach_probe(NetworkProbe::for_network(net.config(), pc));
-    let mut generator = wl.generator(cfg.seed);
-    let n = net.topology().num_nodes();
-    let warm_end = cfg.warmup_cycles;
-    let meas_end = warm_end + cfg.measure_cycles;
-    let hard_end = meas_end + cfg.drain_cycles;
-
-    let mut pending: Vec<VecDeque<PacketSpec>> = vec![VecDeque::new(); n];
-    let (mut lat_net, mut lat_total) = (Samples::new(), Samples::new());
-    let mut class_samples: BTreeMap<u8, Samples> = BTreeMap::new();
-    let (mut delivered_flits, mut delivered_packets) = (0u64, 0u64);
-    let (mut injected, mut outstanding) = (0u64, 0u64);
-    let mut energy_start = EnergyCounters::default();
-    let mut energy_end = EnergyCounters::default();
-    loop {
-        let now = net.cycle();
-        if now == warm_end {
-            energy_start = net.stats().energy;
-        }
-        if now == meas_end {
-            energy_end = net.stats().energy;
-        }
-        if now >= hard_end {
-            break;
-        }
-        if now < meas_end {
-            for (node, queue) in pending.iter_mut().enumerate() {
-                let src = NodeId::new(node as u16);
-                if let Some(req) = generator.next_request(now, src) {
-                    queue.push_back(
-                        PacketSpec::new(src, req.dst)
-                            .payload_bits(req.payload_bits)
-                            .class(req.class),
-                    );
-                }
-            }
-        }
-        let in_window = now >= warm_end && now < meas_end;
-        for queue in &mut pending {
-            while let Some(spec) = queue.front() {
-                match net.inject(spec) {
-                    Ok(_) => {
-                        queue.pop_front();
-                        if in_window {
-                            injected += 1;
-                            outstanding += 1;
-                        }
-                    }
-                    Err(Error::InjectionBackpressure { .. }) => break,
-                    Err(e) => panic!("unroutable packet: {e}"),
-                }
-            }
-        }
-        net.step();
-        for node in 0..n {
-            for pkt in net.drain_delivered(NodeId::new(node as u16)) {
-                if pkt.delivered_at >= warm_end && pkt.delivered_at < meas_end {
-                    delivered_flits += pkt.num_flits as u64;
-                }
-                if pkt.created_at >= warm_end && pkt.created_at < meas_end {
-                    delivered_packets += 1;
-                    outstanding = outstanding.saturating_sub(1);
-                    lat_net.push(pkt.network_latency() as f64);
-                    lat_total.push(pkt.total_latency() as f64);
-                    class_samples
-                        .entry(pkt.class.priority())
-                        .or_default()
-                        .push(pkt.network_latency() as f64);
-                }
-            }
-        }
-        let now = net.cycle();
-        if now >= hard_end || (now >= meas_end && outstanding == 0) {
-            if energy_end == EnergyCounters::default() {
-                energy_end = net.stats().energy;
-            }
-            break;
-        }
-    }
-
-    let metrics = net.take_probe().map(|p| p.into_metrics(net.cycle()));
-    let stats = net.stats();
-    let loads = net.link_loads();
-    let avg_link_utilization = if loads.is_empty() {
-        0.0
-    } else {
-        loads.iter().map(|l| l.utilization).sum::<f64>() / loads.len() as f64
-    };
-    SimReport {
-        cycles: net.cycle(),
-        window: cfg.measure_cycles,
-        offered_flit_rate: wl.offered_flit_rate(),
-        accepted_flit_rate: delivered_flits as f64 / (n as f64 * cfg.measure_cycles as f64),
-        network_latency: lat_net.report(),
-        total_latency: lat_total.report(),
-        class_latency: class_samples
-            .iter_mut()
-            .map(|(k, v)| (*k, v.report()))
-            .collect(),
-        flow_jitter: BTreeMap::new(),
-        flow_latency: BTreeMap::new(),
-        packets_delivered: delivered_packets,
-        packets_injected: injected,
-        packets_dropped: stats.packets_dropped,
-        deflections: stats.deflections,
-        energy: EnergyCounters {
-            flit_hops: energy_end.flit_hops - energy_start.flit_hops,
-            hop_bits: energy_end.hop_bits - energy_start.hop_bits,
-            link_flits: energy_end.link_flits - energy_start.link_flits,
-            link_bit_pitches: energy_end.link_bit_pitches - energy_start.link_bit_pitches,
-        },
-        avg_link_utilization,
-        max_link_utilization: loads.iter().map(|l| l.utilization).fold(0.0, f64::max),
-        unfinished_packets: outstanding,
-        metrics,
-    }
-}
-
-/// Streamed probe collection reproduces the reference loop exactly: the
-/// report, metrics included, of `Simulation::run` (one worker stepping,
-/// this thread collecting) and of 2- and 3-shard runs equals the
-/// reference's. Every run records tens of thousands of events or more,
-/// so it spans from several hand-offs (light load) to over a hundred
-/// (k = 8); at k = 4 the light-load run exits early in drain and the
-/// saturated one runs its drain budget out.
+/// Streamed collection reproduces the reference loop exactly: the
+/// report, metrics included, of `Simulation::run` and of 2- and 3-shard
+/// runs equals the reference's, probed and unprobed. An unprobed run
+/// folds each window's deliveries on the calling thread at one cell
+/// and streams them at two and three; a probed one streams its events
+/// too, tens of thousands of them or more, so it spans from several
+/// hand-offs (light load) to over a hundred (k = 8). At k = 4 the
+/// light-load run exits early in drain and the saturated one runs its
+/// drain budget out.
 #[test]
 fn streamed_collection_matches_the_reference_loop() {
     let pc = ProbeConfig::counters()
@@ -392,17 +264,24 @@ fn streamed_collection_matches_the_reference_loop() {
             };
             let wl = Workload::new(k * k, k, TrafficPattern::Uniform)
                 .injection(InjectionProcess::Bernoulli { flit_rate: load });
-            let want = format!("{:?}", reference_run(net_cfg.clone(), cfg, &wl, pc));
-            for shards in [1, 2, 3] {
-                let sim = Simulation::new(net_cfg.clone(), cfg)
-                    .expect("valid config")
-                    .with_workload(&wl)
-                    .with_probe(pc);
-                let got = ShardedSimulation::new(sim, shards).run();
-                assert!(
-                    format!("{got:?}") == want,
-                    "{fc:?} k={k} load {load}, {shards} shards: streamed report differs"
-                );
+            for probe in [Some(pc), None] {
+                let net = Network::new(net_cfg.clone()).expect("valid config");
+                let want = format!("{:?}", reference_run(net, cfg, Some(&wl), None, probe));
+                for shards in [1, 2, 3] {
+                    let mut sim = Simulation::new(net_cfg.clone(), cfg)
+                        .expect("valid config")
+                        .with_workload(&wl);
+                    if let Some(pc) = probe {
+                        sim = sim.with_probe(pc);
+                    }
+                    let got = ShardedSimulation::new(sim, shards).run();
+                    assert!(
+                        format!("{got:?}") == want,
+                        "{fc:?} k={k} load {load}, {shards} shards, probed {}: \
+                         streamed report differs",
+                        probe.is_some()
+                    );
+                }
             }
         }
     }

@@ -1,13 +1,16 @@
-//! Shard equivalence: threaded sharded execution vs the sequential runner.
+//! Shard equivalence: the windowed driver at every shard count vs an
+//! independent reference loop.
 //!
 //! The sharded engine's contract (DESIGN.md §3.15) is that cutting one
 //! network into tile-region cells and stepping them on worker threads
 //! under conservative lookahead synchronization is *invisible*: for any
-//! configuration and any shard count, `ShardedSimulation` must produce
-//! a report — and rendered metrics, when probed — bit-identical to
-//! `Simulation`. The property tests below sample across flow-control
+//! configuration and any shard count, one included, `ShardedSimulation`
+//! must produce a report — and rendered metrics, when probed —
+//! bit-identical to the plain whole-network loop in `tests/common`. The
+//! property tests below sample across flow-control
 //! methods, offered loads, probing/journey collection, transient
-//! faults, static-flow reservations, channel timing, and shard counts;
+//! faults, static-flow reservations, an added traffic matrix, channel
+//! timing, and shard counts;
 //! directed tests check conservation at region seams and that
 //! shard-count flips compose with the engine-mode flips from the
 //! activity-gating suite, with the slowest links in flight.
@@ -20,6 +23,10 @@ use ocin::core::{
 use ocin::sim::{ShardedSimulation, SimConfig, SimReport, Simulation};
 use ocin::traffic::{InjectionProcess, LengthDist, TrafficMatrix, TrafficPattern, Workload};
 use proptest::prelude::*;
+
+mod common;
+
+use common::reference_run;
 
 fn quick_cfg(fc: FlowControl, k: usize) -> NetworkConfig {
     NetworkConfig::paper_baseline()
@@ -81,51 +88,117 @@ fn links() -> impl Strategy<Value = Links> {
         })
 }
 
-/// One quick simulation with every sampled knob applied, stepped on
-/// `shards` worker threads (1 = the sequential reference).
-#[allow(clippy::too_many_arguments)]
-fn run(
+/// One quick simulation point with every sampled knob.
+#[derive(Debug, Clone, Copy)]
+struct Point {
     fc: FlowControl,
     k: usize,
     sim_cfg: SimConfig,
     load: f64,
-    probed: bool,
-    journeys: bool,
+    probe: Option<ProbeConfig>,
     fault_rate: f64,
     reserved: bool,
+    /// Adds a two-pair traffic matrix on top of the uniform workload.
+    matrix: bool,
     links: Links,
-    shards: usize,
-) -> SimReport {
-    let mut cfg = links.apply(quick_cfg(fc, k));
-    if reserved {
-        cfg = cfg
-            .with_reservation_period(8)
-            .with_static_flow(StaticFlowSpec::new(0.into(), 5.into(), 1, 64));
+}
+
+impl Point {
+    /// An unprobed, fault-free point with the paper's link timing.
+    fn new(fc: FlowControl, k: usize, sim_cfg: SimConfig, load: f64) -> Point {
+        Point {
+            fc,
+            k,
+            sim_cfg,
+            load,
+            probe: None,
+            fault_rate: 0.0,
+            reserved: false,
+            matrix: false,
+            links: Links::PAPER,
+        }
     }
-    let wl = Workload::new(k * k, k, TrafficPattern::Uniform)
-        .injection(InjectionProcess::Bernoulli { flit_rate: load });
-    let mut sim = Simulation::new(cfg, sim_cfg)
-        .expect("valid config")
-        .with_workload(&wl);
-    if probed {
-        let pc = if journeys {
-            ProbeConfig::counters().with_journeys(512)
+
+    fn net_cfg(&self) -> NetworkConfig {
+        let cfg = self.links.apply(quick_cfg(self.fc, self.k));
+        if self.reserved {
+            cfg.with_reservation_period(8)
+                .with_static_flow(StaticFlowSpec::new(0.into(), 5.into(), 1, 64))
         } else {
-            ProbeConfig::counters()
-        };
-        sim = sim.with_probe(pc);
+            cfg
+        }
     }
-    sim.network_mut().set_transient_fault_rate(fault_rate);
-    let mut sharded = ShardedSimulation::new(sim, shards);
-    sharded.run()
+
+    fn workload(&self) -> Workload {
+        Workload::new(self.k * self.k, self.k, TrafficPattern::Uniform).injection(
+            InjectionProcess::Bernoulli {
+                flit_rate: self.load,
+            },
+        )
+    }
+
+    fn matrix(&self) -> Option<TrafficMatrix> {
+        self.matrix.then(|| {
+            let mut m = TrafficMatrix::new(self.k * self.k);
+            m.set(1.into(), 10.into(), 0.1);
+            m.set(6.into(), 2.into(), 0.2);
+            m
+        })
+    }
+
+    /// The point stepped on `shards` worker threads.
+    fn run(&self, shards: usize) -> SimReport {
+        let mut sim = Simulation::new(self.net_cfg(), self.sim_cfg)
+            .expect("valid config")
+            .with_workload(&self.workload());
+        if let Some(m) = self.matrix() {
+            sim = sim.with_traffic_matrix(&m);
+        }
+        if let Some(pc) = self.probe {
+            sim = sim.with_probe(pc);
+        }
+        sim.network_mut().set_transient_fault_rate(self.fault_rate);
+        ShardedSimulation::new(sim, shards).run()
+    }
+
+    /// The point through the reference loop.
+    fn reference(&self) -> SimReport {
+        let mut net = Network::new(self.net_cfg()).expect("valid config");
+        net.set_transient_fault_rate(self.fault_rate);
+        let matrix = self.matrix();
+        reference_run(
+            net,
+            self.sim_cfg,
+            Some(&self.workload()),
+            matrix.as_ref(),
+            self.probe,
+        )
+    }
+
+    /// Every shard count in `shards` reproduces the reference's report
+    /// and, when probed, its rendered metrics JSON.
+    fn check(&self, shards: &[usize]) {
+        let want = self.reference();
+        for &s in shards {
+            let got = self.run(s);
+            assert!(
+                got == want,
+                "{s}-shard report differs from the reference: {self:?}"
+            );
+            if self.probe.is_some() {
+                let json = |r: &SimReport| r.metrics.as_ref().expect("probed").to_json();
+                assert_eq!(json(&got), json(&want), "{s}-shard metrics JSON differs");
+            }
+        }
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// For a random configuration and shard count, the sharded report —
-    /// and its rendered metrics JSON, when probed — is bit-identical to
-    /// the sequential runner's.
+    /// For a random configuration, the one-cell run and a run on a
+    /// random shard count both reproduce the reference loop's report —
+    /// and its rendered metrics JSON, when probed — bit for bit.
     #[test]
     fn sharded_run_matches_sequential(
         fc in prop_oneof![
@@ -138,25 +211,24 @@ proptest! {
         journeys in any::<bool>(),
         faulty in any::<bool>(),
         reserved in any::<bool>(),
+        matrix in any::<bool>(),
         links in links(),
         shards in prop_oneof![Just(2usize), Just(3), Just(4), Just(8)],
     ) {
-        let reserved = reserved && fc == FlowControl::VirtualChannel;
-        let fault_rate = if faulty { 0.02 } else { 0.0 };
-        let cfg = SimConfig::quick();
-        let seq = run(fc, 4, cfg, load, probed, journeys, fault_rate, reserved, links, 1);
-        let shd = run(fc, 4, cfg, load, probed, journeys, fault_rate, reserved, links, shards);
-        prop_assert!(
-            seq == shd,
-            "sequential and {shards}-shard reports differ ({fc:?} @ {load:.3}, \
-             probed={probed}, journeys={journeys}, faults={faulty}, reserved={reserved}, \
-             {links:?})"
-        );
-        if probed {
-            let s = seq.metrics.as_ref().expect("probed run carries metrics");
-            let p = shd.metrics.as_ref().expect("probed run carries metrics");
-            prop_assert_eq!(s.to_json(), p.to_json(), "rendered metrics JSON differs");
-        }
+        let probe = match (probed, journeys) {
+            (false, _) => None,
+            (true, false) => Some(ProbeConfig::counters()),
+            (true, true) => Some(ProbeConfig::counters().with_journeys(512)),
+        };
+        let point = Point {
+            probe,
+            fault_rate: if faulty { 0.02 } else { 0.0 },
+            reserved: reserved && fc == FlowControl::VirtualChannel,
+            matrix,
+            links,
+            ..Point::new(fc, 4, SimConfig::quick(), load)
+        };
+        point.check(&[1, shards]);
     }
 }
 
@@ -176,25 +248,18 @@ proptest! {
         links in links(),
         shards in prop_oneof![Just(2usize), Just(4), Just(8)],
     ) {
-        let cfg = SimConfig::quick();
-        let seq = run(fc, 16, cfg, load, probed, false, 0.0, false, links, 1);
-        let shd = run(fc, 16, cfg, load, probed, false, 0.0, false, links, shards);
-        prop_assert!(
-            seq == shd,
-            "k=16 sequential and {shards}-shard reports differ ({fc:?} @ {load:.3}, \
-             probed={probed}, {links:?})"
-        );
-        if probed {
-            let s = seq.metrics.as_ref().expect("probed run carries metrics");
-            let p = shd.metrics.as_ref().expect("probed run carries metrics");
-            prop_assert_eq!(s.to_json(), p.to_json(), "rendered k=16 metrics JSON differs");
-        }
+        let point = Point {
+            probe: probed.then(ProbeConfig::counters),
+            links,
+            ..Point::new(fc, 16, SimConfig::quick(), load)
+        };
+        point.check(&[1, shards]);
     }
 }
 
 /// Bit-identity holds at the 1024-tile k = 32 scale the shard runner
 /// exists for. One probed point, shortened phases: this is the largest
-/// network in the tree and the suite runs it four times.
+/// network in the tree and the suite runs it five times.
 #[test]
 fn sharded_run_matches_sequential_at_k32() {
     let cfg = SimConfig {
@@ -203,41 +268,11 @@ fn sharded_run_matches_sequential_at_k32() {
         drain_cycles: 400,
         seed: 0xB19,
     };
-    let seq = run(
-        FlowControl::VirtualChannel,
-        32,
-        cfg,
-        0.05,
-        true,
-        false,
-        0.0,
-        false,
-        Links::PAPER,
-        1,
-    );
-    for shards in [2usize, 4, 8] {
-        let shd = run(
-            FlowControl::VirtualChannel,
-            32,
-            cfg,
-            0.05,
-            true,
-            false,
-            0.0,
-            false,
-            Links::PAPER,
-            shards,
-        );
-        assert!(
-            seq == shd,
-            "k=32 sequential and {shards}-shard reports differ"
-        );
-        assert_eq!(
-            seq.metrics.as_ref().expect("probed").to_json(),
-            shd.metrics.as_ref().expect("probed").to_json(),
-            "rendered k=32 metrics JSON differs at {shards} shards"
-        );
-    }
+    let point = Point {
+        probe: Some(ProbeConfig::counters()),
+        ..Point::new(FlowControl::VirtualChannel, 32, cfg, 0.05)
+    };
+    point.check(&[1, 2, 4, 8]);
 }
 
 proptest! {
