@@ -1,12 +1,11 @@
-//! Engine wall-clock: activity-gated stepping vs naive full sweeps.
+//! Engine wall-clock: the activity-gated cycle engine's stepping rate.
 //!
 //! Measures the cycle engine's stepping rate (cycles/sec and
 //! flit-hops/sec) at 0.1×, 0.5×, and 0.9× of each flow-control method's
-//! saturation load on the folded torus, with the activity-gated
-//! scheduler on (the default) and off (`set_naive_stepping`). The two
-//! engines must agree on every counter — wall clock is the only thing
-//! allowed to differ — so each pair of runs doubles as an equivalence
-//! check. The flow-control table runs at the paper's k = 4 by default;
+//! saturation load on the folded torus. The engine visits only the
+//! entities with work each cycle; debug builds audit that every skipped
+//! one had none (DESIGN.md §3.13), so the rate here is the only thing
+//! this binary measures. The flow-control table runs at the paper's k = 4 by default;
 //! pass `--radix <k>` (or set `OCIN_RADIX`) to run it at another radix.
 //! A radix-scaling sweep over k ∈ {4, 16, 32} always runs afterwards,
 //! reporting the headline flit-hops/sec at 1024 tiles, followed by a
@@ -56,19 +55,17 @@ fn scaling_load(k: usize) -> f64 {
 struct RunResult {
     wall_seconds: f64,
     flit_hops: u64,
-    delivered: u64,
 }
 
 /// Drives `cycles` network cycles of uniform Bernoulli traffic at
 /// `flit_rate` on a radix-`k` folded torus, timing only the stepping
 /// loop.
-fn run(fc: FlowControl, k: usize, flit_rate: f64, cycles: u64, naive: bool) -> RunResult {
+fn run(fc: FlowControl, k: usize, flit_rate: f64, cycles: u64) -> RunResult {
     let nodes = k * k;
     let cfg = NetworkConfig::paper_baseline()
         .with_topology(TopologySpec::FoldedTorus { k })
         .with_flow_control(fc);
     let mut net = Network::new(cfg).expect("valid config");
-    net.set_naive_stepping(naive);
     let wl = Workload::new(nodes, k, TrafficPattern::Uniform)
         .injection(InjectionProcess::Bernoulli { flit_rate });
     let mut generation = wl.generator(0xB19_B19);
@@ -88,7 +85,6 @@ fn run(fc: FlowControl, k: usize, flit_rate: f64, cycles: u64, naive: bool) -> R
     RunResult {
         wall_seconds,
         flit_hops: net.stats().energy.flit_hops,
-        delivered: net.stats().packets_delivered,
     }
 }
 
@@ -104,7 +100,7 @@ fn main() {
     banner(
         "exp_step_throughput",
         "engine",
-        "activity-gated stepping matches naive sweeps bit-for-bit and wins wall clock at low load",
+        "the activity-gated engine steps 1024 tiles, across shard counts and executor budgets",
     );
 
     let k = or_exit(radix_arg(4));
@@ -118,82 +114,42 @@ fn main() {
     ];
 
     println!("\n{cycles} cycles per run, uniform Bernoulli traffic, k = {k} folded torus\n");
-    let mut t = Table::new(&[
-        "flow control",
-        "load (xsat)",
-        "gated Mcyc/s",
-        "naive Mcyc/s",
-        "gated Mhop/s",
-        "speedup",
-    ]);
+    let mut t = Table::new(&["flow control", "load (xsat)", "Mcyc/s", "Mhop/s"]);
     let mut rows = Vec::new();
-    let mut all_equal = true;
-    let mut low_load_speedup = f64::MAX;
     // Saturation scales with the bisection cap at larger radices.
     let sat_scale = if k == 4 { 1.0 } else { scaling_load(k) };
     for fc in methods {
         for frac in fractions {
             let rate = frac * saturation(fc) * sat_scale;
-            let gated = run(fc, k, rate, cycles, false);
-            let naive = run(fc, k, rate, cycles, true);
-            all_equal &= gated.flit_hops == naive.flit_hops && gated.delivered == naive.delivered;
-            let speedup = naive.wall_seconds / gated.wall_seconds;
-            if (frac - 0.1).abs() < 1e-9 {
-                low_load_speedup = low_load_speedup.min(speedup);
-            }
-            let mcyc = |w: f64| cycles as f64 / w / 1e6;
+            let r = run(fc, k, rate, cycles);
             t.row(&[
                 fc_name(fc).to_string(),
                 f1(frac),
-                format!("{:.2}", mcyc(gated.wall_seconds)),
-                format!("{:.2}", mcyc(naive.wall_seconds)),
-                format!("{:.2}", gated.flit_hops as f64 / gated.wall_seconds / 1e6),
-                format!("{speedup:.2}x"),
+                format!("{:.2}", cycles as f64 / r.wall_seconds / 1e6),
+                format!("{:.2}", r.flit_hops as f64 / r.wall_seconds / 1e6),
             ]);
             rows.push(format!(
                 "    {{\"flow_control\": \"{}\", \"radix\": {k}, \"load_fraction\": {frac}, \
-                 \"cycles\": {cycles}, \"flit_hops\": {}, \
-                 \"gated_wall_seconds\": {:.6}, \"naive_wall_seconds\": {:.6}}}",
+                 \"cycles\": {cycles}, \"flit_hops\": {}, \"gated_wall_seconds\": {:.6}}}",
                 fc_name(fc),
-                gated.flit_hops,
-                gated.wall_seconds,
-                naive.wall_seconds,
+                r.flit_hops,
+                r.wall_seconds,
             ));
         }
     }
     println!("{}", t.render());
 
-    check(
-        all_equal,
-        "gated and naive engines agree on flit-hop and delivery counters",
-    );
-    check(
-        low_load_speedup > 1.0,
-        &format!("gated engine faster at 0.1x saturation (worst speedup {low_load_speedup:.2}x)"),
-    );
-
     // Radix scaling: the same engine from 16 to 1024 tiles. The k = 32
     // flit-hops/sec figure is the headline scaling metric tracked in
     // BENCH_<sha>.json.
     println!("\nradix scaling, virtual-channel flow control, uniform Bernoulli\n");
-    let mut st = Table::new(&[
-        "radix",
-        "tiles",
-        "load",
-        "gated Mhop/s",
-        "gated wall s",
-        "naive wall s",
-        "speedup",
-    ]);
+    let mut st = Table::new(&["radix", "tiles", "load", "Mhop/s", "wall s"]);
     let mut scaling_rows = Vec::new();
-    let mut scaling_equal = true;
     let mut hops_per_sec_k32 = 0.0;
     for sk in SCALING_RADICES {
         let rate = scaling_load(sk);
-        let gated = run(FlowControl::VirtualChannel, sk, rate, cycles, false);
-        let naive = run(FlowControl::VirtualChannel, sk, rate, cycles, true);
-        scaling_equal &= gated.flit_hops == naive.flit_hops && gated.delivered == naive.delivered;
-        let hops_per_sec = gated.flit_hops as f64 / gated.wall_seconds;
+        let r = run(FlowControl::VirtualChannel, sk, rate, cycles);
+        let hops_per_sec = r.flit_hops as f64 / r.wall_seconds;
         if sk == 32 {
             hops_per_sec_k32 = hops_per_sec;
         }
@@ -202,28 +158,20 @@ fn main() {
             (sk * sk).to_string(),
             format!("{rate:.3}"),
             format!("{:.2}", hops_per_sec / 1e6),
-            format!("{:.3}", gated.wall_seconds),
-            format!("{:.3}", naive.wall_seconds),
-            format!("{:.2}x", naive.wall_seconds / gated.wall_seconds),
+            format!("{:.3}", r.wall_seconds),
         ]);
         scaling_rows.push(format!(
             "    {{\"radix\": {sk}, \"nodes\": {}, \"load\": {rate:.6}, \
              \"cycles\": {cycles}, \"flit_hops\": {}, \
-             \"gated_flit_hops_per_sec\": {:.1}, \
-             \"gated_wall_seconds\": {:.6}, \"naive_wall_seconds\": {:.6}}}",
+             \"gated_flit_hops_per_sec\": {:.1}, \"gated_wall_seconds\": {:.6}}}",
             sk * sk,
-            gated.flit_hops,
+            r.flit_hops,
             hops_per_sec,
-            gated.wall_seconds,
-            naive.wall_seconds,
+            r.wall_seconds,
         ));
     }
     println!("{}", st.render());
 
-    check(
-        scaling_equal,
-        "gated and naive engines agree at every radix",
-    );
     check(
         hops_per_sec_k32 > 0.0,
         &format!(

@@ -78,6 +78,10 @@ pub struct TileInterface {
     credits: Vec<u64>,
     credit_gated: bool,
     rr: usize,
+    /// Without credits, the VC whose packet is part-way onto the tile
+    /// link: its flits go out back to back until the tail, because a
+    /// dropping router tracks one packet per input.
+    open: Option<usize>,
     reassembly: Vec<Option<Reassembly>>,
     delivered: VecDeque<DeliveredPacket>,
     /// Flits waiting across all injection queues, maintained
@@ -111,6 +115,7 @@ impl TileInterface {
             credits: vec![initial_credits; num_vcs],
             credit_gated,
             rr: 0,
+            open: None,
             reassembly: (0..num_vcs).map(|_| None).collect(),
             delivered: VecDeque::new(),
             pending: 0,
@@ -167,10 +172,13 @@ impl TileInterface {
         Ok(())
     }
 
-    /// Selects and removes the flit to inject this cycle: the
-    /// highest-class VC with a flit at its head and a credit available,
-    /// round-robin among equals. Returns `None` on an idle cycle.
-    pub fn pick_injection(&mut self, now: Cycle) -> Option<Flit> {
+    /// The VC to inject from this cycle: an open packet's VC without
+    /// credits, otherwise the highest-class VC with a flit at its head
+    /// and a credit available, round-robin among equals.
+    fn next_vc(&self) -> Option<usize> {
+        if self.open.is_some() {
+            return self.open;
+        }
         let n = self.num_vcs;
         let mut best: Option<(u8, usize)> = None; // (priority, vc index)
         for off in 0..n {
@@ -186,39 +194,35 @@ impl TileInterface {
                 best = Some((pri, v));
             }
         }
-        let (_, v) = best?;
+        best.map(|(_, v)| v)
+    }
+
+    /// Selects and removes the flit to inject this cycle (see
+    /// `next_vc`). Returns `None` on an idle cycle.
+    pub fn pick_injection(&mut self, now: Cycle) -> Option<Flit> {
+        let v = self.next_vc()?;
+        // INVARIANT: a packet is queued whole, so an open packet's VC
+        // still holds its remaining flits.
         let mut flit = self.inject_queues[v].pop_front().expect("non-empty");
         // INVARIANT: `pending` counts exactly the flits across the
         // injection queues; the pop above removed one.
         self.pending -= 1;
         if self.credit_gated {
             self.credits[v] -= 1;
+        } else {
+            self.open = (!flit.kind.is_tail()).then_some(v);
         }
         flit.meta.injected_at = now;
         self.flits_injected += 1;
-        self.rr = (v + 1) % n;
+        self.rr = (v + 1) % self.num_vcs;
         Some(flit)
     }
 
     /// Peeks at the flit [`Self::pick_injection`] would return, without
     /// removing it (used by deflection routers, which pull injections).
     pub fn peek_injection(&self) -> Option<&Flit> {
-        let n = self.num_vcs;
-        let mut best: Option<(u8, usize)> = None;
-        for off in 0..n {
-            let v = (self.rr + off) % n;
-            let Some(front) = self.inject_queues[v].front() else {
-                continue;
-            };
-            if self.credit_gated && self.credits[v] == 0 {
-                continue;
-            }
-            let pri = front.meta.class.priority();
-            if best.is_none_or(|(bp, _)| pri > bp) {
-                best = Some((pri, v));
-            }
-        }
-        best.map(|(_, v)| self.inject_queues[v].front().expect("non-empty"))
+        self.next_vc()
+            .map(|v| self.inject_queues[v].front().expect("non-empty"))
     }
 
     /// Returns one credit for `vc` (the router dequeued a tile-input flit).

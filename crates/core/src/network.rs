@@ -7,12 +7,14 @@
 //! arrives `channel_latency + router_delay` cycles later, and credits
 //! travel back with `credit_latency`).
 //!
-//! Internally the network is one or more [`crate::shard`] cells —
-//! contiguous tile regions each owning their routers, interfaces, pipes,
-//! and channel halves, plus their own activity sets and calendars.
-//! The default is a single cell; [`Network::set_shards`] re-cuts the
-//! state into more, and results are bit-identical at any cell count
-//! (the engine-equivalence suite asserts it).
+//! Internally the network is one [`crate::shard`] cell owning every
+//! router, interface, pipe and channel half, plus its activity sets and
+//! calendars; [`Network::step`] steps it through
+//! [`crate::ShardHandle::step_cycle`]'s phase sequence. Only the
+//! windowed driver cuts it into more, through
+//! [`Network::shard_handles`]; the next `step` merges them back.
+//! Results are bit-identical at any cell count (the shard-equivalence
+//! suite asserts it).
 
 use crate::config::{FlowControl, LinkProtection, NetworkConfig};
 use crate::error::Error;
@@ -163,10 +165,6 @@ pub struct Network {
     cycle: Cycle,
     /// Attached observability collector; `None` costs only the check.
     probe: Option<Box<NetworkProbe>>,
-    /// Reference engine flag (test-only): scan every entity each cycle
-    /// instead of the active sets. Results are bit-identical either way;
-    /// the engine-equivalence suite asserts it.
-    naive_stepping: bool,
 }
 
 impl std::fmt::Debug for Network {
@@ -317,19 +315,7 @@ impl Network {
             cells,
             cycle: 0,
             probe: None,
-            naive_stepping: false,
         })
-    }
-
-    /// Switches between the activity-gated engine (default) and the
-    /// reference naive-stepping engine that scans every router, channel,
-    /// and pipe each cycle. Both maintain the same wake bookkeeping and
-    /// produce bit-identical results — the flag only changes which
-    /// entities each phase iterates. Kept for the engine-equivalence
-    /// tests and perf comparisons; there is no reason to enable it
-    /// otherwise.
-    pub fn set_naive_stepping(&mut self, naive: bool) {
-        self.naive_stepping = naive;
     }
 
     /// Re-cuts the network state into `shards` contiguous tile-region
@@ -337,7 +323,7 @@ impl Network {
     /// boundary, mid-run included: the component state is gathered in
     /// global order and re-split, and every cell's wake bookkeeping is
     /// rebuilt exactly, so behaviour is bit-identical at any cell count.
-    pub fn set_shards(&mut self, shards: usize) {
+    fn set_shards(&mut self, shards: usize) {
         assert!(
             self.cells.iter().all(|c| c.outbox.is_empty()),
             "exchange boundary messages before re-sharding"
@@ -366,12 +352,6 @@ impl Network {
         self.cells = build_cells(&self.shared, state, self.cycle);
     }
 
-    /// The current number of cells (1 unless [`Self::set_shards`] raised
-    /// it).
-    pub fn shards(&self) -> usize {
-        self.cells.len()
-    }
-
     /// The conservative-synchronization window: how many cycles shards
     /// may step between boundary exchanges (the minimum channel flit or
     /// credit latency, at least 1).
@@ -379,21 +359,21 @@ impl Network {
         self.shared.lookahead_window()
     }
 
-    /// Exclusive per-cell handles for a threaded shard runner. Each
-    /// handle steps its cell independently for up to
-    /// [`Self::lookahead_window`] cycles; boundary messages taken from
+    /// Cuts the network into `shards` contiguous tile-region cells
+    /// (clamped to `1..=num_nodes`) and returns an exclusive handle per
+    /// cell, for a windowed runner. The cut may happen at any cycle
+    /// boundary, mid-run included, and is invisible to the results.
+    /// Each handle steps its cell independently for up to
+    /// [`Self::lookahead_window`] cycles; boundary messages routed from
     /// one handle must be applied to their destination cell before any
-    /// cell steps past the window.
-    pub fn shard_handles(&mut self) -> Vec<ShardHandle<'_>> {
+    /// cell steps past the window. The cells stay cut until the next
+    /// [`Self::step`] merges them back.
+    pub fn shard_handles(&mut self, shards: usize) -> Vec<ShardHandle<'_>> {
+        self.set_shards(shards);
         let shared = &self.shared;
-        let naive = self.naive_stepping;
         self.cells
             .iter_mut()
-            .map(|cell| ShardHandle {
-                shared,
-                cell,
-                naive,
-            })
+            .map(|cell| ShardHandle { shared, cell })
             .collect()
     }
 
@@ -602,73 +582,22 @@ impl Network {
     ///
     /// The cycle runs in phases — channel flit deliveries, credit
     /// deliveries, tile-pipe deliveries, push-mode injection, router
-    /// evaluation — and each phase visits only awake entities (or
-    /// everything, under [`Self::set_naive_stepping`]), always in
-    /// ascending index order. With multiple cells the phases visit cells
-    /// in ascending order too, so entity order matches a single cell's,
-    /// and cross-cell pushes are exchanged at the end of the cycle —
-    /// before any cycle that could deliver them, since every boundary
-    /// event is at least one cycle in the future.
+    /// evaluation — and each phase visits only awake entities, in
+    /// ascending index order ([`crate::ShardHandle::step_cycle`]). Cells
+    /// a windowed run left behind are merged back into one first.
     pub fn step(&mut self) {
+        if self.cells.len() > 1 {
+            self.set_shards(1);
+        }
         let now = self.cycle;
-        let naive = self.naive_stepping;
-        let probed = self.probe.is_some();
-        // The probe moves out of `self` for the cycle so routers and
-        // interfaces can borrow it alongside the rest of the network.
-        let mut probe_slot = self.probe.take();
-        let mut noop = NoProbe;
-        let probe: &mut dyn Probe = match probe_slot.as_deref_mut() {
-            Some(p) => p,
-            None => &mut noop,
-        };
-
-        for cell in &mut self.cells {
-            cell.phase_rx(&self.shared, now, naive, probe);
+        let cell = &mut self.cells[0];
+        // The per-cycle buffer-occupancy samples are taken only when a
+        // probe is attached, so unprobed runs skip that router walk.
+        match self.probe.as_deref_mut() {
+            Some(probe) => cell.step_cycle(&self.shared, now, probe, true),
+            None => cell.step_cycle(&self.shared, now, &mut NoProbe, false),
         }
-        for cell in &mut self.cells {
-            cell.phase_tx(&self.shared, now, naive);
-        }
-        for cell in &mut self.cells {
-            cell.phase_pipes(now, naive, probe);
-        }
-        // Push-mode injection: a serialized tile port accepts one flit
-        // per `channel_phits` cycles.
-        if now.is_multiple_of(self.shared.cfg.channel_phits) {
-            for cell in &mut self.cells {
-                cell.phase_inject(&self.shared, now, naive, probe);
-            }
-        }
-        for cell in &mut self.cells {
-            cell.phase_eval(&self.shared, now, naive, probe);
-        }
-        // Per-cycle buffer-occupancy integral, sampled only when a probe
-        // is attached so unprobed runs skip the per-router walk entirely.
-        if probed {
-            for cell in &mut self.cells {
-                cell.phase_sample(now, probe);
-            }
-        }
-        self.exchange_boundary(now);
-        self.probe = probe_slot;
         self.cycle = now + 1;
-    }
-
-    /// Applies every cell's pending cross-cell pushes. Each event deque
-    /// has a single producer and the events are future-dated, so the
-    /// application order across cells cannot matter.
-    fn exchange_boundary(&mut self, now: Cycle) {
-        if self.cells.len() == 1 {
-            debug_assert!(self.cells[0].outbox.is_empty());
-            return;
-        }
-        let mut msgs = Vec::new();
-        for cell in &mut self.cells {
-            msgs.append(&mut cell.outbox);
-        }
-        for m in msgs {
-            let to = m.dest_cell();
-            self.cells[to].apply_boundary(&m, now);
-        }
     }
 
     /// Runs `cycles` steps.
@@ -734,6 +663,23 @@ mod tests {
 
     fn baseline() -> Network {
         Network::new(NetworkConfig::paper_baseline()).expect("valid baseline")
+    }
+
+    /// Steps `net` one cycle on `cells` cells through shard handles, the
+    /// boundary messages routed to their cells at the cycle's end as a
+    /// windowed runner would.
+    fn step_on_cells(net: &mut Network, cells: usize) {
+        let now = net.cycle;
+        let mut handles = net.shard_handles(cells);
+        let mut by_cell = vec![Vec::new(); handles.len()];
+        for h in &mut handles {
+            h.step_cycle(now, &mut NoProbe, false);
+            h.route_outbox(&mut by_cell);
+        }
+        for (h, msgs) in handles.iter_mut().zip(by_cell) {
+            h.apply_boundary(msgs, now);
+        }
+        net.finish_sharded_run(now + 1);
     }
 
     #[test]
@@ -987,9 +933,9 @@ mod tests {
                 assert!(matches!(err, Error::Config(_)), "{node}:{dir}");
             }
         }
-        // An unmasked fault corrupts the packet crossing it. Nodes 7 and
-        // 11 are neighbors that fall in different cells at 2, 3 and 7
-        // shards.
+        // An unmasked fault corrupts the packet crossing it, with the
+        // cells stepped as cut. Nodes 7 and 11 are neighbors that fall in
+        // different cells at 2, 3 and 7 shards.
         for shards in [1, 2, 3, 7] {
             let mut net = baseline();
             net.set_shards(shards);
@@ -1001,7 +947,12 @@ mod tests {
             net.inject_link_fault(src, dir, fault).unwrap();
             net.inject(&PacketSpec::new(src, dst).data(vec![Payload::ZERO]))
                 .unwrap();
-            net.drain(100);
+            for _ in 0..100 {
+                if net.is_quiescent() {
+                    break;
+                }
+                step_on_cells(&mut net, shards);
+            }
             let d = net.drain_delivered(dst);
             assert!(d[0].corrupted && d[0].payloads[0].bit(3), "shards {shards}");
         }
@@ -1150,10 +1101,11 @@ mod tests {
     }
 
     /// Re-cutting the network into cells mid-run must be invisible: the
-    /// same traffic driven at any shard count — including a flip in the
-    /// middle of a run — produces bit-identical stats. With the slowest
-    /// sampled links every re-cut moves flits and credits filed up to
-    /// six cycles ahead into the new cells' calendars.
+    /// same traffic stepped through shard handles at any cell count —
+    /// including flips in the middle of a run, and back to
+    /// `Network::step` on one cell — produces bit-identical stats. With
+    /// the slowest sampled links every re-cut moves flits and credits
+    /// filed up to six cycles ahead into the new cells' calendars.
     #[test]
     fn in_process_shards_are_bit_identical() {
         let mut slow = NetworkConfig::paper_baseline()
@@ -1165,6 +1117,7 @@ mod tests {
             let drive = |shard_plan: &[(u64, usize)]| {
                 let mut net = Network::new(cfg.clone()).unwrap();
                 let mut plan = shard_plan.iter().peekable();
+                let mut cells = 1;
                 for now in 0..400u64 {
                     if let Some(&&(at, s)) = plan.peek() {
                         if now == at {
@@ -1175,7 +1128,7 @@ mod tests {
                                 assert!(filed(|c| c.rx.len()) > 0, "no flit in flight at {at}");
                                 assert!(filed(|c| c.tx.len()) > 0, "no credit in flight at {at}");
                             }
-                            net.set_shards(s);
+                            cells = s;
                             plan.next();
                         }
                     }
@@ -1184,7 +1137,11 @@ mod tests {
                     if s != d {
                         let _ = net.inject(&PacketSpec::new(s.into(), d.into()).payload_bits(512));
                     }
-                    net.step();
+                    if cells == 1 {
+                        net.step();
+                    } else {
+                        step_on_cells(&mut net, cells);
+                    }
                 }
                 net.drain(2_000);
                 (net.stats(), net.link_loads())

@@ -299,11 +299,12 @@ impl RouterCore {
     /// five-slot walk per core — never a per-VC scan.
     ///
     /// This is the activity-gated engine's skip predicate. The contract
-    /// (asserted by the engine-equivalence suite) is: if `is_quiescent()`
-    /// holds, `evaluate` produces an empty [`RouterOutput`], consumes no
-    /// injection offer, emits no probe events, and leaves every piece of
-    /// router state — including round-robin pointers, credit counters,
-    /// VC ownership, and link-busy deadlines — bit-identical.
+    /// (checked per core by this module's quiescence-contract test) is:
+    /// if `is_quiescent()` holds, `evaluate` produces an empty
+    /// [`RouterOutput`], consumes no injection offer, emits no probe
+    /// events, and leaves every piece of router state — including
+    /// round-robin pointers, credit counters, VC ownership, and
+    /// link-busy deadlines — bit-identical.
     pub fn is_quiescent(&self) -> bool {
         match self {
             RouterCore::Vc(r) => r.is_quiescent(),
@@ -336,8 +337,12 @@ impl RouterCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{FlowControl, NetworkConfig};
     use crate::flit::{FlitKind, FlitMeta, Payload, ServiceClass, SizeCode, VcMask};
     use crate::ids::{Direction, NodeId};
+    use crate::network::{Network, PacketSpec};
+    use crate::probe::Event;
+    use crate::reservation::StaticFlowSpec;
     use crate::route::SourceRoute;
 
     pub(crate) fn test_flit(kind: FlitKind, hops: &[Direction]) -> Flit {
@@ -388,5 +393,91 @@ mod tests {
         // Final entry extracts.
         resolve_route(&mut f, Port::Dir(Direction::South));
         assert_eq!(f.resolved_port, Some(Port::Tile));
+    }
+
+    /// Counts the events recorded into it.
+    #[derive(Default)]
+    struct Count(usize);
+
+    impl Probe for Count {
+        fn record(&mut self, _now: Cycle, _event: Event) {
+            self.0 += 1;
+        }
+    }
+
+    /// The skip contract of [`RouterCore::is_quiescent`], checked
+    /// directly on every core: whenever a router of a loaded network is
+    /// quiescent between cycles, evaluating it gives an empty output,
+    /// consumes no offer, records no event and leaves its `{:?}` — every
+    /// field, locks, pointers and credit counts included — unchanged. A
+    /// pull-mode core is offered nothing, as the engine offers only the
+    /// routers it visits; a push-mode core is offered a flit it must
+    /// ignore. Two-flit packets leave dropping routers quiescent while
+    /// they hold a head-to-tail lock.
+    #[test]
+    fn quiescent_routers_evaluate_as_no_ops() {
+        let reserved = NetworkConfig::paper_baseline()
+            .with_channel_phits(2)
+            .with_reservation_period(8)
+            .with_static_flow(StaticFlowSpec::new(0.into(), 5.into(), 1, 64));
+        let cores = [
+            NetworkConfig::paper_baseline(),
+            reserved,
+            NetworkConfig::paper_baseline().with_flow_control(FlowControl::Dropping),
+            NetworkConfig::paper_baseline().with_flow_control(FlowControl::Deflection),
+        ];
+        let offer = test_flit(FlitKind::HeadTail, &[Direction::East]);
+        for cfg in cores {
+            let fc = cfg.flow_control;
+            let bits = if fc == FlowControl::Deflection {
+                256
+            } else {
+                512
+            };
+            let mut net = Network::new(cfg).expect("valid config");
+            let (mut checked, mut held_lock) = (0, false);
+            for now in 0..300u64 {
+                let src = (now % 16) as u16;
+                let dst = ((now * 7 + 3) % 16) as u16;
+                if src != dst && now < 200 {
+                    let _ = net.inject(&PacketSpec::new(src.into(), dst.into()).payload_bits(bits));
+                }
+                net.step();
+                let now = net.cycle();
+                let mut handles = net.shard_handles(1);
+                let h = &mut handles[0];
+                let env = EvalEnv {
+                    now,
+                    reservations: h
+                        .shared
+                        .reservations
+                        .as_ref()
+                        .map(|t| (t, h.shared.cfg.reservation_policy)),
+                    topo: h.shared.topo.as_ref(),
+                };
+                for r in h.cell.routers.iter_mut().filter(|r| r.is_quiescent()) {
+                    let before = format!("{r:?}");
+                    held_lock |= before.contains("locked: Some");
+                    let mut out = RouterOutput::default();
+                    let mut events = Count::default();
+                    let inject = (!r.pulls_injection()).then_some(&offer);
+                    let consumed = r.evaluate(&env, inject, &mut out, &mut events);
+                    let at = format!("{fc:?} at {now}");
+                    assert!(out.launches.is_empty() && out.credits.is_empty(), "{at}");
+                    assert!(
+                        out.dropped_packets.is_empty() && out.dropped_flits == 0,
+                        "{at}"
+                    );
+                    assert!(!consumed, "{at}: consumed an offer");
+                    assert_eq!(events.0, 0, "{at}: recorded events");
+                    assert_eq!(format!("{r:?}"), before, "{at}: state changed");
+                    checked += 1;
+                }
+            }
+            assert!(checked > 1_000, "{fc:?}: only {checked} quiescent routers");
+            if fc == FlowControl::Dropping {
+                assert!(held_lock, "no quiescent dropping router held a lock");
+            }
+        }
     }
 }

@@ -1,8 +1,9 @@
 //! Sharded execution internals: the network's state partitioned into
 //! contiguous tile-region cells, the boundary messages exchanged
-//! between them, and the per-phase stepping functions shared by the
-//! sequential engine ([`crate::Network::step`]) and the threaded shard
-//! runner (`ocin-sim`'s `ShardedSimulation`).
+//! between them, and the one cycle stepper, `ShardCell::step_cycle`,
+//! that both [`crate::Network::step`] (on its one cell) and the
+//! windowed driver's workers (`ocin-sim`'s `run_windowed`, through
+//! [`ShardHandle`]) call.
 //!
 //! # Why sharding preserves bit-identity (DESIGN.md §3.15)
 //!
@@ -36,7 +37,7 @@ use crate::flit::{
 use crate::ids::{Cycle, Direction, NodeId, PacketId, Port, VcId};
 use crate::interface::{DeliveredPacket, TileInterface};
 use crate::network::PacketSpec;
-use crate::probe::{Event, NoProbe, Probe};
+use crate::probe::{Event, NetworkProbe, NoProbe, Probe};
 use crate::reservation::ReservationTable;
 use crate::route::{RouteError, SourceRoute};
 use crate::router::{EvalEnv, RouterCore, RouterOutput};
@@ -645,27 +646,46 @@ impl ShardCell {
 
     // ── Cycle phases ──────────────────────────────────────────────────
 
-    /// Lists the indices a delivery phase visits at `now`: those with an
-    /// entry due in `line`, or every index under naive stepping.
-    fn visit_list<T: Copy>(line: &Calendar<T>, now: Cycle, naive: bool, out: &mut Vec<usize>) {
-        out.clear();
-        if naive {
-            out.extend(0..line.capacity());
-        } else {
-            line.due_into(now, out);
+    /// Steps this cell through one cycle — the one place the phase
+    /// order is written: channel flits, credits, tile pipes, push-mode
+    /// injection at the serialization cadence, router evaluation, then
+    /// (when `sample`) the probe-only occupancy samples. Each phase
+    /// visits only the entities with work at `now`, in ascending index
+    /// order, and debug builds audit that the skipped ones had none.
+    pub(crate) fn step_cycle<P: PhasedProbe>(
+        &mut self,
+        shared: &NetShared,
+        now: Cycle,
+        probe: &mut P,
+        sample: bool,
+    ) {
+        probe.set_phase(now, 1);
+        self.phase_rx(shared, now, probe);
+        probe.set_phase(now, 2);
+        self.phase_tx(shared, now);
+        probe.set_phase(now, 3);
+        self.phase_pipes(now, probe);
+        #[cfg(debug_assertions)]
+        self.audit_delivered(now);
+        // Push-mode injection: a serialized tile port accepts one flit
+        // per `channel_phits` cycles.
+        if now.is_multiple_of(shared.cfg.channel_phits) {
+            probe.set_phase(now, 4);
+            self.phase_inject(shared, now, probe);
+        }
+        probe.set_phase(now, 5);
+        self.phase_eval(shared, now, probe);
+        if sample {
+            probe.set_phase(now, 6);
+            self.phase_sample(now, probe);
         }
     }
 
     /// Phase 1: deliver due flits on owned receive halves, ascending.
-    pub(crate) fn phase_rx(
-        &mut self,
-        shared: &NetShared,
-        now: Cycle,
-        naive: bool,
-        probe: &mut dyn Probe,
-    ) {
+    fn phase_rx(&mut self, shared: &NetShared, now: Cycle, probe: &mut dyn Probe) {
         let mut idx = std::mem::take(&mut self.idx_scratch);
-        Self::visit_list(&self.rx, now, naive, &mut idx);
+        idx.clear();
+        self.rx.due_into(now, &mut idx);
         for &r in &idx {
             if let Some(flit) = self.rx.take(now, r) {
                 self.deliver_rx(shared, r, flit, now, probe);
@@ -730,9 +750,10 @@ impl ShardCell {
     }
 
     /// Phase 2: deliver due credits on owned transmit halves, ascending.
-    pub(crate) fn phase_tx(&mut self, shared: &NetShared, now: Cycle, naive: bool) {
+    fn phase_tx(&mut self, shared: &NetShared, now: Cycle) {
         let mut idx = std::mem::take(&mut self.idx_scratch);
-        Self::visit_list(&self.tx, now, naive, &mut idx);
+        idx.clear();
+        self.tx.due_into(now, &mut idx);
         for &t in &idx {
             let Some(vc) = self.tx.take(now, t) else {
                 continue;
@@ -754,9 +775,10 @@ impl ShardCell {
 
     /// Phase 3: deliver due tile-pipe flits for owned nodes, ascending
     /// (node by node, inject pipe before eject pipe).
-    pub(crate) fn phase_pipes(&mut self, now: Cycle, naive: bool, probe: &mut dyn Probe) {
+    fn phase_pipes(&mut self, now: Cycle, probe: &mut dyn Probe) {
         let mut idx = std::mem::take(&mut self.idx_scratch);
-        Self::visit_list(&self.pipes, now, naive, &mut idx);
+        idx.clear();
+        self.pipes.due_into(now, &mut idx);
         for &p in &idx {
             if let Some(flit) = self.pipes.take(now, p) {
                 self.deliver_pipe(p, flit, now, probe);
@@ -805,26 +827,22 @@ impl ShardCell {
     /// Phase 4: push-mode injection for owned tiles with queued flits.
     /// The caller gates on the serialization cadence
     /// (`now % channel_phits == 0`).
-    pub(crate) fn phase_inject(
-        &mut self,
-        shared: &NetShared,
-        now: Cycle,
-        naive: bool,
-        probe: &mut dyn Probe,
-    ) {
-        if naive {
-            for i in 0..self.routers.len() {
-                self.push_injection(shared, i, now, probe);
-            }
-        } else {
-            let mut idx = std::mem::take(&mut self.idx_scratch);
-            idx.clear();
-            self.inject_pending.collect_into(&mut idx);
-            for &i in &idx {
-                self.push_injection(shared, i, now, probe);
-            }
-            self.idx_scratch = idx;
+    fn phase_inject(&mut self, shared: &NetShared, now: Cycle, probe: &mut dyn Probe) {
+        let mut idx = std::mem::take(&mut self.idx_scratch);
+        idx.clear();
+        self.inject_pending.collect_into(&mut idx);
+        #[cfg(debug_assertions)]
+        audit_asleep(&idx, self.interfaces.len(), |i| {
+            assert!(
+                !self.interfaces[i].injection_pending(),
+                "tile {} has flits queued but is asleep at {now}",
+                self.node_base + i
+            );
+        });
+        for &i in &idx {
+            self.push_injection(shared, i, now, probe);
         }
+        self.idx_scratch = idx;
     }
 
     /// Offers local node `i`'s tile port one push-mode injection slot.
@@ -857,32 +875,31 @@ impl ShardCell {
         }
     }
 
-    /// Phase 5: evaluate awake owned routers, ascending.
-    pub(crate) fn phase_eval(
-        &mut self,
-        shared: &NetShared,
-        now: Cycle,
-        naive: bool,
-        probe: &mut dyn Probe,
-    ) {
-        if naive {
-            for i in 0..self.routers.len() {
-                self.evaluate_router(shared, i, now, probe);
-            }
+    /// Phase 5: evaluate awake owned routers, ascending. A pull-mode
+    /// (deflection) router is also awake while its tile has an offer.
+    fn phase_eval(&mut self, shared: &NetShared, now: Cycle, probe: &mut dyn Probe) {
+        let mut idx = std::mem::take(&mut self.idx_scratch);
+        idx.clear();
+        if shared.cfg.flow_control == FlowControl::Deflection {
+            self.active_routers
+                .collect_union_into(&self.inject_pending, &mut idx);
         } else {
-            let mut idx = std::mem::take(&mut self.idx_scratch);
-            idx.clear();
-            if shared.cfg.flow_control == FlowControl::Deflection {
-                self.active_routers
-                    .collect_union_into(&self.inject_pending, &mut idx);
-            } else {
-                self.active_routers.collect_into(&mut idx);
-            }
-            for &i in &idx {
-                self.evaluate_router(shared, i, now, probe);
-            }
-            self.idx_scratch = idx;
+            self.active_routers.collect_into(&mut idx);
         }
+        #[cfg(debug_assertions)]
+        audit_asleep(&idx, self.routers.len(), |i| {
+            let r = &self.routers[i];
+            let offer = r.pulls_injection() && self.interfaces[i].injection_pending();
+            assert!(
+                r.is_quiescent() && !offer,
+                "router {} busy but asleep at {now}",
+                self.node_base + i
+            );
+        });
+        for &i in &idx {
+            self.evaluate_router(shared, i, now, probe);
+        }
+        self.idx_scratch = idx;
     }
 
     /// Evaluates local router `i` for this cycle and applies its output.
@@ -1045,11 +1062,42 @@ impl ShardCell {
     }
 
     /// Phase 6: per-cycle buffer-occupancy samples for owned routers.
-    pub(crate) fn phase_sample(&mut self, now: Cycle, probe: &mut dyn Probe) {
+    fn phase_sample(&mut self, now: Cycle, probe: &mut dyn Probe) {
         for (i, r) in self.routers.iter().enumerate() {
             let node = NodeId::new((self.node_base + i) as u16);
             let occupancy = r.occupancy();
             probe.record(now, Event::BufferSample { node, occupancy });
+        }
+    }
+
+    /// Wake audit, after the delivery phases: every flit and credit due
+    /// at `now` was delivered, and none was filed into the slot just
+    /// taken.
+    #[cfg(debug_assertions)]
+    fn audit_delivered(&mut self, now: Cycle) {
+        let mut idx = std::mem::take(&mut self.idx_scratch);
+        idx.clear();
+        self.rx.due_into(now, &mut idx);
+        self.tx.due_into(now, &mut idx);
+        self.pipes.due_into(now, &mut idx);
+        assert!(
+            idx.is_empty(),
+            "cell {}: entries left due at {now}",
+            self.index
+        );
+        self.idx_scratch = idx;
+    }
+}
+
+/// Wake audit (debug builds, DESIGN.md §3.13): runs `check` on every
+/// index in `0..n` that the ascending visit list `awake` skips — the
+/// entities a phase takes to have nothing to do.
+#[cfg(debug_assertions)]
+fn audit_asleep(awake: &[usize], n: usize, mut check: impl FnMut(usize)) {
+    let mut awake = awake.iter().peekable();
+    for i in 0..n {
+        if awake.next_if_eq(&&i).is_none() {
+            check(i);
         }
     }
 }
@@ -1119,7 +1167,6 @@ pub(crate) fn flitize(
 pub struct ShardHandle<'a> {
     pub(crate) shared: &'a NetShared,
     pub(crate) cell: &'a mut ShardCell,
-    pub(crate) naive: bool,
 }
 
 impl ShardHandle<'_> {
@@ -1165,35 +1212,14 @@ impl ShardHandle<'_> {
     /// Steps this cell through one cycle's phases. `sample` controls
     /// the probe-only buffer-occupancy sweep (phase 6).
     pub fn step_cycle<P: PhasedProbe>(&mut self, now: Cycle, probe: &mut P, sample: bool) {
-        probe.set_phase(now, 1);
-        self.cell.phase_rx(self.shared, now, self.naive, probe);
-        probe.set_phase(now, 2);
-        self.cell.phase_tx(self.shared, now, self.naive);
-        probe.set_phase(now, 3);
-        self.cell.phase_pipes(now, self.naive, probe);
-        if now.is_multiple_of(self.shared.cfg.channel_phits) {
-            probe.set_phase(now, 4);
-            self.cell.phase_inject(self.shared, now, self.naive, probe);
-        }
-        probe.set_phase(now, 5);
-        self.cell.phase_eval(self.shared, now, self.naive, probe);
-        if sample {
-            probe.set_phase(now, 6);
-            self.cell.phase_sample(now, probe);
-        }
+        self.cell.step_cycle(self.shared, now, probe, sample);
     }
 
-    /// Takes the boundary messages generated since the last take, in
-    /// creation order. Route each to `dest_cell()` before any cell
-    /// steps past the current lookahead window.
-    pub fn take_outbox(&mut self) -> Vec<BoundaryMsg> {
-        std::mem::take(&mut self.cell.outbox)
-    }
-
-    /// Moves the boundary messages generated since the last take into
-    /// `by_cell[dest_cell()]`, in creation order. Unlike
-    /// [`Self::take_outbox`] it keeps the outbox's allocation, so a
-    /// runner that routes every window allocates nothing for it.
+    /// Moves the boundary messages generated since the last call into
+    /// `by_cell[dest_cell()]`, in creation order. Route them before any
+    /// cell steps past the current lookahead window. The outbox keeps
+    /// its allocation, so a runner that routes every window allocates
+    /// nothing for it.
     pub fn route_outbox(&mut self, by_cell: &mut [Vec<BoundaryMsg>]) {
         for m in self.cell.outbox.drain(..) {
             by_cell[m.dest_cell()].push(m);
@@ -1257,6 +1283,12 @@ pub trait PhasedProbe: Probe {
 }
 
 impl PhasedProbe for NoProbe {
+    fn set_phase(&mut self, _now: Cycle, _phase: u8) {}
+}
+
+/// A network's own probe sees events in the order one cell records
+/// them, so it needs no phase tags.
+impl PhasedProbe for NetworkProbe {
     fn set_phase(&mut self, _now: Cycle, _phase: u8) {}
 }
 

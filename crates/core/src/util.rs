@@ -156,11 +156,6 @@ impl<T: Copy> Calendar<T> {
         self.cells[slot * self.capacity + i] = Some(value);
     }
 
-    /// The number of entity indices, `0..capacity`.
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Appends the indices with an entry due at `now` to `out`,
     /// ascending. The entries stay filed until [`Self::take`] removes
     /// them.

@@ -152,10 +152,10 @@ pub fn all_rules() -> Vec<Rule> {
             suppression: Suppression::AllowOrInvariant,
             advice: "every wake-up site and every calendar filing \
                      (`Calendar::schedule`) is load-bearing for the \
-                     activity-gated engine's bit-identity with naive stepping \
-                     (DESIGN.md \u{a7}3.13); state the wake rule it implements, \
-                     or why its (index, due) cell is free, in an // INVARIANT: \
-                     comment",
+                     activity-gated engine, whose per-cycle wake audit fails \
+                     debug builds on a missed wake (DESIGN.md \u{a7}3.13); \
+                     state the wake rule it implements, or why its (index, \
+                     due) cell is free, in an // INVARIANT: comment",
         },
         Rule {
             name: "println-in-core",

@@ -2,10 +2,12 @@
 //!
 //! Every [`Simulation::run`] and [`ShardedSimulation::run`] goes through
 //! the one driver here. It cuts the network into contiguous tile-region
-//! cells ([`Network::set_shards`]; one cell unless sharded) and steps
+//! cells ([`Network::shard_handles`]; one cell unless sharded) and steps
 //! each cell with the same worker loop, which offers, injects, steps and
-//! drains. Synchronization is conservative: every channel has at least
-//! one cycle of latency, so each cell can step a lookahead window of
+//! drains. The cells stay cut after the run until a later
+//! [`Network::step`] merges them back. Synchronization is
+//! conservative: every channel has at least one cycle of latency, so
+//! each cell can step a lookahead window of
 //! [`Network::lookahead_window`] cycles before any boundary flit or
 //! credit created by a neighbour could possibly arrive. At each window
 //! boundary the cells exchange boundary messages through per-pair
@@ -169,8 +171,6 @@ fn drive<P: WorkerProbe>(sim: &mut Simulation, shards: usize) -> SimReport {
     let meas_end = warm_end + sim.cfg.measure_cycles;
     let hard_end = meas_end + sim.cfg.drain_cycles;
 
-    sim.net.set_shards(shards);
-    let cells = sim.net.shards();
     let cfg = WorkerCfg {
         start: sim.net.cycle(),
         warm_end,
@@ -179,21 +179,23 @@ fn drive<P: WorkerProbe>(sim: &mut Simulation, shards: usize) -> SimReport {
         window: sim.net.lookahead_window(),
         reservation_period: sim.reservation_period,
     };
+    let probe = sim
+        .probe_cfg
+        .map(|pc| NetworkProbe::for_network(sim.net.config(), pc));
+    let offered_rate = sim.offered_rate();
+    let flows = &sim.flows;
+    let generator = &sim.generator;
+    let matrix = &sim.matrix;
+    let handles = sim.net.shard_handles(shards);
+    let cells = handles.len();
     let ctx = SyncCtx::new(cells);
     let mut collector = Collector {
-        probe: sim
-            .probe_cfg
-            .map(|pc| NetworkProbe::for_network(sim.net.config(), pc)),
+        probe,
         acc: MeasureAcc::default(),
         heads: vec![0; cells],
         warm_end,
         meas_end,
     };
-    let offered_rate = sim.offered_rate();
-    let flows = &sim.flows;
-    let generator = &sim.generator;
-    let matrix = &sim.matrix;
-    let handles = sim.net.shard_handles();
 
     let outs: Vec<WorkerOut> = if cells == 1 && !P::ENABLED {
         let h = handles.into_iter().next().expect("one cell");

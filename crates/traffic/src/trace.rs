@@ -124,7 +124,8 @@ impl Trace {
     /// # Errors
     ///
     /// Returns a description of the first malformed line (wrong header,
-    /// wrong field count, unparsable number, or out-of-order cycle).
+    /// wrong field count, unparsable number, class above 2, or
+    /// out-of-order cycle).
     pub fn from_text(text: &str) -> Result<Trace, String> {
         let mut lines = text.lines();
         match lines.next() {
@@ -151,6 +152,13 @@ impl Trace {
             };
             if let Some(extra) = fields.next() {
                 return Err(format!("line {}: trailing field {extra:?}", i + 2));
+            }
+            if event.class > 2 {
+                return Err(format!(
+                    "line {}: class {} is not 0, 1 or 2",
+                    i + 2,
+                    event.class
+                ));
             }
             if let Some(last) = trace.events.last() {
                 if event.cycle < last.cycle {
@@ -189,6 +197,8 @@ impl Extend<TraceEvent> for Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn ev(cycle: Cycle, src: u16, dst: u16) -> TraceEvent {
         TraceEvent::new(cycle, src.into(), dst.into(), 256, ServiceClass::Bulk)
@@ -255,5 +265,104 @@ mod tests {
         assert!(Trace::from_text("ocin-trace v1\n5 0 1 256 0 7\n").is_err());
         // Surrounding whitespace is not a field.
         assert!(Trace::from_text("ocin-trace v1\n5 0 1 256 0   \n").is_ok());
+    }
+
+    #[test]
+    fn unknown_class_is_rejected() {
+        assert!(Trace::from_text("ocin-trace v1\n5 0 1 256 2\n").is_ok());
+        let err = Trace::from_text("ocin-trace v1\n5 0 1 256 7\n").unwrap_err();
+        assert!(err.contains("line 2: class 7"), "{err}");
+    }
+
+    /// Parsing `text` either fails or gives a trace that survives a
+    /// round trip through its text form.
+    fn rejects_or_round_trips(text: &str) {
+        if let Ok(trace) = Trace::from_text(text) {
+            assert_eq!(Trace::from_text(&trace.to_text()), Ok(trace), "{text:?}");
+        }
+    }
+
+    /// A well-formed trace text of `events` lines, each drawn as (cycle
+    /// step, src, dst, payload bits, class).
+    fn trace_text(events: &[(u64, u16, u16, usize, u8)]) -> String {
+        let mut text = String::from("ocin-trace v1\n");
+        let mut cycle = 0;
+        for &(step, src, dst, bits, class) in events {
+            cycle += step;
+            text.push_str(&format!("{cycle} {src} {dst} {bits} {class}\n"));
+        }
+        text
+    }
+
+    /// Replacement fields a mutation may splice in: empty, non-numeric,
+    /// signed, overflowing, just out of range, hexadecimal, exponent
+    /// and non-ASCII.
+    const JUNK_FIELDS: [&str; 12] = [
+        "",
+        "x",
+        "-1",
+        "+5",
+        "18446744073709551616",
+        "65536",
+        "256",
+        "3",
+        "7",
+        "0x10",
+        "1e3",
+        "\u{663}",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes, with or without a valid header, never panic
+        /// the parser.
+        #[test]
+        fn trace_text_survives_random_bytes(
+            bytes in vec(any::<u8>(), 0..160),
+            alphabet in vec(0usize..16, 0..160),
+            headed in any::<bool>(),
+        ) {
+            rejects_or_round_trips(&String::from_utf8_lossy(&bytes));
+            // Bytes drawn from the format's own alphabet reach past the
+            // header and field checks far more often than uniform bytes.
+            let body: String = alphabet
+                .iter()
+                .map(|&i| "0123456789 \n\t-+x".chars().nth(i).unwrap_or(' '))
+                .collect();
+            let header = if headed { "ocin-trace v1\n" } else { "" };
+            rejects_or_round_trips(&format!("{header}{body}"));
+        }
+
+        /// A valid trace with one field or line mutated either parses
+        /// to a trace that round-trips or is rejected; it never panics.
+        #[test]
+        fn mutated_trace_text_rejects_or_round_trips(
+            events in vec((0u64..1_000, any::<u16>(), any::<u16>(), 0usize..4_096, 0u8..3), 1..8),
+            (line, field, how) in (any::<usize>(), 0usize..6, 0usize..7),
+            (junk, number) in (0usize..JUNK_FIELDS.len() + 1, any::<u64>()),
+            noise in vec(any::<u8>(), 1..12),
+        ) {
+            let text = trace_text(&events);
+            rejects_or_round_trips(&text);
+            let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+            let i = line % lines.len();
+            let token = JUNK_FIELDS.get(junk).map_or(number.to_string(), ToString::to_string);
+            let mut fields: Vec<String> = lines[i].split(' ').map(str::to_string).collect();
+            let f = field % fields.len();
+            match how {
+                0 => fields[f] = token,
+                1 => {
+                    fields.remove(f);
+                }
+                2 => fields.push(token),
+                3 => fields = vec![String::from_utf8_lossy(&noise).into_owned()],
+                4 => fields.insert(f, token),
+                5 => fields.clear(),
+                _ => fields[f].push_str(&String::from_utf8_lossy(&noise)),
+            }
+            lines[i] = fields.join(" ");
+            rejects_or_round_trips(&(lines.join("\n") + "\n"));
+        }
     }
 }

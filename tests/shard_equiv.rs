@@ -9,16 +9,18 @@
 //! bit-identical to the plain whole-network loop in `tests/common`. The
 //! property tests below sample across flow-control
 //! methods, offered loads, probing/journey collection, transient
-//! faults, static-flow reservations, an added traffic matrix, channel
-//! timing, and shard counts;
+//! faults, static-flow reservations, an added traffic matrix of
+//! multi-flit packets, channel timing, and shard counts;
 //! directed tests check conservation at region seams and that
-//! shard-count flips compose with the engine-mode flips from the
-//! activity-gating suite, with the slowest links in flight.
+//! shard-count flips compose mid-run, with the slowest links in flight.
+//! In debug builds every cycle of every run here also passes the
+//! engine's wake audit (DESIGN.md §3.13): no entity a phase skips had
+//! work.
 
 use ocin::core::probe::ProbeConfig;
 use ocin::core::{
     replay_logs, Cycle, Event, FlowControl, LinkProtection, LogProbe, Network, NetworkConfig,
-    PacketSpec, PhasedProbe, Probe, ServiceClass, ShardHandle, StaticFlowSpec, TopologySpec,
+    NoProbe, NodeId, PacketSpec, PhasedProbe, Probe, ServiceClass, StaticFlowSpec, TopologySpec,
 };
 use ocin::sim::{ShardedSimulation, SimConfig, SimReport, Simulation};
 use ocin::traffic::{InjectionProcess, LengthDist, TrafficMatrix, TrafficPattern, Workload};
@@ -98,7 +100,8 @@ struct Point {
     probe: Option<ProbeConfig>,
     fault_rate: f64,
     reserved: bool,
-    /// Adds a two-pair traffic matrix on top of the uniform workload.
+    /// Adds a two-pair traffic matrix of two-flit packets (one flit on
+    /// the single-flit deflection core) on top of the uniform workload.
     matrix: bool,
     links: Links,
 }
@@ -139,7 +142,12 @@ impl Point {
 
     fn matrix(&self) -> Option<TrafficMatrix> {
         self.matrix.then(|| {
-            let mut m = TrafficMatrix::new(self.k * self.k);
+            let bits = if self.fc == FlowControl::Deflection {
+                256
+            } else {
+                512
+            };
+            let mut m = TrafficMatrix::new(self.k * self.k).payload_bits(bits);
             m.set(1.into(), 10.into(), 0.1);
             m.set(6.into(), 2.into(), 0.2);
             m
@@ -291,23 +299,18 @@ proptest! {
         let drive = |cells: usize| {
             let mut net = Network::new(quick_cfg(FlowControl::VirtualChannel, 4))
                 .expect("valid config");
-            net.set_shards(cells);
             let wl = Workload::new(16, 4, TrafficPattern::Uniform)
                 .injection(InjectionProcess::Bernoulli { flit_rate: load });
             let mut generation = wl.generator(21);
+            let mut probes = vec![NoProbe; cells];
             let mut delivered_packets = 0u64;
             let mut delivered_flits = 0u64;
             let mut drain = 0u32;
             for now in 0.. {
-                if now < cycles {
-                    for node in 0..16u16 {
-                        if let Some(req) = generation.next_request(now, node.into()) {
-                            let _ = net
-                                .inject(&PacketSpec::new(node.into(), req.dst).payload_bits(256));
-                        }
-                    }
-                }
-                net.step();
+                step_on_cells(&mut net, cells, &mut probes, |src, t| {
+                    let req = generation.next_request(t, src).filter(|_| t < cycles)?;
+                    Some(PacketSpec::new(src, req.dst).payload_bits(256))
+                });
                 for node in 0..16u16 {
                     for pkt in net.drain_delivered(node.into()) {
                         delivered_packets += 1;
@@ -334,14 +337,15 @@ proptest! {
     }
 }
 
-/// Shard-count flips compose with engine-mode flips mid-run: re-cutting
-/// the live network while also toggling gated/naive stepping changes
-/// nothing, mirroring `engines_compose_mid_run` in the activity-gating
-/// suite. It holds with the paper's timing and with the slowest links
-/// the equivalence suites sample, whose calendars hold flits and
-/// credits up to six cycles ahead at every re-cut.
+/// Shard-count flips compose mid-run: re-cutting the live network
+/// between cycles changes nothing. A run stepped through shard handles
+/// at the planned cell counts, with `Network::step` (which merges the
+/// cells back) wherever the plan says one cell, matches a run of
+/// `Network::step` alone. It holds with the paper's timing and with the
+/// slowest links the equivalence suites sample, whose calendars hold
+/// flits and credits up to six cycles ahead at every re-cut.
 #[test]
-fn shard_counts_compose_with_engine_flips() {
+fn shard_counts_compose_mid_run() {
     let slowest = Links {
         channel: 3,
         credit: 4,
@@ -349,51 +353,86 @@ fn shard_counts_compose_with_engine_flips() {
         secded: true,
     };
     for links in [Links::PAPER, slowest] {
-        shard_counts_compose_with_engine_flips_on(links);
+        shard_counts_compose_mid_run_on(links);
     }
 }
 
-fn shard_counts_compose_with_engine_flips_on(links: Links) {
-    let drive = |plan: &[(u64, usize, bool)]| {
+fn shard_counts_compose_mid_run_on(links: Links) {
+    let drive = |plan: &[(u64, usize)]| {
         let cfg = links.apply(quick_cfg(FlowControl::VirtualChannel, 4));
         let mut net = Network::new(cfg).expect("valid");
         let wl = Workload::new(16, 4, TrafficPattern::Uniform)
             .injection(InjectionProcess::Bernoulli { flit_rate: 0.2 });
         let mut generation = wl.generator(7);
+        let mut offer = |src: NodeId, now: Cycle| {
+            let req = generation.next_request(now, src)?;
+            Some(PacketSpec::new(src, req.dst).payload_bits(256))
+        };
         let mut delivered = 0u64;
         for now in 0..600u64 {
-            if let Some(&(at, shards, naive)) = plan.iter().rev().find(|&&(at, ..)| now >= at) {
-                if now == at && at > 0 {
-                    assert!(
-                        net.flits_in_flight() > 0,
-                        "re-cut at {at} with nothing in flight"
-                    );
-                }
-                net.set_shards(shards);
-                net.set_naive_stepping(naive);
+            let (at, cells) = *plan
+                .iter()
+                .rev()
+                .find(|&&(at, _)| now >= at)
+                .expect("the plan starts at 0");
+            if now == at && at > 0 {
+                assert!(
+                    net.flits_in_flight() > 0,
+                    "re-cut at {at} with nothing in flight"
+                );
             }
-            for node in 0..16u16 {
-                if let Some(req) = generation.next_request(now, node.into()) {
-                    let _ = net.inject(&PacketSpec::new(node.into(), req.dst).payload_bits(256));
+            if cells == 1 {
+                for node in 0..16u16 {
+                    if let Some(spec) = offer(node.into(), now) {
+                        let _ = net.inject(&spec);
+                    }
                 }
+                net.step();
+            } else {
+                step_on_cells(&mut net, cells, &mut vec![NoProbe; cells], &mut offer);
             }
-            net.step();
             for node in 0..16u16 {
                 delivered += net.drain_delivered(node.into()).len() as u64;
             }
         }
         (delivered, net.stats())
     };
-    let reference = drive(&[(0, 1, false)]);
-    let pure_sharded = drive(&[(0, 4, false)]);
-    let mixed = drive(&[
-        (0, 2, false),
-        (150, 8, true),
-        (300, 1, false),
-        (450, 4, true),
-    ]);
+    let reference = drive(&[(0, 1)]);
+    let pure_sharded = drive(&[(0, 4)]);
+    let mixed = drive(&[(0, 2), (150, 8), (300, 1), (450, 4)]);
     assert_eq!(reference, pure_sharded, "{links:?}");
     assert_eq!(reference, mixed, "{links:?}");
+}
+
+/// Steps `net` through its current cycle on `cells` cells through shard
+/// handles, as the windowed driver's workers do: each cell offers its
+/// nodes' packets from `offer` and steps into its own probe, then the
+/// boundary messages go to their cells, which the lookahead window
+/// always allows after one cycle.
+fn step_on_cells<P: PhasedProbe>(
+    net: &mut Network,
+    cells: usize,
+    probes: &mut [P],
+    mut offer: impl FnMut(NodeId, Cycle) -> Option<PacketSpec>,
+) {
+    let now = net.cycle();
+    let mut handles = net.shard_handles(cells);
+    assert_eq!(handles.len(), probes.len(), "one probe per cell");
+    let mut by_cell = vec![Vec::new(); handles.len()];
+    for (h, probe) in handles.iter_mut().zip(probes.iter_mut()) {
+        probe.set_phase(now, 0);
+        for node in h.nodes() {
+            if let Some(spec) = offer(NodeId::new(node as u16), now) {
+                let _ = h.inject(&spec, now, probe);
+            }
+        }
+        h.step_cycle(now, probe, true);
+        h.route_outbox(&mut by_cell);
+    }
+    for (h, msgs) in handles.iter_mut().zip(by_cell) {
+        h.apply_boundary(msgs, now);
+    }
+    net.finish_sharded_run(now + 1);
 }
 
 /// Keeps the raw event stream, in the order it is recorded.
@@ -412,12 +451,10 @@ impl PhasedProbe for Recorder {
 
 /// Steps `cells` cells of a `k`×`k` torus on the calling thread for a
 /// loaded stretch plus a drain, each cell recording into its own probe,
-/// and returns the probes. Boundary messages are exchanged every cycle,
-/// which the lookahead window always allows. Every third source sends
-/// priority traffic, so the VC router preempts.
+/// and returns the probes. Every third source sends priority traffic,
+/// so the VC router preempts.
 fn step_cells<P: PhasedProbe + Default>(fc: FlowControl, k: usize, cells: usize) -> Vec<P> {
     let mut net = Network::new(quick_cfg(fc, k)).expect("valid");
-    net.set_shards(cells);
     let length = match fc {
         FlowControl::Deflection => LengthDist::Fixed { flits: 1 },
         _ => LengthDist::Bimodal {
@@ -431,34 +468,20 @@ fn step_cells<P: PhasedProbe + Default>(fc: FlowControl, k: usize, cells: usize)
         .length(length)
         .generator(11);
     let mut probes: Vec<P> = (0..cells).map(|_| P::default()).collect();
-    let mut handles = net.shard_handles();
-    for now in 0..400u64 {
-        for (h, probe) in handles.iter_mut().zip(&mut probes) {
-            probe.set_phase(now, 0);
-            for node in h.nodes() {
-                let src = (node as u16).into();
-                let Some(req) = generation.next_request(now, src).filter(|_| now < 250) else {
-                    continue;
-                };
-                let class = if node % 3 == 0 {
-                    ServiceClass::Priority
-                } else {
-                    ServiceClass::Bulk
-                };
-                let spec = PacketSpec::new(src, req.dst)
+    for _ in 0..400 {
+        step_on_cells(&mut net, cells, &mut probes, |src, now| {
+            let req = generation.next_request(now, src).filter(|_| now < 250)?;
+            let class = if src.index() % 3 == 0 {
+                ServiceClass::Priority
+            } else {
+                ServiceClass::Bulk
+            };
+            Some(
+                PacketSpec::new(src, req.dst)
                     .payload_bits(req.payload_bits)
-                    .class(class);
-                let _ = h.inject(&spec, now, probe);
-            }
-            h.step_cycle(now, probe, true);
-        }
-        let msgs: Vec<_> = handles
-            .iter_mut()
-            .flat_map(ShardHandle::take_outbox)
-            .collect();
-        for m in msgs {
-            handles[m.dest_cell()].apply_boundary([m], now);
-        }
+                    .class(class),
+            )
+        });
     }
     probes
 }
