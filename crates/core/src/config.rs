@@ -495,6 +495,24 @@ impl NetworkConfig {
     /// Returns [`Error::Config`] describing the first invalid parameter.
     pub fn validate(&self) -> Result<(), Error> {
         self.topology.validate()?;
+        if self.require_paper_route_field {
+            // Valiant's two minimal legs may need up to twice the diameter.
+            let legs = match self.routing {
+                RoutingAlg::DimensionOrder => 1,
+                RoutingAlg::Valiant => 2,
+            };
+            let entries = self.topology.diameter() * legs + 1;
+            if entries > SourceRoute::PAPER_FIELD_ENTRIES {
+                return Err(Error::Config(format!(
+                    "{:?} under {:?} routing: its longest route may need {entries} entries, \
+                     more than the {} of the paper's route field \
+                     (require_paper_route_field is set)",
+                    self.topology,
+                    self.routing,
+                    SourceRoute::PAPER_FIELD_ENTRIES
+                )));
+            }
+        }
         self.vc_plan.validate()?;
         if self.buf_depth == 0 {
             return Err(Error::Config("buf_depth must be at least 1".into()));
@@ -709,6 +727,28 @@ mod tests {
                 assert_eq!(longest, Some(spec.diameter()), "{spec:?}");
             }
         }
+    }
+
+    /// A route field the longest route cannot fit is a config error,
+    /// not a panic at the first long packet.
+    #[test]
+    fn paper_route_field_is_checked_against_the_longest_route() {
+        let mut cfg = NetworkConfig::paper_baseline();
+        cfg.validate().unwrap();
+        // Assigned as a field, the topology keeps the flag set: a k = 8
+        // torus's 8-hop diameter route needs 9 entries.
+        cfg.topology = TopologySpec::FoldedTorus { k: 8 };
+        let err = cfg.validate().unwrap_err().to_string();
+        assert!(err.contains("may need 9 entries"), "{err}");
+        cfg.require_paper_route_field = false;
+        cfg.validate().unwrap();
+        // Valiant's two legs double the bound on the baseline torus.
+        let mut cfg = NetworkConfig::paper_baseline();
+        cfg.routing = RoutingAlg::Valiant;
+        assert!(cfg.validate().is_err());
+        cfg.routing = RoutingAlg::DimensionOrder;
+        cfg.topology = TopologySpec::Mesh { k: 4 };
+        cfg.validate().unwrap();
     }
 
     #[test]

@@ -90,8 +90,8 @@ pub use journey::{
 };
 pub use network::{EnergyCounters, LinkLoad, Network, NetworkStats, PacketSpec};
 pub use probe::{
-    Event, EventKind, EventTrace, LatencyHistogram, MetricsTotals, NetworkMetrics, NetworkProbe,
-    NoProbe, PairLatency, PairTable, Probe, ProbeConfig, ProbeEvent, RouterProbe,
+    Event, EventKind, EventTrace, MetricsTotals, NetworkMetrics, NetworkProbe, NoProbe,
+    PairLatency, PairTable, Probe, ProbeConfig, ProbeEvent, RouterProbe,
 };
 pub use reservation::{ReservationError, ReservationTable, StaticFlowSpec};
 pub use route::{RouteError, SourceRoute, Turn};

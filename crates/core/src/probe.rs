@@ -18,9 +18,10 @@
 //!   is what keeps a probed run bit-identical to an unprobed one.
 //! * [`NetworkProbe`] is the concrete collector: per-router
 //!   [`RouterProbe`] counter blocks, an optional bounded ring-buffer
-//!   [`EventTrace`], and per-(src, dst) [`LatencyHistogram`]s. It
-//!   updates its counters from each event, then forwards the event to
-//!   the journey and telemetry collectors. A finished run is snapshotted
+//!   [`EventTrace`], and the run's one per-(src, dst) latency table of
+//!   exact log-linear [`QuantileHistogram`]s. It updates its counters
+//!   from each event, then forwards the event to the journey and
+//!   telemetry collectors. A finished run is snapshotted
 //!   into a [`NetworkMetrics`] value that serializes to deterministic
 //!   JSON (`metrics.json`) and to the same versioned text convention the
 //!   traffic traces use.
@@ -50,13 +51,9 @@ use crate::config::NetworkConfig;
 use crate::flit::ServiceClass;
 use crate::ids::{Cycle, NodeId, PacketId, Port, VcId};
 use crate::journey::{DecompositionReport, JourneyCollector, StageConstants};
-use crate::telemetry::{TelemetryCollector, TelemetryReport};
-
-/// Number of power-of-two latency buckets ([`LatencyHistogram`]).
-///
-/// Bucket `i` holds latencies in `[2^(i-1), 2^i)` (bucket 0 holds 0);
-/// 32 buckets cover every latency below 2³¹ cycles.
-pub const HISTOGRAM_BUCKETS: usize = 32;
+use crate::telemetry::{
+    QuantileHistogram, TelemetryCollector, TelemetryReport, PAIR_PRECISION_BITS,
+};
 
 /// One observable fact of a simulated cycle: the single vocabulary every
 /// event source reports in and every collector consumes.
@@ -588,114 +585,6 @@ impl EventTrace {
     }
 }
 
-/// A power-of-two-bucket latency histogram: constant memory however many
-/// packets are observed, exact count/sum/min/max, and bucket-resolution
-/// percentiles.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LatencyHistogram {
-    /// Samples observed.
-    pub count: u64,
-    /// Sum of all samples (for the exact mean).
-    pub sum: u64,
-    /// Smallest sample (`u64::MAX` when empty).
-    pub min: u64,
-    /// Largest sample.
-    pub max: u64,
-    /// Bucket `i` counts samples in `[2^(i-1), 2^i)`; bucket 0 counts 0.
-    pub buckets: [u64; HISTOGRAM_BUCKETS],
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram {
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-            buckets: [0; HISTOGRAM_BUCKETS],
-        }
-    }
-}
-
-impl LatencyHistogram {
-    /// An empty histogram.
-    pub fn new() -> LatencyHistogram {
-        LatencyHistogram::default()
-    }
-
-    /// The bucket index for `value`.
-    ///
-    /// Exact boundary semantics: bucket 0 holds only the value 0, and
-    /// bucket `i ≥ 1` holds the half-open range `[2^(i-1), 2^i)` — so a
-    /// power of two `2^j` is the *first* value of bucket `j + 1`, never
-    /// the last value of bucket `j`. Values at or above `2^30` saturate
-    /// into the final bucket, whose range is `[2^30, ∞)`.
-    pub fn bucket_index(value: u64) -> usize {
-        ((u64::BITS - value.leading_zeros()) as usize).min(HISTOGRAM_BUCKETS - 1)
-    }
-
-    /// Lower bound of bucket `i` (the value a percentile estimate
-    /// reports).
-    pub fn bucket_floor(i: usize) -> u64 {
-        if i == 0 {
-            0
-        } else {
-            1u64 << (i - 1)
-        }
-    }
-
-    /// Records one latency sample.
-    pub fn record(&mut self, value: u64) {
-        self.count += 1;
-        self.sum += value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-        self.buckets[Self::bucket_index(value)] += 1;
-    }
-
-    /// Exact arithmetic mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Bucket-resolution `p`-th percentile: the floor of the bucket
-    /// containing the nearest-rank sample (0 when empty).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `0.0..=100.0`.
-    pub fn percentile(&self, p: f64) -> u64 {
-        assert!((0.0..=100.0).contains(&p), "percentile out of range");
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((p / 100.0 * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Self::bucket_floor(i).max(self.min);
-            }
-        }
-        self.max
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-    }
-}
-
 /// Values keyed by a (source, destination) node pair, index-addressed so
 /// that every access is O(1) however many pairs a run touches.
 ///
@@ -802,11 +691,12 @@ pub struct NetworkProbe {
     cfg: ProbeConfig,
     /// Per-router counter blocks, indexed by node.
     pub routers: Vec<RouterProbe>,
-    /// Latency histograms keyed by (source, destination). Each delivery
-    /// updates its pair in O(1); [`NetworkProbe::into_metrics`] reads
-    /// the pairs out in ascending key order, so every serialization of
-    /// the same run is byte-identical.
-    pub pair_latency: PairTable<LatencyHistogram>,
+    /// Network-latency histograms keyed by (source, destination), at
+    /// [`PAIR_PRECISION_BITS`]: the run's one per-pair table. Each
+    /// delivery updates its pair in O(1); [`NetworkProbe::into_metrics`]
+    /// reads the pairs out in ascending key order, so every
+    /// serialization of the same run is byte-identical.
+    pub pair_latency: PairTable<QuantileHistogram>,
     /// The bounded event trace (empty unless configured).
     pub trace: EventTrace,
     /// Per-packet journey collector (present when
@@ -905,7 +795,7 @@ impl Probe for NetworkProbe {
             } => {
                 self.packets_delivered += 1;
                 self.pair_latency
-                    .get_or_default(src, dst)
+                    .get_or_insert_with(src, dst, || QuantileHistogram::new(PAIR_PRECISION_BITS))
                     .record(network_latency);
             }
             Event::BufferSample { occupancy, .. } => {
@@ -954,7 +844,8 @@ pub struct MetricsTotals {
 }
 
 /// Latency summary for one (source, destination) pair, derived from its
-/// [`LatencyHistogram`].
+/// [`QuantileHistogram`] (exact below `2^(PAIR_PRECISION_BITS + 1)`
+/// cycles).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairLatency {
     /// Source tile.
@@ -969,9 +860,9 @@ pub struct PairLatency {
     pub min: u64,
     /// Maximum latency, cycles.
     pub max: u64,
-    /// Median (bucket resolution), cycles.
+    /// Median, cycles.
     pub p50: u64,
-    /// 99th percentile (bucket resolution), cycles.
+    /// 99th percentile, cycles.
     pub p99: u64,
 }
 
@@ -993,7 +884,7 @@ pub struct NetworkMetrics {
     /// Per-(src, dst) latency summaries, sorted by (src, dst).
     pub pairs: Vec<PairLatency>,
     /// Full per-pair histograms, sorted by (src, dst).
-    pub pair_histograms: Vec<((NodeId, NodeId), LatencyHistogram)>,
+    pub pair_histograms: Vec<((NodeId, NodeId), QuantileHistogram)>,
     /// Events the trace observed in total (including evicted records).
     pub trace_recorded: u64,
     /// The retained event trace.
@@ -1057,8 +948,8 @@ impl NetworkMetrics {
     }
 
     /// Latency histogram aggregated over every (src, dst) pair.
-    pub fn aggregate_latency(&self) -> LatencyHistogram {
-        let mut all = LatencyHistogram::new();
+    pub fn aggregate_latency(&self) -> QuantileHistogram {
+        let mut all = QuantileHistogram::new(PAIR_PRECISION_BITS);
         for (_, h) in &self.pair_histograms {
             all.merge(h);
         }
@@ -1463,96 +1354,6 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, PairTable::new());
         assert_eq!(a.into_sorted_vec(), want);
-    }
-
-    #[test]
-    fn histogram_accounts_exactly() {
-        let mut h = LatencyHistogram::new();
-        for v in [5, 5, 6, 9, 100] {
-            h.record(v);
-        }
-        assert_eq!(h.count, 5);
-        assert_eq!(h.sum, 125);
-        assert_eq!(h.min, 5);
-        assert_eq!(h.max, 100);
-        assert_eq!(h.mean(), 25.0);
-        // 5, 6, 9 share the [4,8)/[8,16) buckets; percentile floors are
-        // bucket-resolution but clamp to the true min.
-        assert_eq!(h.percentile(0.0), 5);
-        assert!(h.percentile(50.0) >= 4 && h.percentile(50.0) <= 9);
-        assert!(h.percentile(99.0) >= 64);
-    }
-
-    #[test]
-    fn histogram_buckets_are_powers_of_two() {
-        assert_eq!(LatencyHistogram::bucket_index(0), 0);
-        assert_eq!(LatencyHistogram::bucket_index(1), 1);
-        assert_eq!(LatencyHistogram::bucket_index(2), 2);
-        assert_eq!(LatencyHistogram::bucket_index(3), 2);
-        assert_eq!(LatencyHistogram::bucket_index(4), 3);
-        assert_eq!(LatencyHistogram::bucket_floor(0), 0);
-        assert_eq!(LatencyHistogram::bucket_floor(3), 4);
-        // Huge values saturate into the last bucket.
-        assert_eq!(
-            LatencyHistogram::bucket_index(u64::MAX),
-            HISTOGRAM_BUCKETS - 1
-        );
-    }
-
-    /// Boundary values: every power of two opens a new bucket (it is
-    /// the first value of bucket `j + 1`), and `2^j - 1` is the last
-    /// value of bucket `j`. These are the exact semantics documented on
-    /// [`LatencyHistogram::bucket_index`].
-    #[test]
-    fn histogram_bucket_boundaries_are_exact() {
-        for j in 1..30usize {
-            let pow = 1u64 << j;
-            assert_eq!(
-                LatencyHistogram::bucket_index(pow),
-                j + 1,
-                "2^{j} must open bucket {}",
-                j + 1
-            );
-            assert_eq!(
-                LatencyHistogram::bucket_index(pow - 1),
-                j,
-                "2^{j}-1 must close bucket {j}"
-            );
-            assert_eq!(LatencyHistogram::bucket_floor(j + 1), pow);
-        }
-        // The saturation boundary: 2^30 is the first value of the final
-        // bucket, and everything above lands there too.
-        assert_eq!(
-            LatencyHistogram::bucket_index((1 << 30) - 1),
-            HISTOGRAM_BUCKETS - 2
-        );
-        assert_eq!(
-            LatencyHistogram::bucket_index(1 << 30),
-            HISTOGRAM_BUCKETS - 1
-        );
-        assert_eq!(
-            LatencyHistogram::bucket_index(1 << 31),
-            HISTOGRAM_BUCKETS - 1
-        );
-
-        // A sample exactly on a boundary is counted once, in the upper
-        // bucket, and percentile floors report that boundary exactly.
-        let mut h = LatencyHistogram::new();
-        h.record(16);
-        assert_eq!(h.buckets[LatencyHistogram::bucket_index(16)], 1);
-        assert_eq!(h.percentile(100.0), 16);
-    }
-
-    #[test]
-    fn histogram_merge_adds() {
-        let mut a = LatencyHistogram::new();
-        a.record(3);
-        let mut b = LatencyHistogram::new();
-        b.record(8);
-        a.merge(&b);
-        assert_eq!(a.count, 2);
-        assert_eq!(a.min, 3);
-        assert_eq!(a.max, 8);
     }
 
     #[test]

@@ -109,10 +109,15 @@ pub enum RouteError {
         /// The hop index at which the reversal occurs.
         hop: usize,
     },
-    /// The route needs more than [`SourceRoute::MAX_ENTRIES`] entries.
+    /// The route needs more entries than the limit it was checked
+    /// against: [`SourceRoute::MAX_ENTRIES`], or
+    /// [`SourceRoute::PAPER_FIELD_ENTRIES`] where the paper's route field
+    /// is required.
     TooLong {
         /// Entries required (hops + 1 for the extract entry).
         entries: usize,
+        /// The entry limit the route exceeded.
+        limit: usize,
     },
     /// An empty hop sequence was supplied (self-delivery does not enter
     /// the network).
@@ -125,10 +130,9 @@ impl fmt::Display for RouteError {
             RouteError::Reversal { hop } => {
                 write!(f, "hop {hop} reverses direction; not encodable in 2 bits")
             }
-            RouteError::TooLong { entries } => write!(
+            RouteError::TooLong { entries, limit } => write!(
                 f,
-                "route needs {entries} entries, more than the maximum of {}",
-                SourceRoute::MAX_ENTRIES
+                "route needs {entries} entries, more than the maximum of {limit}"
             ),
             RouteError::Empty => write!(f, "empty hop sequence"),
         }
@@ -185,7 +189,10 @@ impl SourceRoute {
         }
         let entries = hops.len() + 1;
         if entries > Self::MAX_ENTRIES {
-            return Err(RouteError::TooLong { entries });
+            return Err(RouteError::TooLong {
+                entries,
+                limit: Self::MAX_ENTRIES,
+            });
         }
         let mut bits: u128 = 0;
         let mut shift = 0;
@@ -221,7 +228,10 @@ impl SourceRoute {
         }
         let entries = hops + 1;
         if entries > Self::MAX_ENTRIES {
-            return Err(RouteError::TooLong { entries });
+            return Err(RouteError::TooLong {
+                entries,
+                limit: Self::MAX_ENTRIES,
+            });
         }
         let mut bits: u128 = 0;
         let mut heading: Option<Direction> = None;
@@ -412,8 +422,28 @@ mod tests {
         assert_eq!(
             err,
             RouteError::TooLong {
-                entries: SourceRoute::MAX_ENTRIES + 1
+                entries: SourceRoute::MAX_ENTRIES + 1,
+                limit: SourceRoute::MAX_ENTRIES,
             }
+        );
+    }
+
+    /// The message names the limit the route failed: the paper field's
+    /// 8 entries where it applies, not the 64 a source route holds.
+    #[test]
+    fn too_long_names_the_limit_it_failed() {
+        let paper = RouteError::TooLong {
+            entries: 9,
+            limit: SourceRoute::PAPER_FIELD_ENTRIES,
+        };
+        assert_eq!(
+            paper.to_string(),
+            "route needs 9 entries, more than the maximum of 8"
+        );
+        let err = SourceRoute::compile(&[North; SourceRoute::MAX_ENTRIES]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "route needs 65 entries, more than the maximum of 64"
         );
     }
 

@@ -524,6 +524,7 @@ impl ShardCell {
         if shared.cfg.require_paper_route_field && !route.fits_paper_field() {
             return Err(Error::Route(RouteError::TooLong {
                 entries: route.num_entries(),
+                limit: SourceRoute::PAPER_FIELD_ENTRIES,
             }));
         }
 

@@ -24,12 +24,14 @@
 //!    quiescent network generates no per-window work and the
 //!    activity-gated engine never wakes an entity for telemetry.
 //! 2. **Quantile histograms** — a sparse HDR-style log-linear
-//!    [`QuantileHistogram`] per service class (and per
-//!    (class, src, dst) pair at coarser precision) records every
-//!    delivered packet's latency. There is no sampling, and for
-//!    cycle-valued latencies below the precision horizon the recorded
-//!    value *is* the bucket, so p50/p99/p99.9/p99.99 are exact — see
-//!    [`QuantileHistogram::is_exact`].
+//!    [`QuantileHistogram`] per service class records every delivered
+//!    packet's latency. There is no sampling, and for cycle-valued
+//!    latencies below the precision horizon the recorded value *is* the
+//!    bucket, so p50/p99/p99.9/p99.99 are exact — see
+//!    [`QuantileHistogram::is_exact`]. The same type is the workspace's
+//!    one latency histogram: the probe's per-(src, dst) table
+//!    ([`crate::NetworkProbe::pair_latency`]) and the simulator's
+//!    measurement use it too.
 //! 3. **Transient detectors** — pure post-passes over the frozen
 //!    series: saturation onset ([`TelemetryReport::saturation_onset`]),
 //!    post-disturbance recovery ([`TelemetryReport::recovery_cycle`]),
@@ -45,8 +47,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::ids::{Cycle, NodeId, Port};
-use crate::probe::{Event, PairTable};
+use crate::ids::{Cycle, Port};
+use crate::probe::Event;
 
 /// Default telemetry window width, in cycles.
 pub const DEFAULT_WINDOW: Cycle = 1024;
@@ -60,9 +62,10 @@ pub const NUM_CLASSES: usize = 3;
 /// (128 Ki-cycles — far beyond any sane packet latency).
 pub const CLASS_PRECISION_BITS: u32 = 16;
 
-/// Sub-bucket precision bits of the per-(class, src, dst) histograms —
-/// coarser, because a k = 16 torus has 65 280 pairs. Exact below 256
-/// cycles; relative quantization below `2^-7` (0.8 %) above.
+/// Sub-bucket precision bits of the per-(src, dst) histograms in
+/// [`crate::NetworkProbe::pair_latency`] — coarser, because a k = 16
+/// torus has 65 280 pairs. Exact below 256 cycles; relative
+/// quantization below `2^-7` (0.8 %) above.
 pub const PAIR_PRECISION_BITS: u32 = 7;
 
 /// A window counts as congested for a link when the link carried at
@@ -295,8 +298,6 @@ pub struct TelemetryCollector {
     cur: WindowRow,
     windows: Vec<WindowRow>,
     class_latency: [QuantileHistogram; NUM_CLASSES],
-    /// Per-(src, dst) latency histograms, one table per class.
-    pair_latency: [PairTable<QuantileHistogram>; NUM_CLASSES],
     /// Flits carried this window per link, indexed
     /// `node · Port::COUNT + port`.
     link_window: Vec<u32>,
@@ -320,7 +321,6 @@ impl TelemetryCollector {
             cur: WindowRow::default(),
             windows: Vec::new(),
             class_latency: std::array::from_fn(|_| QuantileHistogram::new(CLASS_PRECISION_BITS)),
-            pair_latency: std::array::from_fn(|_| PairTable::new()),
             link_window: vec![0; links],
             link_run_start: vec![NO_RUN; links],
             link_run_flits: vec![0; links],
@@ -409,8 +409,6 @@ impl TelemetryCollector {
             Event::Dropped { .. } => self.window(now).packets_dropped += 1,
             Event::Misroute { .. } => self.window(now).misroutes += 1,
             Event::Delivered {
-                src,
-                dst,
                 network_latency,
                 num_flits,
                 class,
@@ -423,9 +421,6 @@ impl TelemetryCollector {
                 w.latency_sum[c] += network_latency;
                 w.latency_count[c] += 1;
                 self.class_latency[c].record(network_latency);
-                self.pair_latency[c]
-                    .get_or_insert_with(src, dst, || QuantileHistogram::new(PAIR_PRECISION_BITS))
-                    .record(network_latency);
             }
             Event::BufferSample { occupancy, .. } => {
                 self.window(now).occupancy_integral += occupancy as u64;
@@ -460,13 +455,6 @@ impl TelemetryCollector {
             nodes: self.num_nodes,
             windows: self.windows,
             class_latency: self.class_latency,
-            pair_latency: (0u8..)
-                .zip(self.pair_latency)
-                .flat_map(|(class, pairs)| {
-                    let pairs = pairs.into_sorted_vec().into_iter();
-                    pairs.map(move |((src, dst), h)| ((class, src, dst), h))
-                })
-                .collect(),
             congestion_spans: spans,
         }
     }
@@ -488,9 +476,6 @@ pub struct TelemetryReport {
     /// Per-class latency quantile histograms (indexed by
     /// [`crate::flit::ServiceClass::priority`]; precision [`CLASS_PRECISION_BITS`]).
     pub class_latency: [QuantileHistogram; NUM_CLASSES],
-    /// Per-(class, src, dst) latency histograms, sorted by key
-    /// (precision [`PAIR_PRECISION_BITS`]).
-    pub pair_latency: Vec<((u8, NodeId, NodeId), QuantileHistogram)>,
     /// Sustained congestion spans, sorted by (node, port, start).
     pub congestion_spans: Vec<LinkSpan>,
 }
@@ -672,19 +657,16 @@ impl TelemetryReport {
 
     /// Serializes to deterministic JSON: fixed key order, integer-only
     /// counters, floats printed with 6 decimals. Same run, same bytes.
-    /// The per-pair histograms are summarized (pair count only) — they
-    /// stay accessible programmatically on the report itself.
+    /// Per-pair latencies are exported by
+    /// [`crate::NetworkMetrics::to_json`], not here.
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::with_capacity(4096);
         let _ = write!(
             s,
             "{{\n  \"version\": 1,\n  \"window_width\": {},\n  \"cycles\": {},\n  \
-             \"nodes\": {},\n  \"pairs_tracked\": {},\n  \"windows\": [",
-            self.window_width,
-            self.cycles,
-            self.nodes,
-            self.pair_latency.len(),
+             \"nodes\": {},\n  \"windows\": [",
+            self.window_width, self.cycles, self.nodes,
         );
         for (i, w) in self.windows.iter().enumerate() {
             let sep = if i == 0 { "" } else { "," };
@@ -790,6 +772,7 @@ impl TelemetryReport {
 mod tests {
     use super::*;
     use crate::flit::ServiceClass;
+    use crate::ids::NodeId;
 
     fn injected() -> Event {
         let node = NodeId::new(0);
@@ -833,6 +816,7 @@ mod tests {
         assert_eq!(h.percentile(50.0), 5);
         assert_eq!(h.count, 5);
         assert_eq!(h.sum, 360);
+        assert_eq!((h.min, h.max), (0, 255));
     }
 
     #[test]
@@ -988,6 +972,5 @@ mod tests {
             1
         );
         assert_eq!(a.class_latency[1].count, 1);
-        assert_eq!(a.pair_latency.len(), 1);
     }
 }

@@ -48,7 +48,7 @@
 //! [`run_scoped`] executes a finished set of tasks, and [`run_with`] runs
 //! persistent workers alongside a coordinator on the calling thread
 //! (used by the windowed runner in [`crate::shard`], whose coordinator
-//! collects the cells' streamed outputs). `SimPool` and every threaded
+//! replays a probed run's streamed events). `SimPool` and every threaded
 //! run — probed, or of several cells — borrow their threads from here;
 //! an unprobed one-cell run steps on the calling thread.
 

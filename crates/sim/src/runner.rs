@@ -12,10 +12,10 @@ use ocin_core::interface::DeliveredPacket;
 use ocin_core::network::{EnergyCounters, Network};
 use ocin_core::probe::{NetworkMetrics, ProbeConfig};
 use ocin_core::reservation::StaticFlowSpec;
-use ocin_core::{Error, NetworkConfig};
+use ocin_core::{Error, NetworkConfig, QuantileHistogram};
 use ocin_traffic::{MatrixGenerator, TrafficMatrix, Workload, WorkloadGenerator};
 
-use crate::stats::{LatencyReport, Samples};
+use crate::stats::LatencyReport;
 
 /// Simulation phases, in cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,45 +115,98 @@ pub struct SimReport {
     pub metrics: Option<NetworkMetrics>,
 }
 
-/// Measurement-window accumulator. Deliveries must be fed in the
-/// one-cell collection order (cycle-major, then node-ascending) so
-/// latency sample streams — and therefore every percentile in the
-/// report — are bit-identical at every shard count.
-#[derive(Debug, Default)]
+/// Measurement-window accumulator: the delivered-flit count and exact
+/// latency histograms of the packets created inside the window.
+///
+/// Each histogram's precision is derived from the run's cycle bound. No
+/// latency can exceed the cycles simulated, so every latency is its own
+/// bucket, and the report equals one built by sorting the raw samples
+/// bit for bit, whatever order the deliveries arrive in. Each cell of a
+/// run folds its own deliveries into its own accumulator;
+/// [`MeasureAcc::merge`] combines them after the run.
+#[derive(Debug)]
 pub(crate) struct MeasureAcc {
-    pub(crate) lat_net: Samples,
-    pub(crate) lat_total: Samples,
-    pub(crate) class_samples: BTreeMap<u8, Samples>,
-    pub(crate) flow_samples: BTreeMap<FlowId, Samples>,
-    pub(crate) delivered_flits: u64,
-    pub(crate) delivered_packets: u64,
+    warm_end: u64,
+    meas_end: u64,
+    precision: u32,
+    lat_net: QuantileHistogram,
+    lat_total: QuantileHistogram,
+    class_latency: BTreeMap<u8, QuantileHistogram>,
+    flow_latency: BTreeMap<FlowId, QuantileHistogram>,
+    delivered_flits: u64,
+    delivered_packets: u64,
 }
 
 impl MeasureAcc {
-    /// Folds one delivery into the accumulator.
-    pub(crate) fn on_delivered(&mut self, pkt: &DeliveredPacket, warm_end: u64, meas_end: u64) {
+    /// An empty accumulator for the window `[warm_end, meas_end)` of a
+    /// run that stops by cycle `hard_end`.
+    pub(crate) fn new(warm_end: u64, meas_end: u64, hard_end: u64) -> MeasureAcc {
+        // Exact below 2^(precision + 1), which is above hard_end; the cap
+        // keeps that bound within a u64.
+        let precision = (u64::BITS - hard_end.leading_zeros()).min(62);
+        MeasureAcc {
+            warm_end,
+            meas_end,
+            precision,
+            lat_net: QuantileHistogram::new(precision),
+            lat_total: QuantileHistogram::new(precision),
+            class_latency: BTreeMap::new(),
+            flow_latency: BTreeMap::new(),
+            delivered_flits: 0,
+            delivered_packets: 0,
+        }
+    }
+
+    /// Folds one delivery into the accumulator. Returns whether the
+    /// packet is measured (created inside the window).
+    pub(crate) fn on_delivered(&mut self, pkt: &DeliveredPacket) -> bool {
         // Accepted throughput counts every flit that lands inside the
         // window, whatever its creation time.
-        if pkt.delivered_at >= warm_end && pkt.delivered_at < meas_end {
+        if pkt.delivered_at >= self.warm_end && pkt.delivered_at < self.meas_end {
             self.delivered_flits += pkt.num_flits as u64;
         }
         // Only packets created inside the window are measured.
-        if pkt.created_at < warm_end || pkt.created_at >= meas_end {
-            return;
+        if pkt.created_at < self.warm_end || pkt.created_at >= self.meas_end {
+            return false;
         }
+        let latency = pkt.network_latency();
+        let precision = self.precision;
         self.delivered_packets += 1;
-        self.lat_net.push(pkt.network_latency() as f64);
-        self.lat_total.push(pkt.total_latency() as f64);
-        self.class_samples
+        self.lat_net.record(latency);
+        self.lat_total.record(pkt.total_latency());
+        self.class_latency
             .entry(pkt.class.priority())
-            .or_default()
-            .push(pkt.network_latency() as f64);
+            .or_insert_with(|| QuantileHistogram::new(precision))
+            .record(latency);
         if let Some(f) = pkt.flow {
-            self.flow_samples
+            self.flow_latency
                 .entry(f)
-                .or_default()
-                .push(pkt.network_latency() as f64);
+                .or_insert_with(|| QuantileHistogram::new(precision))
+                .record(latency);
         }
+        true
+    }
+
+    /// Folds `other`, an accumulator of the same run, into this one.
+    pub(crate) fn merge(&mut self, other: &MeasureAcc) {
+        self.lat_net.merge(&other.lat_net);
+        self.lat_total.merge(&other.lat_total);
+        merge_keyed(&mut self.class_latency, &other.class_latency);
+        merge_keyed(&mut self.flow_latency, &other.flow_latency);
+        self.delivered_flits += other.delivered_flits;
+        self.delivered_packets += other.delivered_packets;
+    }
+}
+
+/// Merges each histogram of `theirs` into the one under the same key.
+fn merge_keyed<K: Ord + Copy>(
+    mine: &mut BTreeMap<K, QuantileHistogram>,
+    theirs: &BTreeMap<K, QuantileHistogram>,
+) {
+    for (k, h) in theirs {
+        mine.entry(*k)
+            .and_modify(|m| m.merge(h))
+            .or_insert_with(|| h.clone());
     }
 }
 
@@ -172,7 +225,7 @@ pub(crate) fn assemble_report(
     net: &Network,
     cfg: &SimConfig,
     offered_rate: f64,
-    acc: &mut MeasureAcc,
+    acc: &MeasureAcc,
     totals: RunTotals,
     metrics: Option<NetworkMetrics>,
 ) -> SimReport {
@@ -197,22 +250,22 @@ pub(crate) fn assemble_report(
         window: cfg.measure_cycles,
         offered_flit_rate: offered_rate,
         accepted_flit_rate: acc.delivered_flits as f64 / (n as f64 * cfg.measure_cycles as f64),
-        network_latency: acc.lat_net.report(),
-        total_latency: acc.lat_total.report(),
+        network_latency: LatencyReport::from_quantiles(&acc.lat_net),
+        total_latency: LatencyReport::from_quantiles(&acc.lat_total),
         class_latency: acc
-            .class_samples
-            .iter_mut()
-            .map(|(k, v)| (*k, v.report()))
+            .class_latency
+            .iter()
+            .map(|(k, h)| (*k, LatencyReport::from_quantiles(h)))
             .collect(),
         flow_jitter: acc
-            .flow_samples
+            .flow_latency
             .iter()
-            .map(|(k, v)| (*k, v.spread()))
+            .map(|(k, h)| (*k, (h.max - h.min) as f64))
             .collect(),
         flow_latency: acc
-            .flow_samples
-            .iter_mut()
-            .map(|(k, v)| (*k, v.report()))
+            .flow_latency
+            .iter()
+            .map(|(k, h)| (*k, LatencyReport::from_quantiles(h)))
             .collect(),
         packets_delivered: acc.delivered_packets,
         packets_injected: injected_packets,
@@ -331,7 +384,9 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ocin_core::TopologySpec;
+    use crate::Samples;
+    use ocin_core::ids::PacketId;
+    use ocin_core::{ServiceClass, TopologySpec};
     use ocin_traffic::{InjectionProcess, TrafficMatrix, TrafficPattern};
 
     fn quick_sim(rate: f64) -> SimReport {
@@ -429,6 +484,121 @@ mod tests {
             assert_eq!(s.offered_rate().to_bits(), want.to_bits());
         }
         assert_eq!(sim().offered_rate(), 0.0);
+    }
+
+    /// The histogram measurement reproduces a sort of the raw samples
+    /// bit for bit, whatever the feed order and however the deliveries
+    /// split across cells. The latencies straddle 2^17, where a fixed
+    /// 16-bit precision would start to floor odd values.
+    #[test]
+    fn measurement_matches_sorted_samples_in_any_order() {
+        let (warm_end, meas_end, hard_end) = (100, 1_100, 300_000);
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut pkts: Vec<DeliveredPacket> = (0..900u64)
+            .map(|i| {
+                let created_at = 50 + next() % 1_100;
+                let injected_at = created_at + next() % 40;
+                let wide = 1 + 2 * (next() % 400);
+                let latency = match i % 3 {
+                    0 => (1 << 17) + wide,
+                    1 => (1 << 17) - wide,
+                    _ => 5 + next() % 200,
+                };
+                let classes = [ServiceClass::Bulk, ServiceClass::Priority];
+                DeliveredPacket {
+                    id: PacketId(i),
+                    src: 0.into(),
+                    dst: 1.into(),
+                    class: classes[(i % 2) as usize],
+                    flow: (i % 4 == 0).then_some(FlowId((i % 3) as u32)),
+                    created_at,
+                    injected_at,
+                    delivered_at: injected_at + latency,
+                    num_flits: 1 + (i % 4) as usize,
+                    payloads: Vec::new(),
+                    corrupted: false,
+                }
+            })
+            .collect();
+        // A few packets land inside the window, so accepted throughput
+        // counts flits too.
+        for p in pkts.iter_mut().step_by(7) {
+            p.delivered_at = p.injected_at + 5;
+        }
+
+        // The reference: every measured sample, sorted on report.
+        let (mut lat_net, mut lat_total) = (Samples::new(), Samples::new());
+        let mut classes: BTreeMap<u8, Samples> = BTreeMap::new();
+        let mut flows: BTreeMap<FlowId, Samples> = BTreeMap::new();
+        let (mut flits, mut measured) = (0u64, 0u64);
+        for p in &pkts {
+            if p.delivered_at >= warm_end && p.delivered_at < meas_end {
+                flits += p.num_flits as u64;
+            }
+            if p.created_at >= warm_end && p.created_at < meas_end {
+                let latency = p.network_latency() as f64;
+                measured += 1;
+                lat_net.push(latency);
+                lat_total.push(p.total_latency() as f64);
+                classes.entry(p.class.priority()).or_default().push(latency);
+                if let Some(f) = p.flow {
+                    flows.entry(f).or_default().push(latency);
+                }
+            }
+        }
+        assert!(measured > 500 && flits > 0);
+
+        // Shuffle, then split across two cells and merge.
+        let mut keyed: Vec<(u64, DeliveredPacket)> = pkts.drain(..).map(|p| (next(), p)).collect();
+        keyed.sort_by_key(|&(k, _)| k);
+        let mut cells = [0, 1].map(|_| MeasureAcc::new(warm_end, meas_end, hard_end));
+        for (i, (_, p)) in keyed.iter().enumerate() {
+            cells[i % 2].on_delivered(p);
+        }
+        let [mut acc, other] = cells;
+        acc.merge(&other);
+
+        let cfg = SimConfig {
+            warmup_cycles: warm_end,
+            measure_cycles: meas_end - warm_end,
+            drain_cycles: hard_end - meas_end,
+            seed: 1,
+        };
+        let net = Network::new(NetworkConfig::paper_baseline()).unwrap();
+        let totals = RunTotals {
+            injected_packets: 0,
+            unfinished_packets: 0,
+            energy_start: EnergyCounters::default(),
+            energy_end: EnergyCounters::default(),
+        };
+        let got = assemble_report(&net, &cfg, 0.0, &acc, totals, None);
+
+        let bits = |r: &LatencyReport| {
+            [r.mean, r.p50, r.p95, r.p99, r.p999, r.min, r.max].map(f64::to_bits)
+        };
+        let same = |got: &LatencyReport, want: &LatencyReport| {
+            got.count == want.count && bits(got) == bits(want)
+        };
+        assert!(same(&got.network_latency, &lat_net.report()));
+        assert!(same(&got.total_latency, &lat_total.report()));
+        assert_eq!(got.class_latency.len(), classes.len());
+        for (k, s) in &mut classes {
+            assert!(same(&got.class_latency[k], &s.report()), "class {k}");
+        }
+        assert_eq!(got.flow_latency.len(), flows.len());
+        for (k, s) in &mut flows {
+            assert!(same(&got.flow_latency[k], &s.report()), "{k:?}");
+            assert_eq!(got.flow_jitter[k].to_bits(), s.spread().to_bits());
+        }
+        assert_eq!(got.packets_delivered, measured);
+        let accepted = flits as f64 / (16.0 * (meas_end - warm_end) as f64);
+        assert_eq!(got.accepted_flit_rate.to_bits(), accepted.to_bits());
     }
 
     #[test]

@@ -14,28 +14,29 @@
 //! mailboxes and agree on the harness exit condition via per-cycle
 //! injection/delivery tallies, then continue.
 //!
-//! # Inline and threaded runs
+//! # Measurement and threads
 //!
-//! An unprobed one-cell run — most points of a sweep — runs its worker
-//! on the calling thread and folds each window's deliveries into the
-//! measurement at once: no thread, no channel, and nothing buffered
-//! beyond one window. Every other run gives each cell a scoped worker
-//! and collects their streamed outputs on the calling thread, so a
-//! probed run replays its events there while its worker steps on. Both
-//! fold through one `Collector`, so they cannot disagree.
+//! Each cell folds its own deliveries into a cell-local measurement
+//! (`MeasureAcc`). Its exact latency histograms give the same report in
+//! any feed order, so the cells' accumulators are merged once, after
+//! the run, and an unprobed run hands nothing to the calling thread: at
+//! one cell it steps there, and at several each cell gets a scoped
+//! worker ([`crate::exec::run_scoped`]). A probed run gives every cell a
+//! scoped worker and replays their probe events on the calling thread
+//! while they step on.
 //!
-//! # Streamed outputs
+//! # Streamed probe events
 //!
-//! A threaded worker keeps nothing for the whole run. It buffers the
-//! probe events and delivered packets of the cycles since its last
-//! hand-off, and at a window boundary it hands both to the coordinator
-//! on the calling thread. All cells cut at the same boundaries: each
-//! publishes its buffered count with its window tallies, and every cell
-//! cuts once the counts sum to `HANDOFF_ITEMS` (and always at exit), so
-//! a round of hand-offs covers the same cycles in every cell. Hand-offs
-//! travel over a bounded channel (`HANDOFFS_IN_FLIGHT` deep) and their
-//! buffers come back emptied for reuse, so a run holds a constant number
-//! of buffers per cell however long it runs.
+//! A probed worker keeps no events for the whole run. It buffers those
+//! of the cycles since its last hand-off, and at a window boundary it
+//! hands them to the coordinator on the calling thread. All cells cut at
+//! the same boundaries: each publishes its buffered count with its
+//! window tallies, and every cell cuts once the counts sum to
+//! `HANDOFF_ITEMS` (and always at exit), so a round of hand-offs covers
+//! the same cycles in every cell. Hand-offs travel over a bounded
+//! channel (`HANDOFFS_IN_FLIGHT` deep) and their buffers come back
+//! emptied for reuse, so a run holds a constant number of buffers per
+//! cell however long it runs.
 //!
 //! # Determinism
 //!
@@ -47,10 +48,10 @@
 //! * workload draws come from per-node (and per-matrix-row) RNG
 //!   streams, so each worker's cloned generator reproduces exactly the
 //!   draws one generator would have made for its nodes;
-//! * each round's deliveries are merged by `(delivered_at, cell)`,
-//!   which restores the one-cell cycle-major, node-ascending collection
-//!   order because each worker drains its own (ascending) node range
-//!   every cycle;
+//! * each cell records its deliveries in exact latency histograms,
+//!   whose counts, sums, extremes and percentiles do not depend on the
+//!   order the samples came in, and the cells' histograms are merged
+//!   after the run;
 //! * each round's probe events are merged into the one-cell order by
 //!   [`replay_logs`] and fed to one [`NetworkProbe`];
 //! * the measured-outstanding exit counter is replicated on every
@@ -64,8 +65,9 @@
 //! A worker that stops early — by panicking, or because the coordinator
 //! has gone — breaks the window barrier on its way out, so its peers
 //! stop too instead of waiting for it; the run then panics with the
-//! failing worker's own message ([`crate::exec::run_with`]). An inline
-//! worker's panic unwinds straight through the caller.
+//! failing worker's own message ([`crate::exec::run_scoped`],
+//! [`crate::exec::run_with`]). A worker on the calling thread unwinds
+//! straight through the caller.
 //!
 //! See DESIGN.md §3.15 for the lookahead-window argument.
 
@@ -74,7 +76,6 @@ use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use ocin_core::ids::{FlowId, NodeId};
-use ocin_core::interface::DeliveredPacket;
 use ocin_core::network::{EnergyCounters, Network, PacketSpec};
 use ocin_core::probe::NetworkProbe;
 use ocin_core::reservation::StaticFlowSpec;
@@ -86,9 +87,8 @@ use ocin_traffic::{MatrixGenerator, WorkloadGenerator};
 
 use crate::runner::{assemble_report, MeasureAcc, RunTotals, SimReport, Simulation};
 
-/// Probe events plus deliveries buffered across all cells at which
-/// every cell hands its outputs to the coordinator (checked at window
-/// boundaries).
+/// Probe events buffered across all cells at which every cell hands its
+/// events to the coordinator (checked at window boundaries).
 const HANDOFF_ITEMS: usize = 4_096;
 
 /// Hand-offs a cell may have queued for the coordinator before it waits.
@@ -154,10 +154,10 @@ impl ShardedSimulation {
     }
 }
 
-/// Runs `sim` through the windowed runner on `shards` cells: inline on
-/// the calling thread when unprobed at one cell, otherwise one scoped
-/// worker per cell with the calling thread collecting their streamed
-/// deliveries and probe events.
+/// Runs `sim` through the windowed runner on `shards` cells: on the
+/// calling thread when unprobed at one cell, otherwise one scoped worker
+/// per cell, with the calling thread replaying a probed run's streamed
+/// events.
 pub(crate) fn run_windowed(sim: &mut Simulation, shards: usize) -> SimReport {
     if sim.probe_cfg.is_some() {
         drive::<LogProbe>(sim, shards)
@@ -179,69 +179,57 @@ fn drive<P: WorkerProbe>(sim: &mut Simulation, shards: usize) -> SimReport {
         window: sim.net.lookahead_window(),
         reservation_period: sim.reservation_period,
     };
-    let probe = sim
+    let mut probe = sim
         .probe_cfg
         .map(|pc| NetworkProbe::for_network(sim.net.config(), pc));
     let offered_rate = sim.offered_rate();
-    let flows = &sim.flows;
-    let generator = &sim.generator;
-    let matrix = &sim.matrix;
+    let (flows, generator, matrix) = (&sim.flows, &sim.generator, &sim.matrix);
     let handles = sim.net.shard_handles(shards);
     let cells = handles.len();
     let ctx = SyncCtx::new(cells);
-    let mut collector = Collector {
-        probe,
-        acc: MeasureAcc::default(),
-        heads: vec![0; cells],
-        warm_end,
-        meas_end,
+    let worker = |h, link: Option<CellLink>| {
+        let ctx = &ctx;
+        let (flows, generator, matrix) = (flows.clone(), generator.clone(), matrix.clone());
+        move || worker_loop::<P>(h, ctx, cfg, flows, generator, matrix, link)
     };
 
-    let outs: Vec<WorkerOut> = if cells == 1 && !P::ENABLED {
-        let h = handles.into_iter().next().expect("one cell");
-        let mut inline = Inline {
-            collector: &mut collector,
-            round: [Handoff::default()],
-        };
-        let (flows, generator, matrix) = (flows.clone(), generator.clone(), matrix.clone());
-        let out = worker_loop::<P, _>(h, &ctx, cfg, flows, generator, matrix, &mut inline);
-        vec![out.expect("an inline cell has no peer to stop it")]
-    } else {
-        let (to_coord, from_cells): (Vec<_>, Vec<_>) =
-            (0..cells).map(|_| sync_channel(HANDOFFS_IN_FLIGHT)).unzip();
-        let (spares_back, spares): (Vec<_>, Vec<_>) = (0..cells).map(|_| channel()).unzip();
-        // Threads are borrowed from the executor seam (`exec.rs`), the
-        // workspace's one sanctioned spawn site; worker results come
-        // back in cell order regardless of finish order.
-        let workers: Vec<_> = handles
-            .into_iter()
-            .zip(to_coord.into_iter().zip(spares))
-            .map(|(h, (to_coord, spares))| {
-                let ctx = &ctx;
-                let flows = flows.clone();
-                let generator = generator.clone();
-                let matrix = matrix.clone();
-                let mut link = CellLink { to_coord, spares };
-                move || worker_loop::<P, _>(h, ctx, cfg, flows, generator, matrix, &mut link)
-            })
-            .collect();
-        // The coordinator owns the receiving ends: however it returns,
-        // they drop with it, which releases any worker still waiting to
-        // send.
-        let coll = &mut collector;
-        let (outs, collected) =
-            crate::exec::run_with(workers, move || collect(&from_cells, &spares_back, coll));
-        collected.expect("the coordinator saw every hand-off");
-        // A cell stops early only after a peer panicked, and `run_with`
-        // has already resumed that panic.
-        outs.into_iter()
-            .collect::<Option<_>>()
-            .expect("every cell ran to the end")
+    // Threads are borrowed from the executor seam (`exec.rs`), the
+    // workspace's one sanctioned spawn site; worker results come back in
+    // cell order regardless of finish order.
+    let outs = match probe.as_mut() {
+        None => crate::exec::run_scoped(handles.into_iter().map(|h| worker(h, None)).collect()),
+        Some(probe) => {
+            let (to_coord, from_cells): (Vec<_>, Vec<_>) =
+                (0..cells).map(|_| sync_channel(HANDOFFS_IN_FLIGHT)).unzip();
+            let (spares_back, spares): (Vec<_>, Vec<_>) = (0..cells).map(|_| channel()).unzip();
+            let workers = handles
+                .into_iter()
+                .zip(to_coord.into_iter().zip(spares))
+                .map(|(h, (to_coord, spares))| worker(h, Some(CellLink { to_coord, spares })))
+                .collect();
+            // The coordinator owns the receiving ends: however it
+            // returns, they drop with it, which releases any worker
+            // still waiting to send.
+            let (outs, collected) =
+                crate::exec::run_with(workers, move || collect(&from_cells, &spares_back, probe));
+            collected.expect("the coordinator saw every hand-off");
+            outs
+        }
     };
+    // A cell stops early only after a peer panicked, and the executor
+    // has already resumed that panic.
+    let outs: Vec<WorkerOut> = outs
+        .into_iter()
+        .collect::<Option<_>>()
+        .expect("every cell ran to the end");
 
     let end_cycle = outs[0].end_cycle;
     sim.net.finish_sharded_run(end_cycle);
 
+    let mut acc = MeasureAcc::new(warm_end, meas_end, hard_end);
+    for o in &outs {
+        acc.merge(&o.acc);
+    }
     let injected_packets: u64 = outs.iter().map(|o| o.injected_measured).sum();
     let unfinished_packets = outs[0].outstanding;
     let energy_start = sum_snaps(outs.iter().map(|o| o.warm_snap.as_ref())).unwrap_or_default();
@@ -256,91 +244,41 @@ fn drive<P: WorkerProbe>(sim: &mut Simulation, shards: usize) -> SimReport {
         &sim.net,
         &sim.cfg,
         offered_rate,
-        &mut collector.acc,
+        &acc,
         RunTotals {
             injected_packets,
             unfinished_packets,
             energy_start,
             energy_end,
         },
-        collector.probe.map(|p| p.into_metrics(end_cycle)),
+        probe.map(|p| p.into_metrics(end_cycle)),
     )
 }
 
-/// Folds the cells' outputs into the run's measurement and probe, one
-/// round of hand-offs at a time (every hand-off in a round covers the
-/// same cycles).
-struct Collector {
-    probe: Option<NetworkProbe>,
-    acc: MeasureAcc,
-    /// Per-cell merge cursors, reused from round to round.
-    heads: Vec<usize>,
-    warm_end: u64,
-    meas_end: u64,
-}
-
-impl Collector {
-    /// Replays the round's events into the probe and folds its
-    /// deliveries into the measurement, both in one-cell order.
-    fn fold(&mut self, round: &[Handoff]) {
-        if let Some(p) = self.probe.as_mut() {
-            replay_logs(round, p);
-        }
-        merge_deliveries(round, &mut self.heads, |pkt| {
-            self.acc.on_delivered(pkt, self.warm_end, self.meas_end);
-        });
-    }
-}
-
-/// The calling thread's side of a threaded run. Takes one hand-off from
-/// every cell per round, folds the round into `collector`, then sends
-/// the emptied buffers back. Returns `None` if a cell stopped before its
-/// last hand-off.
+/// The calling thread's side of a probed run. Takes one hand-off from
+/// every cell per round, replays the round's events into `probe` in
+/// one-cell order, then sends the emptied buffers back. Returns `None`
+/// if a cell stopped before its last hand-off.
 fn collect(
     from_cells: &[Receiver<Handoff>],
     spares_back: &[Sender<Handoff>],
-    collector: &mut Collector,
+    probe: &mut NetworkProbe,
 ) -> Option<()> {
     let mut round: Vec<Handoff> = Vec::with_capacity(from_cells.len());
     loop {
         for cell in from_cells {
             round.push(cell.recv().ok()?);
         }
-        collector.fold(&round);
+        replay_logs(&round, probe);
         let last = round[0].last;
         for (mut h, back) in round.drain(..).zip(spares_back) {
             h.events.clear();
-            h.delivered.clear();
             // A cell that already finished no longer needs its spares.
             let _ = back.send(h);
         }
         if last {
             return Some(());
         }
-    }
-}
-
-/// Feeds one round's deliveries to `f` in `(delivered_at, cell)` order.
-/// Each cell's list is already in delivery-cycle order, so this is the
-/// order a stable sort of the cell-ordered concatenation would give.
-fn merge_deliveries(round: &[Handoff], heads: &mut [usize], mut f: impl FnMut(&DeliveredPacket)) {
-    if let [only] = round {
-        only.delivered.iter().for_each(f);
-        return;
-    }
-    heads.fill(0);
-    loop {
-        let mut best: Option<(u64, usize)> = None;
-        for (c, h) in round.iter().enumerate() {
-            if let Some(p) = h.delivered.get(heads[c]) {
-                if best.is_none_or(|(at, _)| p.delivered_at < at) {
-                    best = Some((p.delivered_at, c));
-                }
-            }
-        }
-        let Some((_, c)) = best else { break };
-        f(&round[c].delivered[heads[c]]);
-        heads[c] += 1;
     }
 }
 
@@ -373,11 +311,10 @@ impl WorkerProbe for LogProbe {
     }
 }
 
-/// One cell's outputs for the cycles since its previous hand-off.
+/// One cell's probe events for the cycles since its previous hand-off.
 #[derive(Default)]
 struct Handoff {
     events: Vec<LogEvent>,
-    delivered: Vec<DeliveredPacket>,
     /// The run ends with this round.
     last: bool,
 }
@@ -388,74 +325,25 @@ impl AsRef<[LogEvent]> for Handoff {
     }
 }
 
-/// Where a worker's buffered events and deliveries go when the cells
-/// cut.
-trait Outlet {
-    /// Buffered events plus deliveries, summed over the cells, at which
-    /// every cell cuts (checked at window boundaries).
-    const CUT_AT: usize;
-    /// Passes on the cell's buffered events and deliveries and leaves
-    /// the worker recording into empty buffers. `None` if the
-    /// coordinator has gone.
-    fn hand_off<P: WorkerProbe>(
-        &mut self,
-        probe: &mut P,
-        delivered: &mut Vec<DeliveredPacket>,
-        last: bool,
-    ) -> Option<()>;
-}
-
-/// A threaded worker's two channels to the coordinator.
+/// A probed worker's two channels to the coordinator.
 struct CellLink {
     to_coord: SyncSender<Handoff>,
     /// Emptied buffers coming back for reuse.
     spares: Receiver<Handoff>,
 }
 
-impl Outlet for CellLink {
-    const CUT_AT: usize = HANDOFF_ITEMS;
-
-    /// Sends the buffers to the coordinator and takes a recycled pair
-    /// (a new one only while every earlier pair is still in flight).
-    fn hand_off<P: WorkerProbe>(
-        &mut self,
-        probe: &mut P,
-        delivered: &mut Vec<DeliveredPacket>,
-        last: bool,
-    ) -> Option<()> {
-        let mut out = self.spares.try_recv().unwrap_or_default();
-        probe.swap_log(&mut out.events);
-        std::mem::swap(delivered, &mut out.delivered);
-        out.last = last;
-        self.to_coord.send(out).ok()
-    }
-}
-
-/// An inline worker's outlet: it runs on the calling thread and folds
-/// every window's outputs into the collector at once.
-struct Inline<'a> {
-    collector: &'a mut Collector,
-    round: [Handoff; 1],
-}
-
-impl Outlet for Inline<'_> {
-    const CUT_AT: usize = 0;
-
-    fn hand_off<P: WorkerProbe>(
-        &mut self,
-        probe: &mut P,
-        delivered: &mut Vec<DeliveredPacket>,
-        _last: bool,
-    ) -> Option<()> {
-        let [out] = &mut self.round;
-        probe.swap_log(&mut out.events);
-        std::mem::swap(delivered, &mut out.delivered);
-        self.collector.fold(&self.round);
-        let [out] = &mut self.round;
-        out.events.clear();
-        out.delivered.clear();
-        Some(())
-    }
+/// Passes the cell's buffered events to the coordinator, if the run is
+/// probed, and leaves the worker recording into an empty buffer (a
+/// recycled one unless every earlier buffer is still in flight).
+/// `None` if the coordinator has gone.
+fn hand_off<P: WorkerProbe>(link: &mut Option<CellLink>, probe: &mut P, last: bool) -> Option<()> {
+    let Some(link) = link else {
+        return Some(());
+    };
+    let mut out = link.spares.try_recv().unwrap_or_default();
+    probe.swap_log(&mut out.events);
+    out.last = last;
+    link.to_coord.send(out).ok()
 }
 
 /// Immutable per-run parameters copied into every worker.
@@ -500,7 +388,7 @@ struct WindowPost {
     /// worker folds all tallies in cycle order into the same exit
     /// counter.
     tallies: Vec<(u64, u64)>,
-    /// Events plus deliveries waiting for the next hand-off.
+    /// Probe events waiting for the next hand-off.
     buffered: usize,
 }
 
@@ -585,6 +473,8 @@ impl Drop for BreakOnDrop<'_> {
 
 /// What one worker hands back to the main thread at the end of the run.
 struct WorkerOut {
+    /// The cell's own deliveries, measured.
+    acc: MeasureAcc,
     injected_measured: u64,
     outstanding: u64,
     warm_snap: Option<CellEnergySnapshot>,
@@ -595,14 +485,14 @@ struct WorkerOut {
 
 /// Steps one cell window by window. Returns `None` if a peer or the
 /// coordinator stopped first.
-fn worker_loop<P: WorkerProbe, O: Outlet>(
+fn worker_loop<P: WorkerProbe>(
     mut h: ShardHandle<'_>,
     ctx: &SyncCtx,
     cfg: WorkerCfg,
     flows: Vec<(FlowId, StaticFlowSpec)>,
     mut generator: Option<WorkloadGenerator>,
     mut matrix: Option<MatrixGenerator>,
-    link: &mut O,
+    mut link: Option<CellLink>,
 ) -> Option<WorkerOut> {
     let _stop = BreakOnDrop(&ctx.barrier);
     let me = h.cell_index();
@@ -617,6 +507,8 @@ fn worker_loop<P: WorkerProbe, O: Outlet>(
     // yet accepted: unbounded, so offered load holds past saturation.
     let mut pending: Vec<VecDeque<PacketSpec>> = vec![VecDeque::new(); owned.len()];
     let mut probe = P::default();
+    let mut acc = MeasureAcc::new(cfg.warm_end, cfg.meas_end, cfg.hard_end);
+    // One cycle's deliveries, folded into `acc` and cleared at once.
     let mut delivered = Vec::new();
     let mut injected_measured = 0u64;
     // Measured packets injected but not yet delivered, rebuilt each
@@ -645,7 +537,7 @@ fn worker_loop<P: WorkerProbe, O: Outlet>(
         if now >= cfg.hard_end {
             // Only a run started at or past its end gets here: later
             // windows end at hard_end at the latest and exit below.
-            link.hand_off(&mut probe, &mut delivered, true)?;
+            hand_off(&mut link, &mut probe, true)?;
             end_cycle = now;
             break;
         }
@@ -713,20 +605,13 @@ fn worker_loop<P: WorkerProbe, O: Outlet>(
                 }
             }
             h.step_cycle(t, &mut probe, P::ENABLED);
-            let from = delivered.len();
             for &node in &owned {
                 h.drain_delivered_into(NodeId::new(node as u16), &mut delivered);
             }
-            for pkt in &mut delivered[from..] {
-                if pkt.created_at >= cfg.warm_end && pkt.created_at < cfg.meas_end {
+            for pkt in delivered.drain(..) {
+                if acc.on_delivered(&pkt) {
                     del += 1;
                 }
-                // The collector reads only the timing fields. Freeing the
-                // payloads on the thread that allocated them keeps them in
-                // its allocator arena; freed on the coordinator's thread
-                // they fragment it, and a process's peak RSS creeps up run
-                // after run.
-                pkt.payloads = Vec::new();
             }
             window_tallies.push((inj, del));
         }
@@ -743,7 +628,7 @@ fn worker_loop<P: WorkerProbe, O: Outlet>(
         {
             let mut post = lock(&ctx.posts[me]);
             std::mem::swap(&mut post.tallies, &mut window_tallies);
-            post.buffered = probe.buffered() + delivered.len();
+            post.buffered = probe.buffered();
         }
         window_tallies.clear();
         ctx.barrier.wait().ok()?;
@@ -769,7 +654,7 @@ fn worker_loop<P: WorkerProbe, O: Outlet>(
         for &(inj, del) in &sums {
             outstanding = (outstanding + inj).saturating_sub(del);
         }
-        let cut = buffered >= O::CUT_AT;
+        let cut = buffered >= HANDOFF_ITEMS;
         let exit = wend >= cfg.hard_end || (wend >= cfg.meas_end && outstanding == 0);
         if exit {
             exit_snap = Some(h.energy_snapshot());
@@ -778,7 +663,7 @@ fn worker_loop<P: WorkerProbe, O: Outlet>(
         // mailboxes or posts while a peer is still reading this one's.
         ctx.barrier.wait().ok()?;
         if cut || exit {
-            link.hand_off(&mut probe, &mut delivered, exit)?;
+            hand_off(&mut link, &mut probe, exit)?;
         }
         if exit {
             end_cycle = wend;
@@ -788,6 +673,7 @@ fn worker_loop<P: WorkerProbe, O: Outlet>(
     }
 
     Some(WorkerOut {
+        acc,
         injected_measured,
         outstanding,
         warm_snap,

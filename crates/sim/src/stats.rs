@@ -2,6 +2,12 @@
 
 /// A growing collection of numeric samples with summary statistics.
 ///
+/// It keeps every sample and sorts them for percentiles. A run's own
+/// measurement records into exact [`ocin_core::QuantileHistogram`]s
+/// instead, which report the same values in any feed order; this type
+/// is the sort-based reference they are held against, and a tool for
+/// ad-hoc statistics.
+///
 /// ```
 /// use ocin_sim::Samples;
 /// let mut s = Samples::new();
@@ -180,34 +186,14 @@ pub struct LatencyReport {
 }
 
 impl LatencyReport {
-    /// Summarizes a probe latency histogram.
+    /// Summarizes a latency histogram.
     ///
-    /// The mean, min, max, and count are exact; percentiles carry the
-    /// histogram's log₂-bucket resolution (each reported as its
-    /// bucket's floor, clamped below by the true minimum).
-    pub fn from_histogram(h: &ocin_core::LatencyHistogram) -> LatencyReport {
-        if h.count == 0 {
-            return LatencyReport::default();
-        }
-        LatencyReport {
-            count: h.count as usize,
-            mean: h.mean(),
-            p50: h.percentile(50.0) as f64,
-            p95: h.percentile(95.0) as f64,
-            p99: h.percentile(99.0) as f64,
-            p999: h.percentile(99.9) as f64,
-            min: h.min as f64,
-            max: h.max as f64,
-        }
-    }
-
-    /// Summarizes a telemetry quantile histogram.
-    ///
-    /// Unlike [`LatencyReport::from_histogram`], percentiles here carry
-    /// the log-linear resolution of [`ocin_core::QuantileHistogram`]:
-    /// exact whenever [`ocin_core::QuantileHistogram::is_exact`] holds
-    /// (all samples below `2^(precision+1)`), and within a relative
-    /// error of `2^-precision` otherwise.
+    /// The count, mean, min and max are exact. Percentiles carry the
+    /// log-linear resolution of [`ocin_core::QuantileHistogram`]: exact
+    /// whenever [`ocin_core::QuantileHistogram::is_exact`] holds (all
+    /// samples below `2^(precision+1)`), and within a relative error of
+    /// `2^-precision` otherwise. An exact histogram reports what
+    /// [`Samples::report`] reports for the same samples.
     pub fn from_quantiles(h: &ocin_core::QuantileHistogram) -> LatencyReport {
         if h.count == 0 {
             return LatencyReport::default();

@@ -10,10 +10,10 @@
 mod common;
 
 use common::reference_run;
-use ocin_core::ids::NodeId;
+use ocin_core::ids::{NodeId, PacketId};
 use ocin_core::{
-    EventKind, EventTrace, FlowControl, Network, NetworkConfig, NetworkProbe, PacketSpec,
-    ProbeConfig, TopologySpec,
+    Event, EventKind, EventTrace, FlowControl, Network, NetworkConfig, NetworkProbe, PacketSpec,
+    Probe, ProbeConfig, ServiceClass, TopologySpec,
 };
 use ocin_sim::{LatencyReport, LoadSweep, ShardedSimulation, SimConfig, SimReport, Simulation};
 use ocin_traffic::{InjectionProcess, TrafficPattern, Workload};
@@ -144,11 +144,37 @@ fn single_packet_accounting_is_exact() {
 
     // The histogram summary survives the conversion into a sim-layer
     // latency report.
-    let lr = LatencyReport::from_histogram(hist);
+    let lr = LatencyReport::from_quantiles(hist);
     assert_eq!(lr.count, 1);
     assert_eq!(lr.mean, 5.0);
     assert_eq!(lr.min, 5.0);
     assert_eq!(lr.max, 5.0);
+}
+
+/// Per-pair percentiles are exact: 23 deliveries at 5 cycles and 2 at
+/// 6 put the nearest-rank p99 (rank 25 of 25) on 6. A power-of-two
+/// bucket floor would report 5, the [4, 8) bucket's floor clamped to
+/// the minimum.
+#[test]
+fn pair_percentiles_are_exact() {
+    let mut probe = NetworkProbe::new(4, 8, ProbeConfig::counters());
+    for (i, latency) in std::iter::repeat_n(5, 23).chain([6, 6]).enumerate() {
+        let event = Event::Delivered {
+            src: NodeId::new(2),
+            dst: NodeId::new(3),
+            packet: PacketId(i as u64),
+            network_latency: latency,
+            num_flits: 1,
+            class: ServiceClass::Bulk,
+        };
+        probe.record(100 + i as u64, event);
+    }
+    let metrics = probe.into_metrics(200);
+    let pair = metrics.pairs[0];
+    assert_eq!((pair.src, pair.dst, pair.count), (2, 3, 25));
+    assert_eq!((pair.min, pair.p50, pair.p99, pair.max), (5, 5, 6, 6));
+    let lr = LatencyReport::from_quantiles(&metrics.pair_histograms[0].1);
+    assert_eq!((lr.p50, lr.p99, lr.p999), (5.0, 6.0, 6.0));
 }
 
 /// Probed sweep points carry metrics without disturbing determinism:

@@ -127,7 +127,7 @@ fn assert_reconciles(report: &SimReport, label: &str) {
         hist_total, metrics.totals.packets_delivered,
         "{label}: histogram population"
     );
-    let pair_total: u64 = t.pair_latency.iter().map(|(_, h)| h.count).sum();
+    let pair_total: u64 = metrics.pair_histograms.iter().map(|(_, h)| h.count).sum();
     assert_eq!(
         pair_total, metrics.totals.packets_delivered,
         "{label}: pair population"
