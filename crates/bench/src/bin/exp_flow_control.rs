@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use ocin_bench::{banner, check, f1, f2, f3, probe_enabled, quick_mode, sim_config, write_metrics};
-use ocin_core::{FlowControl, NetworkConfig};
+use ocin_core::{FlowControl, NetworkConfig, ProbeConfig};
 use ocin_phys::{RouterAreaModel, Technology};
 use ocin_sim::{LoadSweep, SimPool, Simulation, Table};
 use ocin_traffic::{TrafficPattern, Workload};
@@ -144,7 +144,7 @@ fn main() {
                 Workload::new(16, 4, TrafficPattern::Uniform),
             )
             .with_pool(Arc::clone(&pool))
-            .with_probe(true)
+            .with_probe(ProbeConfig::counters())
             .point(loads[0]);
             let metrics = point
                 .report

@@ -51,7 +51,7 @@ fn main() {
         Workload::new(16, 4, TrafficPattern::Uniform),
     )
     .with_pool(Arc::clone(&pool))
-    .with_journeys(true);
+    .with_probe(ProbeConfig::counters().with_journeys(0));
 
     println!("\n--- stage decomposition vs offered load (torus k = 4, uniform) ---\n");
     let mut t = Table::new(&[

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use ocin_bench::{
     banner, check, f1, f3, or_exit, probe_enabled, quick_mode, radix_arg, sim_config, write_metrics,
 };
-use ocin_core::{NetworkConfig, RoutingAlg, TopologySpec};
+use ocin_core::{NetworkConfig, ProbeConfig, RoutingAlg, TopologySpec};
 use ocin_sim::{render_metrics_heatmap, LatencyReport, LoadSweep, SimPool, Table};
 use ocin_traffic::{TrafficPattern, Workload};
 
@@ -141,7 +141,7 @@ fn main() {
             TopologySpec::FoldedTorus { k: 4 },
             TrafficPattern::Uniform,
         )
-        .with_telemetry(true);
+        .with_probe(ProbeConfig::counters().with_telemetry(0));
         let mut tail_ordered = true;
         for p in torus.run(loads) {
             let telemetry = p
@@ -181,7 +181,7 @@ fn main() {
             TopologySpec::FoldedTorus { k: 4 },
             TrafficPattern::Uniform,
         )
-        .with_probe(true)
+        .with_probe(ProbeConfig::counters())
         .point(loads[loads.len() - 1]);
         let metrics = point
             .report

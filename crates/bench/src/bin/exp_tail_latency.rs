@@ -16,7 +16,7 @@
 //! the CI determinism gate byte-diffs two such trees (at different
 //! `OCIN_SHARDS`) against each other and against the committed golden.
 
-use ocin_bench::{banner, check, f1, f2, probe_enabled, quick_mode, write_metrics};
+use ocin_bench::{banner, check, f1, f2, or_exit, probe_enabled, quick_mode, write_metrics};
 use ocin_core::{NetworkConfig, ProbeConfig, TelemetryReport, TopologySpec};
 use ocin_sim::{LatencyReport, ShardedSimulation, SimConfig, SimReport, Simulation, Table};
 use ocin_traffic::{InjectionProcess, TrafficPattern, Workload};
@@ -53,7 +53,7 @@ fn run(injection: InjectionProcess, sim_cfg: SimConfig) -> SimReport {
     .expect("valid config")
     .with_workload(&wl)
     .with_probe(ProbeConfig::counters().with_telemetry(WINDOW));
-    ShardedSimulation::from_env(sim).run()
+    or_exit(ShardedSimulation::from_env(sim)).run()
 }
 
 /// The telemetry report a probed run must carry.

@@ -16,6 +16,7 @@
 
 use std::path::{Path, PathBuf};
 
+use ocin_bench::or_exit;
 use ocin_core::{EventTrace, NetworkConfig, ProbeConfig, TopologySpec};
 use ocin_sim::{ShardedSimulation, SimConfig, Simulation};
 use ocin_traffic::{InjectionProcess, TrafficPattern, Workload};
@@ -42,7 +43,7 @@ fn dump(out_dir: &Path, k: usize, flit_rate: f64, full_metrics: bool) {
         .expect("fixed configuration is valid")
         .with_workload(&wl)
         .with_probe(ProbeConfig::counters().with_trace(4096));
-    let report = ShardedSimulation::from_env(sim).run();
+    let report = or_exit(ShardedSimulation::from_env(sim)).run();
     let metrics = report.metrics.as_ref().expect("probed run carries metrics");
 
     // Cross-layer invariants the determinism gate relies on: the probe

@@ -87,8 +87,9 @@ impl std::fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 /// Returns `r`'s value, or prints its error and exits with status 2
-/// (a bad command line), the convention of every experiment binary.
-pub fn or_exit<T>(r: Result<T, ArgError>) -> T {
+/// (a bad command line or speed setting), the convention of every
+/// experiment binary.
+pub fn or_exit<T, E: std::fmt::Display>(r: Result<T, E>) -> T {
     r.unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2)
@@ -147,23 +148,31 @@ fn radix_from(
     }
 }
 
-/// The executor worker count an experiment should size its `SimPool`
-/// with: `--exec-workers <n>` on the command line, else
-/// `OCIN_EXEC_WORKERS`, else the machine's available parallelism (the
-/// same resolution `ocin_sim::exec::default_workers` performs).
+/// The worker count an experiment should size its `SimPool` with:
+/// `--exec-workers <n>` on the command line, else `OCIN_EXEC_WORKERS`,
+/// else the machine's available parallelism (the same resolution
+/// `ocin_sim::exec::default_workers` performs).
 ///
 /// # Errors
 ///
-/// An [`ArgError`] if the flag is present but not a positive integer —
-/// a misconfigured run should fail loudly, not fall back silently.
+/// An [`ArgError`] if the flag or variable is present but not a positive
+/// integer — a misconfigured run should fail loudly, not fall back
+/// silently.
 pub fn exec_workers_arg() -> Result<usize, ArgError> {
-    Ok(exec_workers_from(std::env::args())?.unwrap_or_else(ocin_sim::exec::default_workers))
+    let env = std::env::var("OCIN_EXEC_WORKERS").ok();
+    Ok(exec_workers_from(std::env::args(), env)?.unwrap_or_else(ocin_sim::exec::default_workers))
 }
 
-fn exec_workers_from(args: impl Iterator<Item = String>) -> Result<Option<usize>, ArgError> {
-    flag_value(args, "--exec-workers")?
-        .map(|v| at_least("--exec-workers", &v, 1))
-        .transpose()
+fn exec_workers_from(
+    args: impl Iterator<Item = String>,
+    env: Option<String>,
+) -> Result<Option<usize>, ArgError> {
+    match flag_value(args, "--exec-workers")? {
+        Some(v) => at_least("--exec-workers", &v, 1).map(Some),
+        None => env
+            .map(|v| at_least("OCIN_EXEC_WORKERS", &v, 1))
+            .transpose(),
+    }
 }
 
 /// Where probed experiments write their metrics snapshot:
@@ -282,22 +291,47 @@ mod tests {
 
     #[test]
     fn exec_workers_flag_is_validated() {
-        assert_eq!(exec_workers_from(args(&["exp"])), Ok(None));
+        assert_eq!(exec_workers_from(args(&["exp"]), None), Ok(None));
         let two = args(&["exp", "--exec-workers", "2"]);
-        assert_eq!(exec_workers_from(two), Ok(Some(2)));
+        assert_eq!(exec_workers_from(two, Some("8".into())), Ok(Some(2)));
         assert_eq!(
-            exec_workers_from(args(&["exp", "--exec-workers", "0"])),
+            exec_workers_from(args(&["exp", "--exec-workers", "0"]), None),
             Err(ArgError::TooSmall {
                 source: "--exec-workers",
                 value: 0,
                 min: 1
             })
         );
-        let err = exec_workers_from(args(&["exp", "--exec-workers", "two"])).unwrap_err();
+        let err = exec_workers_from(args(&["exp", "--exec-workers", "two"]), None).unwrap_err();
         assert_eq!(
             err.to_string(),
             "--exec-workers: 'two' is not a positive integer"
         );
+    }
+
+    #[test]
+    fn exec_workers_env_is_validated_like_the_flag() {
+        assert_eq!(
+            exec_workers_from(args(&["exp"]), Some("8".into())),
+            Ok(Some(8))
+        );
+        assert_eq!(
+            exec_workers_from(args(&["exp"]), Some("0".into())),
+            Err(ArgError::TooSmall {
+                source: "OCIN_EXEC_WORKERS",
+                value: 0,
+                min: 1
+            })
+        );
+        for bad in ["abc", "8x"] {
+            assert_eq!(
+                exec_workers_from(args(&["exp"]), Some(bad.into())),
+                Err(ArgError::NotANumber {
+                    source: "OCIN_EXEC_WORKERS",
+                    value: bad.into()
+                })
+            );
+        }
     }
 
     #[test]

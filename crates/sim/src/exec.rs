@@ -1,16 +1,16 @@
-//! Deterministic two-level executor: point-parallel heads, shard-parallel
-//! tails.
+//! Deterministic two-level execution: point-parallel heads,
+//! shard-parallel tails.
 //!
-//! The repo grew two disjoint parallelism layers: [`crate::pool::SimPool`]
-//! spreads independent points over worker threads, and
-//! [`crate::shard::ShardedSimulation`] splits one run across threads. Each
-//! alone leaves cores idle for common shapes — a sweep's last point, a
-//! saturation bracket of two probes, a lone k = 32 run. The [`Executor`]
-//! unifies them: it owns one fixed worker budget and assigns every queued
-//! point a *shard budget*, `1` while the runnable-point count covers the
-//! workers and rising as the queue drains, so sweep heads run
-//! point-parallel and tails run shard-parallel without any caller
-//! involvement.
+//! A batch of independent points reaches this module from
+//! [`crate::pool::SimPool`], and `run_batch` decides how each runs.
+//! One fixed worker count is shared two ways: between points evaluated
+//! side by side, and between the shards ([`crate::shard::ShardedSimulation`])
+//! of one point's network. Every queued point gets a *shard budget*,
+//! `1` while the runnable-point count covers the workers and rising as
+//! the queue drains, so sweep heads run point-parallel and tails (a
+//! sweep's last point, a saturation bracket of two probes, a lone
+//! k = 32 run) run shard-parallel. Callers never set a budget: a point
+//! describes what it simulates, and the pool decides how it runs.
 //!
 //! # Wave plan
 //!
@@ -18,9 +18,8 @@
 //! *waves*. Each wave takes the next `width = min(remaining, W)` points in
 //! input order and gives every point in the wave the same base budget: the
 //! largest power of two `b` with `width * b <= W`. The per-point shard
-//! count is then `min(b, max_useful_shards(point))` — capped so tiny
-//! networks are never split into degenerate cells — unless the spec asked
-//! for an explicit shard count, which always wins. The plan is a pure
+//! count is then `min(b, max_useful_shards(point))`, capped so tiny
+//! networks are never split into degenerate cells. The plan is a pure
 //! function of `(W, batch shapes)`: no timing, no work stealing, no
 //! dependence on completion order.
 //!
@@ -31,7 +30,7 @@
 //!
 //! # Determinism
 //!
-//! Three facts make the executor bit-transparent:
+//! Three facts make the plan bit-transparent:
 //!
 //! * seeds derive from `(base, load)` only ([`crate::pool::derive_seed`]),
 //!   never from scheduling;
@@ -70,8 +69,8 @@ pub fn exec_workers_from_env() -> Option<usize> {
 }
 
 /// The machine's available parallelism, overridden by
-/// [`exec_workers_from_env`] when set. The default worker budget for
-/// [`Executor::from_env`] and `SimPool::new`.
+/// [`exec_workers_from_env`] when set. The default worker count of
+/// `SimPool::new`.
 pub fn default_workers() -> usize {
     exec_workers_from_env()
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
@@ -168,17 +167,14 @@ pub struct ExecDecision {
 }
 
 /// The shape of a queued point, as much of [`PointSpec`] as the planner
-/// needs: its load (for the decision record), its network size (for the
-/// useful-shards cap), and any explicit shard request (which overrides
-/// the budget policy).
+/// needs: its load (for the decision record) and its network size (for
+/// the useful-shards cap).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PointShape {
+pub(crate) struct PointShape {
     /// Offered load, copied into the [`ExecDecision`].
-    pub load: f64,
+    load: f64,
     /// Nodes in the point's network.
-    pub num_nodes: usize,
-    /// The spec's `shards` field; values other than 1 bypass the policy.
-    pub explicit_shards: usize,
+    num_nodes: usize,
 }
 
 impl PointShape {
@@ -186,131 +182,77 @@ impl PointShape {
         PointShape {
             load: spec.load,
             num_nodes: spec.net_cfg.topology.num_nodes(),
-            explicit_shards: spec.shards,
         }
     }
 }
 
-/// The deterministic two-level scheduler. See the module docs for the
-/// wave plan and determinism argument.
-#[derive(Debug, Clone)]
-pub struct Executor {
+/// Plans a batch on `workers` threads: assigns every point (in input
+/// order) a wave and a shard budget. Pure — same shapes and worker
+/// count, same plan.
+pub(crate) fn plan(workers: usize, shapes: &[PointShape]) -> Vec<ExecDecision> {
+    let mut plan = Vec::with_capacity(shapes.len());
+    let mut next = 0;
+    let mut wave = 0;
+    while next < shapes.len() {
+        let width = (shapes.len() - next).min(workers);
+        // Largest power of two b with width * b <= workers: the wave
+        // never oversubscribes the worker set.
+        let mut budget = 1;
+        while width * budget * 2 <= workers {
+            budget *= 2;
+        }
+        for shape in &shapes[next..next + width] {
+            plan.push(ExecDecision {
+                wave,
+                load: shape.load,
+                shards: budget.min(max_useful_shards(shape.num_nodes)),
+            });
+        }
+        next += width;
+        wave += 1;
+    }
+    plan
+}
+
+/// Evaluates a batch on `workers` threads, wave by wave, and returns
+/// `(points in input order, the plan that produced them)`. Results are
+/// bit-identical to evaluating every spec serially with
+/// `PointSpec::evaluate`.
+///
+/// # Panics
+///
+/// Panics if a spec's configuration is invalid or a worker panics.
+pub(crate) fn run_batch(
     workers: usize,
-    /// Upper bound on any budget decision. `run_batch` with a cap of 1 is
-    /// exactly the pre-executor pool behaviour (point-parallel only) —
-    /// benchmarks use it as the baseline side of before/after rows.
-    budget_cap: Option<usize>,
+    specs: &[&PointSpec],
+) -> (Vec<LoadPoint>, Vec<ExecDecision>) {
+    let shapes: Vec<PointShape> = specs.iter().map(|s| PointShape::of(s)).collect();
+    let plan = plan(workers, &shapes);
+    let mut points = Vec::with_capacity(specs.len());
+    for wave in plan.chunk_by(|a, b| a.wave == b.wave) {
+        let tasks: Vec<_> = specs[points.len()..points.len() + wave.len()]
+            .iter()
+            .zip(wave)
+            .map(|(&spec, d)| move || spec.evaluate_sharded(d.shards))
+            .collect();
+        points.extend(run_scoped(tasks));
+    }
+    (points, plan)
 }
 
-impl Executor {
-    /// An executor owning `workers` threads (clamped to at least 1).
-    pub fn new(workers: usize) -> Executor {
-        Executor {
-            workers: workers.max(1),
-            budget_cap: None,
-        }
-    }
-
-    /// An executor sized by [`default_workers`]: `OCIN_EXEC_WORKERS` when
-    /// set, else the machine's available parallelism.
-    pub fn from_env() -> Executor {
-        Executor::new(default_workers())
-    }
-
-    /// Caps every policy budget at `cap` (clamped to at least 1).
-    /// Explicit per-spec shard requests are *not* capped — a caller who
-    /// wrote `with_shards(8)` gets 8.
-    pub fn with_budget_cap(mut self, cap: usize) -> Executor {
-        self.budget_cap = Some(cap.max(1));
-        self
-    }
-
-    /// Worker threads this executor schedules onto.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Plans a batch: assigns every point (in input order) a wave and a
-    /// shard budget. Pure — same shapes and worker count, same plan.
-    pub fn plan(&self, shapes: &[PointShape]) -> Vec<ExecDecision> {
-        let mut plan = Vec::with_capacity(shapes.len());
-        let mut next = 0;
-        let mut wave = 0;
-        while next < shapes.len() {
-            let width = (shapes.len() - next).min(self.workers);
-            // Largest power of two b with width * b <= workers: the wave
-            // never oversubscribes the worker set.
-            let mut budget = 1;
-            while width * budget * 2 <= self.workers {
-                budget *= 2;
-            }
-            let budget = self.budget_cap.map_or(budget, |cap| budget.min(cap));
-            for shape in &shapes[next..next + width] {
-                let shards = if shape.explicit_shards != 1 {
-                    shape.explicit_shards
-                } else {
-                    budget.min(max_useful_shards(shape.num_nodes))
-                };
-                plan.push(ExecDecision {
-                    wave,
-                    load: shape.load,
-                    shards,
-                });
-            }
-            next += width;
-            wave += 1;
-        }
-        plan
-    }
-
-    /// Evaluates a batch wave by wave and returns `(points in input
-    /// order, the plan that produced them)`. Results are bit-identical to
-    /// evaluating every spec serially with `PointSpec::evaluate`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a spec's configuration is invalid or a worker panics.
-    pub fn run_batch(&self, specs: &[&PointSpec]) -> (Vec<LoadPoint>, Vec<ExecDecision>) {
-        let shapes: Vec<PointShape> = specs.iter().map(|s| PointShape::of(s)).collect();
-        let plan = self.plan(&shapes);
-        let mut out: Vec<Option<LoadPoint>> = specs.iter().map(|_| None).collect();
-        let mut start = 0;
-        while start < specs.len() {
-            let wave = plan[start].wave;
-            let width = plan[start..].iter().take_while(|d| d.wave == wave).count();
-            let tasks: Vec<_> = (start..start + width)
-                .map(|i| {
-                    let spec = specs[i];
-                    let shards = plan[i].shards;
-                    move || spec.evaluate_sharded(shards)
-                })
-                .collect();
-            for (offset, point) in run_scoped(tasks).into_iter().enumerate() {
-                out[start + offset] = Some(point);
-            }
-            start += width;
-        }
-        let points = out
-            .into_iter()
-            .map(|p| p.expect("every wave filled its slots"))
-            .collect();
-        (points, plan)
-    }
-
-    /// Renders a batch's decisions as one deterministic JSON array (used
-    /// by `SimPool::exec_summary_json`).
-    pub(crate) fn decisions_json(decisions: &[ExecDecision]) -> String {
-        let rows: Vec<String> = decisions
-            .iter()
-            .map(|d| {
-                format!(
-                    "{{\"wave\":{},\"load\":{:.6},\"shards\":{}}}",
-                    d.wave, d.load, d.shards
-                )
-            })
-            .collect();
-        format!("[{}]", rows.join(","))
-    }
+/// Renders a batch's decisions as one deterministic JSON array (used
+/// by `SimPool::exec_summary_json`).
+pub(crate) fn decisions_json(decisions: &[ExecDecision]) -> String {
+    let rows: Vec<String> = decisions
+        .iter()
+        .map(|d| {
+            format!(
+                "{{\"wave\":{},\"load\":{:.6},\"shards\":{}}}",
+                d.wave, d.load, d.shards
+            )
+        })
+        .collect();
+    format!("[{}]", rows.join(","))
 }
 
 #[cfg(test)]
@@ -318,18 +260,13 @@ mod tests {
     use super::*;
 
     fn shape(load: f64, num_nodes: usize) -> PointShape {
-        PointShape {
-            load,
-            num_nodes,
-            explicit_shards: 1,
-        }
+        PointShape { load, num_nodes }
     }
 
     #[test]
     fn head_runs_point_parallel() {
-        let exec = Executor::new(4);
         let shapes: Vec<PointShape> = (0..8).map(|i| shape(i as f64 * 0.1, 1024)).collect();
-        let plan = exec.plan(&shapes);
+        let plan = plan(4, &shapes);
         // Two full waves of 4, budget 1 each.
         assert!(plan[..4].iter().all(|d| d.wave == 0 && d.shards == 1));
         assert!(plan[4..].iter().all(|d| d.wave == 1 && d.shards == 1));
@@ -337,57 +274,36 @@ mod tests {
 
     #[test]
     fn tail_runs_shard_parallel() {
-        let exec = Executor::new(8);
         // 9 points: wave 0 is 8 wide at budget 1, wave 1 is the lone
         // tail point at budget 8 (capped by usefulness to 8 for k=32).
         let shapes: Vec<PointShape> = (0..9).map(|i| shape(i as f64 * 0.1, 1024)).collect();
-        let plan = exec.plan(&shapes);
+        let plan = plan(8, &shapes);
         assert_eq!(plan[8].wave, 1);
         assert_eq!(plan[8].shards, 8);
     }
 
     #[test]
     fn budget_is_pow2_floor_never_oversubscribed() {
-        let exec = Executor::new(8);
         // 3 points on 8 workers: pow2 floor of 8/3 is 2, total 6 <= 8.
         let shapes: Vec<PointShape> = (0..3).map(|i| shape(i as f64 * 0.1, 1024)).collect();
-        let plan = exec.plan(&shapes);
+        let plan = plan(8, &shapes);
         assert!(plan.iter().all(|d| d.wave == 0 && d.shards == 2));
     }
 
     #[test]
     fn small_networks_stay_sequential() {
-        let exec = Executor::new(16);
         // A lone k=4 point: 16 idle workers, but 16 nodes are not worth
         // splitting — max_useful_shards caps the budget at 1.
-        let plan = exec.plan(&[shape(0.1, 16)]);
-        assert_eq!(plan[0].shards, 1);
+        assert_eq!(plan(16, &[shape(0.1, 16)])[0].shards, 1);
         // k=16 caps at 4, k=32 at 16.
-        assert_eq!(exec.plan(&[shape(0.1, 256)])[0].shards, 4);
-        assert_eq!(exec.plan(&[shape(0.1, 1024)])[0].shards, 16);
-    }
-
-    #[test]
-    fn explicit_shards_override_policy() {
-        let exec = Executor::new(2);
-        let mut s = shape(0.1, 1024);
-        s.explicit_shards = 5;
-        // The caller asked for 5; the policy (budget 2) does not apply.
-        assert_eq!(exec.plan(&[s])[0].shards, 5);
-    }
-
-    #[test]
-    fn budget_cap_restores_point_parallel_baseline() {
-        let exec = Executor::new(8).with_budget_cap(1);
-        let plan = exec.plan(&[shape(0.1, 1024)]);
-        assert_eq!(plan[0].shards, 1);
+        assert_eq!(plan(16, &[shape(0.1, 256)])[0].shards, 4);
+        assert_eq!(plan(16, &[shape(0.1, 1024)])[0].shards, 16);
     }
 
     #[test]
     fn plan_is_deterministic() {
-        let exec = Executor::new(6);
         let shapes: Vec<PointShape> = (0..7).map(|i| shape(i as f64 * 0.05, 256)).collect();
-        assert_eq!(exec.plan(&shapes), exec.plan(&shapes));
+        assert_eq!(plan(6, &shapes), plan(6, &shapes));
     }
 
     #[test]
@@ -439,7 +355,7 @@ mod tests {
             },
         ];
         assert_eq!(
-            Executor::decisions_json(&d),
+            decisions_json(&d),
             "[{\"wave\":0,\"load\":0.050000,\"shards\":1},{\"wave\":1,\"load\":0.100000,\"shards\":4}]"
         );
     }

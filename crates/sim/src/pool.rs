@@ -18,10 +18,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 
-use ocin_core::NetworkConfig;
+use ocin_core::{NetworkConfig, ProbeConfig};
 use ocin_traffic::{InjectionProcess, Workload};
 
-use crate::exec::{ExecDecision, Executor};
+use crate::exec::{self, ExecDecision};
 use crate::runner::{SimConfig, Simulation};
 use crate::sweep::LoadPoint;
 
@@ -59,31 +59,14 @@ pub struct PointSpec {
     pub workload: Workload,
     /// Offered load, flits/node/cycle.
     pub load: f64,
-    /// Attach a counters-only probe and carry [`ocin_core::NetworkMetrics`]
-    /// in the report. Part of the cache key: probed and unprobed runs of
-    /// the same point are distinct entries (their reports differ in the
-    /// `metrics` field, never in the measurements).
-    pub probe: bool,
-    /// Additionally attach the per-packet journey collector (implies a
-    /// probe) so the report's metrics carry a
-    /// [`ocin_core::DecompositionReport`]. Aggregates only — no journey
-    /// records are retained, keeping sweep memory bounded. Part of the
-    /// cache key for the same reason as `probe`.
-    pub journeys: bool,
-    /// Additionally attach the windowed time-series/quantile telemetry
-    /// collector (implies a probe) so the report's metrics carry a
-    /// [`ocin_core::TelemetryReport`] — exact tail quantiles and the
-    /// per-window series, at the default window width. Part of the
-    /// cache key for the same reason as `probe`.
-    pub telemetry: bool,
-    /// Worker threads used *inside* this point's run (sharded stepping
-    /// of one network). Deliberately **not** part of the cache key:
-    /// sharded execution is bit-identical to sequential by construction
-    /// (enforced by the shard-equivalence suite), so the shard count can
-    /// never change a result — only how fast it arrives. Big radices
-    /// trade pool point-parallelism for intra-point parallelism by
-    /// raising this.
-    pub shards: usize,
+    /// The probe attached to the run, passed to
+    /// [`Simulation::with_probe`] unchanged; `None` runs unprobed. Part
+    /// of the cache key: probed and unprobed runs of the same point are
+    /// distinct entries (their reports differ in the `metrics` field,
+    /// never in the measurements). How many shards the run is split
+    /// across is not part of the point: the pool decides that
+    /// (`exec.rs`), and the report is bit-identical at any count.
+    pub probe: Option<ProbeConfig>,
 }
 
 impl PointSpec {
@@ -94,38 +77,8 @@ impl PointSpec {
             sim_cfg,
             workload,
             load,
-            probe: false,
-            journeys: false,
-            telemetry: false,
-            shards: 1,
+            probe: None,
         }
-    }
-
-    /// Enables (or disables) the counters-only probe for this point.
-    pub fn with_probe(mut self, probe: bool) -> Self {
-        self.probe = probe;
-        self
-    }
-
-    /// Enables (or disables) latency-decomposition journey aggregation
-    /// for this point. Implies the probe when enabled.
-    pub fn with_journeys(mut self, journeys: bool) -> Self {
-        self.journeys = journeys;
-        self
-    }
-
-    /// Enables (or disables) windowed time-series/quantile telemetry
-    /// for this point. Implies the probe when enabled.
-    pub fn with_telemetry(mut self, telemetry: bool) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Steps this point's network on `shards` worker threads (clamped
-    /// to at least 1). The report is bit-identical at any shard count.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
     }
 
     /// Statically verifies this point's network configuration: proves
@@ -165,14 +118,12 @@ impl PointSpec {
     /// equal keys produce bit-identical reports.
     fn cache_key(&self) -> String {
         format!(
-            "{:?}|{:?}|{:?}|{:016x}|probe:{}|journeys:{}|telemetry:{}",
+            "{:?}|{:?}|{:?}|{:016x}|probe:{:?}",
             self.net_cfg,
             self.sim_cfg,
             self.workload,
             self.load.to_bits(),
-            self.probe,
-            self.journeys,
-            self.telemetry
+            self.probe
         )
     }
 
@@ -187,14 +138,13 @@ impl PointSpec {
     /// verifier proves the configuration can deadlock (see
     /// [`PointSpec::verify`]).
     pub fn evaluate(&self) -> LoadPoint {
-        self.evaluate_sharded(self.shards)
+        self.evaluate_sharded(1)
     }
 
-    /// Runs the point with an explicit shard count, overriding the
-    /// spec's own `shards` field. The report is bit-identical at any
-    /// count (shard-equivalence suite) — this is how the executor applies
-    /// a budget decision without touching the memo key. Same panics as
-    /// [`PointSpec::evaluate`].
+    /// Runs the point on `shards` worker threads. The report is
+    /// bit-identical at any count (shard-equivalence suite) — this is
+    /// how the pool applies a budget decision without touching the memo
+    /// key. Same panics as [`PointSpec::evaluate`].
     pub fn evaluate_sharded(&self, shards: usize) -> LoadPoint {
         #[cfg(debug_assertions)]
         self.preflight_verify();
@@ -211,17 +161,7 @@ impl PointSpec {
         let mut sim = Simulation::new(self.net_cfg.clone(), sim_cfg)
             .expect("point configuration must be valid")
             .with_workload(&wl);
-        let mut pc = ocin_core::probe::ProbeConfig::counters();
-        if self.journeys {
-            // Capacity 0: aggregate stage sums and link stalls only, no
-            // retained per-packet records — bounded memory per point.
-            pc = pc.with_journeys(0);
-        }
-        if self.telemetry {
-            // Default window width; exact quantiles, bounded series.
-            pc = pc.with_telemetry(0);
-        }
-        if self.probe || self.journeys || self.telemetry {
+        if let Some(pc) = self.probe {
             sim = sim.with_probe(pc);
         }
         let report = crate::shard::ShardedSimulation::new(sim, shards).run();
@@ -239,11 +179,12 @@ impl PointSpec {
 /// memoization.
 ///
 /// Batches are deduplicated against the cache and against themselves,
-/// the misses are handed to the two-level [`Executor`] (which decides,
-/// per wave, how many points run side by side and how many shards each
-/// gets — see `exec.rs`), and results are returned in input order.
+/// the misses are handed to the two-level wave plan (which decides, per
+/// wave, how many points run side by side and how many shards each gets
+/// — see `exec.rs`), and results are returned in input order.
 pub struct SimPool {
-    exec: Executor,
+    /// Worker threads shared by the points of a batch and their shards.
+    workers: usize,
     /// Memoized points keyed by the full spec rendering. Ordered so
     /// that nothing downstream (cache statistics, future dump/debug
     /// paths) can ever observe hash order.
@@ -265,34 +206,21 @@ impl SimPool {
     /// `OCIN_EXEC_WORKERS` override when set, else the machine's
     /// available parallelism.
     pub fn new() -> SimPool {
-        SimPool::with_executor(Executor::from_env())
+        SimPool::with_workers(exec::default_workers())
     }
 
     /// A pool with an explicit worker count (clamped to at least 1).
     pub fn with_workers(workers: usize) -> SimPool {
-        SimPool::with_executor(Executor::new(workers))
-    }
-
-    /// A pool driving a caller-built executor.
-    pub fn with_executor(exec: Executor) -> SimPool {
         SimPool {
-            exec,
+            workers: workers.max(1),
             cache: Mutex::new(BTreeMap::new()),
             decisions: Mutex::new(Vec::new()),
         }
     }
 
-    /// Caps the executor's per-point shard budget. A cap of 1 is the
-    /// point-parallel-only pool of PR 1–9 — benchmarks use it as the
-    /// baseline side of before/after comparisons.
-    pub fn with_budget_cap(mut self, cap: usize) -> SimPool {
-        self.exec = self.exec.with_budget_cap(cap);
-        self
-    }
-
     /// Worker threads used for cache misses.
     pub fn workers(&self) -> usize {
-        self.exec.workers()
+        self.workers
     }
 
     /// Number of distinct points memoized so far.
@@ -300,7 +228,7 @@ impl SimPool {
         self.cache.lock().expect("cache lock").len()
     }
 
-    /// The executor's scheduling decisions so far: one inner vector per
+    /// The scheduling decisions so far: one inner vector per
     /// miss batch, in batch order, each entry recording the wave and
     /// shard budget a point received. Deterministic for a given sequence
     /// of [`SimPool::run`] calls.
@@ -310,18 +238,18 @@ impl SimPool {
 
     /// The decisions rendered as one deterministic JSON object, e.g.
     /// `{"workers":4,"batches":[[{"wave":0,"load":0.050000,"shards":1}]]}`
-    /// — folded into `BENCH_<sha>.json` as the `exec` summary block.
+    /// — what `exec_dump` logs beside its diffed output.
     pub fn exec_summary_json(&self) -> String {
         let batches: Vec<String> = self
             .decisions
             .lock()
             .expect("decisions lock")
             .iter()
-            .map(|b| Executor::decisions_json(b))
+            .map(|b| exec::decisions_json(b))
             .collect();
         format!(
             "{{\"workers\":{},\"batches\":[{}]}}",
-            self.exec.workers(),
+            self.workers,
             batches.join(",")
         )
     }
@@ -350,7 +278,7 @@ impl SimPool {
 
         if !misses.is_empty() {
             let miss_specs: Vec<&PointSpec> = misses.iter().map(|&i| &specs[i]).collect();
-            let (points, plan) = self.exec.run_batch(&miss_specs);
+            let (points, plan) = exec::run_batch(self.workers, &miss_specs);
             self.decisions.lock().expect("decisions lock").push(plan);
             let mut cache = self.cache.lock().expect("cache lock");
             for (point, &i) in points.into_iter().zip(&misses) {

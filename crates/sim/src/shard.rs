@@ -95,19 +95,47 @@ const HANDOFF_ITEMS: usize = 4_096;
 const HANDOFFS_IN_FLIGHT: usize = 2;
 
 /// Reads the shard count from the `OCIN_SHARDS` environment variable
-/// (default 1: one cell).
-pub fn shards_from_env() -> usize {
+/// (default 1: one cell when the variable is unset).
+///
+/// # Errors
+///
+/// A [`ShardsEnvError`] naming the value if the variable is set to
+/// anything but a positive integer: a typo must not quietly run one
+/// shard where several were asked for.
+pub fn shards_from_env() -> Result<usize, ShardsEnvError> {
     // The blessed entry point for the shard count: it only changes how
     // fast a result arrives, never the result (sharding is
     // bit-identical by construction), so it is exempt from the
     // config-purity rule.
     // ocin-lint: allow(env-read-outside-config) — speed knob, not config
-    std::env::var("OCIN_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&s| s >= 1)
-        .unwrap_or(1)
+    let value = std::env::var_os("OCIN_SHARDS");
+    shards_from(value.map(|v| v.to_string_lossy().into_owned()))
 }
+
+/// Parses an `OCIN_SHARDS` value: unset is 1, a positive integer is
+/// itself, anything else an error.
+fn shards_from(value: Option<String>) -> Result<usize, ShardsEnvError> {
+    let Some(value) = value else { return Ok(1) };
+    match value.parse::<usize>() {
+        Ok(shards) if shards >= 1 => Ok(shards),
+        _ => Err(ShardsEnvError { value }),
+    }
+}
+
+/// `OCIN_SHARDS` is set to something other than a positive integer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShardsEnvError {
+    /// The variable's text as given.
+    pub value: String,
+}
+
+impl std::fmt::Display for ShardsEnvError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "OCIN_SHARDS: '{}' is not a positive integer", self.value)
+    }
+}
+
+impl std::error::Error for ShardsEnvError {}
 
 /// A [`Simulation`] stepped across worker threads, bit-identical to
 /// [`Simulation::run`] at any shard count.
@@ -127,9 +155,12 @@ impl ShardedSimulation {
     }
 
     /// Wraps `sim` with the shard count taken from `OCIN_SHARDS`.
-    pub fn from_env(sim: Simulation) -> ShardedSimulation {
-        let shards = shards_from_env();
-        ShardedSimulation::new(sim, shards)
+    ///
+    /// # Errors
+    ///
+    /// The [`ShardsEnvError`] of [`shards_from_env`].
+    pub fn from_env(sim: Simulation) -> Result<ShardedSimulation, ShardsEnvError> {
+        Ok(ShardedSimulation::new(sim, shards_from_env()?))
     }
 
     /// The configured shard count.
@@ -701,4 +732,28 @@ fn sum_snaps<'a>(
         }
     }
     Some(e)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn shard_count_defaults_to_one_and_parses_positive_integers() {
+        assert_eq!(shards_from(None), Ok(1));
+        assert_eq!(shards_from(Some("1".into())), Ok(1));
+        assert_eq!(shards_from(Some("8".into())), Ok(8));
+    }
+
+    #[test]
+    fn bad_shard_counts_name_the_variable_and_value() {
+        for bad in ["0", "abc", "8x", "", "-2"] {
+            let err = shards_from(Some(bad.into())).unwrap_err();
+            assert_eq!(err.value, bad);
+            assert_eq!(
+                err.to_string(),
+                format!("OCIN_SHARDS: '{bad}' is not a positive integer")
+            );
+        }
+    }
 }

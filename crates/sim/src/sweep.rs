@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use ocin_core::NetworkConfig;
+use ocin_core::{NetworkConfig, ProbeConfig};
 use ocin_traffic::Workload;
 
 use crate::pool::{PointSpec, SimPool};
@@ -41,9 +41,7 @@ pub struct LoadSweep {
     sim_cfg: SimConfig,
     workload_template: Workload,
     pool: Arc<SimPool>,
-    probe: bool,
-    journeys: bool,
-    telemetry: bool,
+    probe: Option<ProbeConfig>,
 }
 
 impl LoadSweep {
@@ -56,39 +54,21 @@ impl LoadSweep {
             sim_cfg,
             workload_template: workload,
             pool: Arc::new(SimPool::new()),
-            probe: false,
-            journeys: false,
-            telemetry: false,
+            probe: None,
         }
     }
 
-    /// Attaches counters-only probes to every point of the sweep; each
-    /// point's report then carries [`ocin_core::NetworkMetrics`].
+    /// Attaches a probe configured by `probe` to every point of the
+    /// sweep; each point's report then carries
+    /// [`ocin_core::NetworkMetrics`] (with a
+    /// [`ocin_core::DecompositionReport`] when `probe` collects journeys
+    /// and an [`ocin_core::TelemetryReport`] when it collects telemetry).
     /// Measurements are unchanged — probes are purely observational.
+    /// Sweeps keep memory bounded with `with_journeys(0)`, which keeps
+    /// the stage aggregates and no per-packet records.
     #[must_use]
-    pub fn with_probe(mut self, probe: bool) -> LoadSweep {
-        self.probe = probe;
-        self
-    }
-
-    /// Attaches the latency-decomposition journey collector (aggregates
-    /// only) to every point of the sweep; each point's metrics then
-    /// carry an [`ocin_core::DecompositionReport`]. Implies the probe.
-    /// Measurements are unchanged — journeys are purely observational.
-    #[must_use]
-    pub fn with_journeys(mut self, journeys: bool) -> LoadSweep {
-        self.journeys = journeys;
-        self
-    }
-
-    /// Attaches the windowed time-series/quantile telemetry collector
-    /// to every point of the sweep; each point's metrics then carry an
-    /// [`ocin_core::TelemetryReport`] with exact tail quantiles.
-    /// Implies the probe. Measurements are unchanged — telemetry is
-    /// purely observational.
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: bool) -> LoadSweep {
-        self.telemetry = telemetry;
+    pub fn with_probe(mut self, probe: ProbeConfig) -> LoadSweep {
+        self.probe = Some(probe);
         self
     }
 
@@ -107,15 +87,15 @@ impl LoadSweep {
 
     /// The [`PointSpec`] for `load`.
     pub fn spec(&self, load: f64) -> PointSpec {
-        PointSpec::new(
-            self.net_cfg.clone(),
-            self.sim_cfg,
-            self.workload_template.clone(),
-            load,
-        )
-        .with_probe(self.probe)
-        .with_journeys(self.journeys)
-        .with_telemetry(self.telemetry)
+        PointSpec {
+            probe: self.probe,
+            ..PointSpec::new(
+                self.net_cfg.clone(),
+                self.sim_cfg,
+                self.workload_template.clone(),
+                load,
+            )
+        }
     }
 
     /// Runs one point (through the pool's cache).

@@ -42,7 +42,7 @@ impl Default for Options {
             cycles: 8_000,
             seed: 1,
             heatmap: false,
-            shards: ocin::sim::shards_from_env(),
+            shards: 1,
         }
     }
 }
@@ -80,6 +80,9 @@ fn parse_args(args: &[String]) -> Result<(String, Options), String> {
     let Some(cmd) = args.first() else {
         return Err("usage: ocin <info|run|sweep> [options]".into());
     };
+    // `--shards` wins over the environment, but a bad `OCIN_SHARDS` is
+    // an error either way.
+    opts.shards = ocin::sim::shards_from_env().map_err(|e| e.to_string())?;
     let mut it = args[1..].iter();
     while let Some(flag) = it.next() {
         let mut value = || {

@@ -2,17 +2,18 @@
 //!
 //! `exec.rs` decides how many points run side by side and how many shard
 //! workers each point's network is split across — decisions that may
-//! change with worker count, budget caps, and batch size, but must never
-//! change a result. The property test samples that whole decision space
-//! (batch size × worker counts × budget caps × probe/journeys/telemetry
-//! × flow control) against the serial `LoadSweep` reference; directed
-//! tests pin the budget policy itself (sharded tails, explicit-shards
-//! override).
+//! change with worker count and batch size, but must never change a
+//! result. The property test samples the wave plan (batch size × worker
+//! counts × probe/journeys/telemetry × flow control) against the serial
+//! `LoadSweep` reference at k = 4, where every point runs unsharded;
+//! directed tests at k = 16 give points real shard budgets (a lone
+//! point, a saturation search) and pin the budget policy itself.
 
 use std::sync::Arc;
 
+use ocin::core::ProbeConfig;
 use ocin::core::{FlowControl, NetworkConfig, TopologySpec};
-use ocin::sim::{Executor, LoadSweep, PointSpec, SimConfig, SimPool};
+use ocin::sim::{LoadSweep, SimConfig, SimPool};
 use ocin::traffic::{TrafficPattern, Workload};
 use proptest::prelude::*;
 
@@ -23,6 +24,14 @@ const FLOW_CONTROLS: [FlowControl; 3] = [
     FlowControl::Dropping,
     FlowControl::Deflection,
 ];
+
+/// Phases short enough for k = 16 points in a debug build.
+const SMALL: SimConfig = SimConfig {
+    warmup_cycles: 50,
+    measure_cycles: 200,
+    drain_cycles: 400,
+    seed: 0xE4EC,
+};
 
 fn sweep(fc: FlowControl, k: usize, pool: Arc<SimPool>) -> LoadSweep {
     LoadSweep::new(
@@ -38,26 +47,27 @@ fn sweep(fc: FlowControl, k: usize, pool: Arc<SimPool>) -> LoadSweep {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Any sampled executor shape reproduces the serial path bit for bit.
+    /// Any sampled pool shape reproduces the serial path bit for bit.
     #[test]
     fn executor_matches_serial_evaluation(
         fc_idx in 0usize..3,
         workers in 1usize..=8,
-        cap in 0usize..=4, // 0 = no budget cap
-
         nloads in 1usize..=5,
         probe in any::<bool>(),
         journeys in any::<bool>(),
         telemetry in any::<bool>(),
     ) {
-        let mut exec = Executor::new(workers);
-        if cap > 0 {
-            exec = exec.with_budget_cap(cap);
+        let mut s = sweep(FLOW_CONTROLS[fc_idx], 4, Arc::new(SimPool::with_workers(workers)));
+        if probe || journeys || telemetry {
+            let mut pc = ProbeConfig::counters();
+            if journeys {
+                pc = pc.with_journeys(0);
+            }
+            if telemetry {
+                pc = pc.with_telemetry(0);
+            }
+            s = s.with_probe(pc);
         }
-        let s = sweep(FLOW_CONTROLS[fc_idx], 4, Arc::new(SimPool::with_executor(exec)))
-            .with_probe(probe)
-            .with_journeys(journeys)
-            .with_telemetry(telemetry);
         let loads = &LOADS[..nloads];
         // Full-report equality, not just headline numbers.
         prop_assert_eq!(s.run(loads), s.run_serial(loads));
@@ -68,19 +78,8 @@ proptest! {
 /// budget — and still matches the unsharded serial evaluation.
 #[test]
 fn lone_big_point_is_sharded_and_bit_identical() {
-    let small = SimConfig {
-        warmup_cycles: 50,
-        measure_cycles: 200,
-        drain_cycles: 400,
-        seed: 0xE4EC,
-    };
     let pool = Arc::new(SimPool::with_workers(8));
-    let s = LoadSweep::new(
-        NetworkConfig::paper_baseline().with_topology(TopologySpec::FoldedTorus { k: 16 }),
-        small,
-        Workload::new(256, 16, TrafficPattern::Uniform),
-    )
-    .with_pool(Arc::clone(&pool));
+    let s = k16_sweep(Arc::clone(&pool));
     let point = s.point(0.05);
     // 8 idle workers, one k=16 point: budget 8 capped by usefulness at 4.
     let decisions = pool.exec_decisions();
@@ -104,39 +103,40 @@ fn head_and_tail_budgets_follow_the_wave_plan() {
     assert_eq!(d[4].shards, 1);
 }
 
-/// An explicit `with_shards` request bypasses the budget policy, and
-/// the result is still bit-identical to unsharded evaluation.
-#[test]
-fn explicit_shards_override_the_policy() {
-    let pool = SimPool::with_workers(2);
-    let spec = PointSpec::new(
-        NetworkConfig::paper_baseline().with_topology(TopologySpec::FoldedTorus { k: 4 }),
-        SimConfig::quick(),
-        Workload::new(16, 4, TrafficPattern::Uniform),
-        0.1,
-    )
-    .with_shards(3);
-    let pooled = pool.run(std::slice::from_ref(&spec));
-    assert_eq!(pool.exec_decisions()[0][0].shards, 3);
-    assert_eq!(pooled[0], spec.evaluate_sharded(1));
-}
-
-/// Saturation search is invariant to the shard-budget policy: the same
-/// worker count with budgets capped at 1 (the pre-executor pool) brackets
-/// the same probes and lands on exactly the same load.
+/// Saturation search is invariant to the shard budgets its probes get:
+/// on 16 workers a round of 8 probes runs at 2 shards a probe, and
+/// every probe — hence every bracket decision and the load the search
+/// lands on — matches the unsharded serial evaluation of its load.
 #[test]
 fn saturation_search_is_budget_invariant() {
-    let with_budgets = sweep(
-        FlowControl::VirtualChannel,
-        4,
-        Arc::new(SimPool::with_workers(8)),
+    let pool = Arc::new(SimPool::with_workers(16));
+    let s = k16_sweep(Arc::clone(&pool));
+    // One round: 8 probes leave a bracket of 1/9 < 0.12. A second round
+    // would double a debug run that re-evaluates every probe serially.
+    let sat = s.saturation_load(0.12);
+    assert!(sat > 0.0 && sat < 1.0, "saturation {sat} must be interior");
+    let decisions = pool.exec_decisions().concat();
+    assert!(
+        decisions.iter().any(|d| d.shards > 1),
+        "some probe must be sharded: {decisions:?}"
     );
-    let capped = sweep(
-        FlowControl::VirtualChannel,
-        4,
-        Arc::new(SimPool::with_workers(8).with_budget_cap(1)),
-    );
-    let a = with_budgets.saturation_load(0.05);
-    let b = capped.saturation_load(0.05);
-    assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
+    for d in &decisions {
+        assert_eq!(
+            vec![s.point(d.load)],
+            s.run_serial(&[d.load]),
+            "load {} at {} shards",
+            d.load,
+            d.shards
+        );
+    }
+}
+
+/// Uniform traffic on the k = 16 folded torus at [`SMALL`] phases.
+fn k16_sweep(pool: Arc<SimPool>) -> LoadSweep {
+    LoadSweep::new(
+        NetworkConfig::paper_baseline().with_topology(TopologySpec::FoldedTorus { k: 16 }),
+        SMALL,
+        Workload::new(256, 16, TrafficPattern::Uniform),
+    )
+    .with_pool(pool)
 }

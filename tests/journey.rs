@@ -22,7 +22,7 @@ use ocin::core::{
     DecompositionReport, FlowControl, LinkProtection, Network, NetworkConfig, NetworkProbe,
     PacketJourney, PacketSpec, RoutingAlg, StageSums, TopologySpec,
 };
-use ocin::sim::{LoadSweep, SimConfig, SimReport, Simulation};
+use ocin::sim::{LoadSweep, PointSpec, SimConfig, SimReport, Simulation};
 use ocin::traffic::{InjectionProcess, TrafficPattern, Workload};
 use proptest::prelude::*;
 
@@ -236,7 +236,7 @@ fn journeyed_sweep_points_carry_aggregates() {
         SimConfig::quick(),
         Workload::new(16, 4, TrafficPattern::Uniform),
     )
-    .with_journeys(true);
+    .with_probe(ProbeConfig::counters().with_journeys(0));
     let pts = sweep.run(&[0.1, 0.4]);
     for p in &pts {
         let d = decomposition(&p.report);
@@ -252,7 +252,10 @@ fn journeyed_sweep_points_carry_aggregates() {
     assert!(share(decomposition(&pts[1].report)) > share(decomposition(&pts[0].report)));
     // The journeyed point is a distinct cache entry from plain/probed.
     assert_eq!(sweep.pool().cached_points(), 2);
-    let plain = sweep.spec(0.1).with_journeys(false);
+    let plain = PointSpec {
+        probe: None,
+        ..sweep.spec(0.1)
+    };
     sweep.pool().run(std::slice::from_ref(&plain));
     assert_eq!(sweep.pool().cached_points(), 3);
 }

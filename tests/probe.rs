@@ -183,13 +183,17 @@ fn pair_percentiles_are_exact() {
 #[test]
 fn probed_sweep_matches_unprobed_measurements() {
     let sweep = |probe: bool| {
-        LoadSweep::new(
+        let sweep = LoadSweep::new(
             quick_cfg(),
             SimConfig::quick(),
             Workload::new(16, 4, TrafficPattern::Uniform),
-        )
-        .with_probe(probe)
-        .run(&[0.1, 0.3])
+        );
+        let sweep = if probe {
+            sweep.with_probe(ProbeConfig::counters())
+        } else {
+            sweep
+        };
+        sweep.run(&[0.1, 0.3])
     };
     let bare = sweep(false);
     let probed = sweep(true);

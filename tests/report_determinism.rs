@@ -33,7 +33,7 @@ fn run(shards: Option<usize>) -> SimReport {
         .with_workload(&wl);
     let mut sharded = match shards {
         Some(s) => ShardedSimulation::new(sim, s),
-        None => ShardedSimulation::from_env(sim),
+        None => ShardedSimulation::from_env(sim).expect("OCIN_SHARDS is a positive integer"),
     };
     sharded.run()
 }
