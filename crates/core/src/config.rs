@@ -2,7 +2,7 @@
 //! buffer sizing, and timing.
 
 use crate::error::Error;
-use crate::flit::{ServiceClass, VcMask};
+use crate::flit::VcMask;
 use crate::ids::VcId;
 use crate::reservation::StaticFlowSpec;
 use crate::route::SourceRoute;
@@ -160,7 +160,8 @@ pub enum ReservationPolicy {
 /// each dynamic class is split into a *dateline pair*: packets that have
 /// crossed a wrap link may only use the upper half, which breaks the
 /// cyclic channel dependency of ring routes and keeps the torus
-/// deadlock-free.
+/// deadlock-free. [`crate::expand::TierTable`] derives from a plan the
+/// mask each routing state is allocated on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VcPlan {
     /// Number of virtual channels (≤ 8, the width of the VC mask field).
@@ -188,82 +189,6 @@ impl VcPlan {
             priority_class1: VcMask::new(0b0010_0000), // VC 5
             reserved: VcMask::new(0b1000_0000),    // VC 7
         }
-    }
-
-    /// The VCs a packet of `class` may be allocated, given its dateline
-    /// class (0 = has not crossed a wrap link) and whether the topology
-    /// has wrap links at all.
-    ///
-    /// On topologies without wraparound the dateline split is unnecessary
-    /// and both halves are usable.
-    pub fn mask_for(
-        &self,
-        class: ServiceClass,
-        dateline_class: u8,
-        dateline_aware: bool,
-    ) -> VcMask {
-        let (c0, c1) = match class {
-            ServiceClass::Bulk => (self.bulk_class0, self.bulk_class1),
-            ServiceClass::Priority => (self.priority_class0, self.priority_class1),
-            ServiceClass::Reserved => (self.reserved, self.reserved),
-        };
-        if !dateline_aware {
-            c0.or(c1)
-        } else if dateline_class == 0 {
-            c0
-        } else {
-            c1
-        }
-    }
-
-    /// The VCs a **two-segment (Valiant)** bulk packet may be allocated.
-    ///
-    /// Each segment is an independent dimension-ordered traversal, so the
-    /// segments get disjoint VC classes (`bulk_class0` then
-    /// `bulk_class1`), and on wraparound topologies each class is further
-    /// split into a dateline pair (lower half before the wrap, upper half
-    /// after). The packet climbs monotonically through these four tiers,
-    /// which keeps randomized routing deadlock-free.
-    pub fn mask_for_two_segment(
-        &self,
-        segment: u8,
-        dateline_class: u8,
-        dateline_aware: bool,
-    ) -> VcMask {
-        let base = if segment == 0 {
-            self.bulk_class0
-        } else {
-            self.bulk_class1
-        };
-        if !dateline_aware {
-            return base;
-        }
-        let (low, high) = Self::split_halves(base);
-        if dateline_class == 0 {
-            low
-        } else {
-            high
-        }
-    }
-
-    /// Splits a mask's set bits into its lower and upper halves (a lone
-    /// bit lands in both, which sacrifices the guarantee — the paper
-    /// plan's bulk classes have two bits each, so the split is clean).
-    fn split_halves(mask: VcMask) -> (VcMask, VcMask) {
-        let bits: Vec<u8> = (0..8).filter(|b| mask.bits() & (1 << b) != 0).collect();
-        if bits.len() < 2 {
-            return (mask, mask);
-        }
-        let mid = bits.len() / 2;
-        let low = bits[..mid].iter().fold(0u8, |m, b| m | 1 << b);
-        let high = bits[mid..].iter().fold(0u8, |m, b| m | 1 << b);
-        (VcMask::new(low), VcMask::new(high))
-    }
-
-    /// The default VC a packet of `class` is injected on at the tile port
-    /// (dateline class is always 0 at injection).
-    pub fn injection_mask(&self, class: ServiceClass, dateline_aware: bool) -> VcMask {
-        self.mask_for(class, 0, dateline_aware)
     }
 
     /// Validates internal consistency.
@@ -607,17 +532,6 @@ mod tests {
                 assert!(all[i].and(all[j]).is_empty(), "masks {i} and {j} overlap");
             }
         }
-    }
-
-    #[test]
-    fn mask_for_merges_classes_without_wraparound() {
-        let p = VcPlan::paper_baseline();
-        let m = p.mask_for(ServiceClass::Bulk, 0, false);
-        assert_eq!(m.bits(), 0b0000_1111);
-        let m0 = p.mask_for(ServiceClass::Bulk, 0, true);
-        assert_eq!(m0.bits(), 0b0000_0011);
-        let m1 = p.mask_for(ServiceClass::Bulk, 1, true);
-        assert_eq!(m1.bits(), 0b0000_1100);
     }
 
     #[test]

@@ -17,7 +17,8 @@
 
 use std::fmt;
 
-use crate::ids::{Cycle, Direction, FlowId, NodeId, PacketId, VcId};
+use crate::expand::RouteState;
+use crate::ids::{Cycle, FlowId, NodeId, PacketId, VcId};
 use crate::route::SourceRoute;
 
 /// Width of the data field in bits (the paper's 256-bit port).
@@ -302,19 +303,11 @@ pub struct FlitMeta {
     pub class: ServiceClass,
     /// Pre-scheduled flow, if any.
     pub flow: Option<FlowId>,
-    /// Dateline class (0 before crossing a wrap link, 1 after); restricts
-    /// torus VC allocation to break cyclic channel dependencies. Resets
-    /// when the packet turns into the other dimension or starts its
-    /// second Valiant segment.
-    pub dateline_class: u8,
-    /// Hops in the first Valiant segment (0 = a minimal, single-segment
-    /// route). Two-segment packets climb to a second VC class at the
-    /// segment boundary, which keeps randomized routing deadlock-free.
-    pub valiant_boundary: u8,
-    /// Routing segment: 0 until `valiant_boundary` hops are taken, then 1.
-    pub segment: u8,
-    /// Hops consumed so far (maintained by route resolution).
-    pub hops_taken: u8,
+    /// Routing state: the VC tier the head flit is allocated on and
+    /// the heading its route's turns apply to. Advanced only by
+    /// [`RouteState::take_hop`] at route resolution and
+    /// [`RouteState::delivered_over`] on link delivery.
+    pub route_state: RouteState,
     /// SEC-DED check word computed at the last link transmitter (used
     /// when link protection is enabled).
     pub ecc: u16,
@@ -335,8 +328,6 @@ pub struct Flit {
     pub route: SourceRoute,
     /// Data field.
     pub payload: Payload,
-    /// Current heading; updated as the route is consumed.
-    pub heading: Direction,
     /// VC assigned on the link the flit most recently traversed.
     pub link_vc: VcId,
     /// Router-local scratch: the output port resolved when this head flit

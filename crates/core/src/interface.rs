@@ -324,6 +324,7 @@ impl TileInterface {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expand::RouteState;
     use crate::flit::{FlitKind, FlitMeta, SizeCode, VcMask};
     use crate::ids::Direction;
     use crate::probe::NoProbe;
@@ -336,7 +337,6 @@ mod tests {
             vc_mask: VcMask::ALL,
             route: SourceRoute::compile(&[Direction::East]).unwrap(),
             payload: Payload::from_u64(packet * 100 + idx as u64),
-            heading: Direction::East,
             link_vc: VcId::new(0),
             resolved_port: None,
             meta: FlitMeta {
@@ -349,10 +349,7 @@ mod tests {
                 injected_at: 0,
                 class,
                 flow: None,
-                dateline_class: 0,
-                valiant_boundary: 0,
-                segment: 0,
-                hops_taken: 0,
+                route_state: RouteState::at_injection(class, 0),
                 ecc: 0,
                 corrupted: false,
             },

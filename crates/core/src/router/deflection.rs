@@ -134,7 +134,7 @@ impl DeflectionRouter {
         &mut self,
         env: &EvalEnv<'_>,
         free: &mut [bool; 4],
-        mut f: Flit,
+        f: Flit,
         out: &mut RouterOutput,
         probe: &mut dyn Probe,
     ) {
@@ -152,7 +152,6 @@ impl DeflectionRouter {
             probe.record(env.now, Event::Misroute { node, packet });
         }
         free[d.index()] = false;
-        f.heading = d;
         self.forwarded += 1;
         out.launches.push((Port::Dir(d), f));
     }

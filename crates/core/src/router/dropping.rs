@@ -208,7 +208,7 @@ mod tests {
             .strip_first_hop()
             .unwrap()
             .1;
-        f.heading = Direction::East;
+        f.meta.route_state.take_hop(Direction::East);
         r.receive(Port::Dir(Direction::West), f);
         let out = eval(&mut r, &env(&topo));
         assert!(out.launches.is_empty());
@@ -246,7 +246,7 @@ mod tests {
         let mut h2 = test_flit(FlitKind::Head, &[Direction::East]);
         h2.meta.packet = PacketId(2);
         h2.route = straight;
-        h2.heading = Direction::East;
+        h2.meta.route_state.take_hop(Direction::East);
         r.receive(Port::Dir(Direction::West), h2);
         eval(&mut r, &env(&topo));
         assert_eq!(r.packets_dropped, 1);

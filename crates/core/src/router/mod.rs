@@ -157,7 +157,8 @@ impl RouterOutput {
     }
 }
 
-/// Resolves a head flit's next output port, consuming one route entry.
+/// Resolves a head flit's next output port, consuming one route entry
+/// and taking the hop in the flit's [`crate::expand::RouteState`].
 ///
 /// At the source router the flit arrives on the tile port and the entry is
 /// an absolute direction; elsewhere it is a turn relative to the current
@@ -169,19 +170,13 @@ impl RouterOutput {
 /// been caught at compile time.
 pub(crate) fn resolve_route(flit: &mut Flit, in_port: Port) {
     debug_assert!(flit.kind.is_head(), "only head flits carry routes");
-    match in_port {
-        Port::Tile => {
-            // INVARIANT: route compilation rejects empty routes, so a
-            // head entering at its source always has a first hop.
-            let (dir, rest) = flit
-                .route
-                .strip_first_hop()
-                .expect("head flit with exhausted route at source");
-            flit.heading = dir;
-            flit.route = rest;
-            flit.resolved_port = Some(Port::Dir(dir));
-            advance_hop(flit);
-        }
+    let (dir, rest) = match in_port {
+        // INVARIANT: route compilation rejects empty routes, so a head
+        // entering at its source always has a first hop.
+        Port::Tile => flit
+            .route
+            .strip_first_hop()
+            .expect("head flit with exhausted route at source"),
         Port::Dir(_) => {
             // INVARIANT: every compiled route ends in an Extract turn,
             // so a flit still in flight has entries left to consume.
@@ -189,45 +184,23 @@ pub(crate) fn resolve_route(flit: &mut Flit, in_port: Port) {
                 .route
                 .strip_turn()
                 .expect("head flit with exhausted route in flight");
-            flit.route = rest;
-            match turn {
-                Turn::Extract => flit.resolved_port = Some(Port::Tile),
-                t => {
-                    let old = flit.heading;
-                    flit.heading = t.apply(flit.heading);
-                    // The dateline class is per dimension: turning into
-                    // the other dimension starts a fresh ring traversal,
-                    // so the escape class resets. Without this, packets
-                    // that wrapped in X would consume the Y ring's
-                    // class-1 escape VCs and the torus could deadlock.
-                    if axis(old) != axis(flit.heading) {
-                        flit.meta.dateline_class = 0;
-                    }
-                    flit.resolved_port = Some(Port::Dir(flit.heading));
-                    advance_hop(flit);
-                }
+            if turn == Turn::Extract {
+                flit.route = rest;
+                flit.resolved_port = Some(Port::Tile);
+                return;
             }
+            // INVARIANT: the source router took the first hop, so a
+            // flit arriving on a direction port has a heading.
+            let heading = flit.meta.route_state.heading();
+            (
+                turn.apply(heading.expect("in-flight head flit has a heading")),
+                rest,
+            )
         }
-    }
-}
-
-/// Counts a hop about to be taken and, for two-segment (Valiant) routes,
-/// climbs to segment 1 at the boundary — a fresh dimension-ordered
-/// traversal with a fresh dateline class.
-fn advance_hop(flit: &mut Flit) {
-    flit.meta.hops_taken = flit.meta.hops_taken.saturating_add(1);
-    if flit.meta.valiant_boundary != 0
-        && flit.meta.segment == 0
-        && flit.meta.hops_taken > flit.meta.valiant_boundary
-    {
-        flit.meta.segment = 1;
-        flit.meta.dateline_class = 0;
-    }
-}
-
-/// The dimension (0 = X/east-west, 1 = Y/north-south) of a heading.
-fn axis(d: crate::ids::Direction) -> u8 {
-    d.axis()
+    };
+    flit.route = rest;
+    flit.resolved_port = Some(Port::Dir(dir));
+    flit.meta.route_state.take_hop(dir);
 }
 
 /// A router core: one of the three flow-control implementations.
@@ -322,11 +295,6 @@ impl RouterCore {
         }
     }
 
-    /// Whether this core's injections are gated by tile-port credits.
-    pub fn credit_gated_injection(&self) -> bool {
-        matches!(self, RouterCore::Vc(_))
-    }
-
     /// Whether this core pulls injections during evaluation instead of
     /// accepting pushed tile-port flits.
     pub fn pulls_injection(&self) -> bool {
@@ -338,6 +306,7 @@ impl RouterCore {
 mod tests {
     use super::*;
     use crate::config::{FlowControl, NetworkConfig};
+    use crate::expand::RouteState;
     use crate::flit::{FlitKind, FlitMeta, Payload, ServiceClass, SizeCode, VcMask};
     use crate::ids::{Direction, NodeId};
     use crate::network::{Network, PacketSpec};
@@ -352,7 +321,6 @@ mod tests {
             vc_mask: VcMask::ALL,
             route: SourceRoute::compile(hops).unwrap(),
             payload: Payload::ZERO,
-            heading: Direction::East,
             link_vc: VcId::new(0),
             resolved_port: None,
             meta: FlitMeta {
@@ -365,10 +333,7 @@ mod tests {
                 injected_at: 0,
                 class: ServiceClass::Bulk,
                 flow: None,
-                dateline_class: 0,
-                valiant_boundary: 0,
-                segment: 0,
-                hops_taken: 0,
+                route_state: RouteState::at_injection(ServiceClass::Bulk, 0),
                 ecc: 0,
                 corrupted: false,
             },
@@ -380,7 +345,7 @@ mod tests {
         let mut f = test_flit(FlitKind::HeadTail, &[Direction::North, Direction::North]);
         resolve_route(&mut f, Port::Tile);
         assert_eq!(f.resolved_port, Some(Port::Dir(Direction::North)));
-        assert_eq!(f.heading, Direction::North);
+        assert_eq!(f.meta.route_state.heading(), Some(Direction::North));
     }
 
     #[test]

@@ -39,7 +39,8 @@
 //! per tile. No decision iterates in handle order, so where a flit
 //! sits in the slab cannot change a result (DESIGN.md §3.14).
 
-use crate::config::{ReservationPolicy, VcPlan};
+use crate::config::ReservationPolicy;
+use crate::expand::TierTable;
 use crate::flit::{Flit, VcMask};
 use crate::ids::{Cycle, NodeId, PacketId, Port, VcId};
 use crate::probe::{Event, Probe};
@@ -88,8 +89,8 @@ pub struct VcRouter {
     node: NodeId,
     num_vcs: usize,
     buf_depth: usize,
-    plan: VcPlan,
-    dateline_aware: bool,
+    /// The network's VC tier masks.
+    tiers: TierTable,
     /// Cycles a flit occupies each output link (1 = full-width channel).
     phits: u64,
     /// Every flit the router holds, in input buffers or staging,
@@ -156,28 +157,28 @@ impl VcRouter {
     /// banks occupied — must have a distinct u16 slab handle.
     pub const MAX_BUF_DEPTH: usize = (u16::MAX as usize + 1 - 2 * STAGE_SLOTS) / PV_SLOTS;
 
-    /// Creates the router for `node`.
+    /// Creates the router for `node`, with `num_vcs` VCs per port
+    /// allocated from the network's `tiers`.
     ///
     /// `eject_credits` bounds flits in flight toward the tile interface.
     ///
     /// # Panics
     ///
-    /// Panics if `plan.num_vcs` exceeds 8 (the occupancy masks and the
+    /// Panics if `num_vcs` exceeds 8 (the occupancy masks and the
     /// inline per-VC arrays are sized for that bound) or `buf_depth`
     /// exceeds [`Self::MAX_BUF_DEPTH`] (the slab's u16 handles could not
     /// address a full router).
     pub fn new(
         node: NodeId,
-        plan: VcPlan,
-        dateline_aware: bool,
+        num_vcs: usize,
+        tiers: TierTable,
         buf_depth: usize,
         eject_credits: u64,
         phits: u64,
     ) -> VcRouter {
-        let num_vcs = plan.num_vcs;
         // INVARIANT: `VcPlan::validate` rejects more than 8 VCs for every
         // network built from a config; this guards direct callers of the
-        // public constructor, whose plan would overrun the inline arrays.
+        // public constructor, whose VCs would overrun the inline arrays.
         assert!(
             num_vcs <= MAX_VCS,
             "router {node}: at most {MAX_VCS} VCs per port, got {num_vcs}"
@@ -199,8 +200,7 @@ impl VcRouter {
             node,
             num_vcs,
             buf_depth,
-            plan,
-            dateline_aware,
+            tiers,
             phits: phits.max(1),
             slots: Vec::new(),
             free: Vec::new(),
@@ -467,53 +467,11 @@ impl VcRouter {
         s
     }
 
-    /// The VCs a packet may be allocated here, given its own mask, class,
-    /// routing segment, and dateline class.
+    /// The VCs a packet may be allocated here: its route state's tier
+    /// mask intersected with its own mask.
     fn effective_mask(&self, flit: &Flit) -> VcMask {
-        let plan_mask = if flit.meta.valiant_boundary != 0 {
-            self.plan.mask_for_two_segment(
-                flit.meta.segment,
-                flit.meta.dateline_class,
-                self.dateline_aware,
-            )
-        } else {
-            self.plan.mask_for(
-                flit.meta.class,
-                flit.meta.dateline_class,
-                self.dateline_aware,
-            )
-        };
-        flit.vc_mask.and(plan_mask)
-    }
-
-    /// Tier rank of `vc` under `flit`'s routing discipline — the index
-    /// of the dateline/segment class whose plan mask contains it.
-    /// Returns `None` when the VC belongs to more than one tier (merged
-    /// non-dateline masks, a lone-bit Valiant split) and ordering is
-    /// therefore undefined.
-    fn vc_tier(&self, flit: &Flit, vc: VcId) -> Option<u8> {
-        let masks: [VcMask; 4] = if flit.meta.valiant_boundary != 0 {
-            [
-                self.plan.mask_for_two_segment(0, 0, self.dateline_aware),
-                self.plan.mask_for_two_segment(0, 1, self.dateline_aware),
-                self.plan.mask_for_two_segment(1, 0, self.dateline_aware),
-                self.plan.mask_for_two_segment(1, 1, self.dateline_aware),
-            ]
-        } else {
-            let m0 = self.plan.mask_for(flit.meta.class, 0, self.dateline_aware);
-            let m1 = self.plan.mask_for(flit.meta.class, 1, self.dateline_aware);
-            [m0, m1, VcMask::NONE, VcMask::NONE]
-        };
-        let mut tier = None;
-        for (t, m) in masks.iter().enumerate() {
-            if m.allows(vc) {
-                if tier.is_some() {
-                    return None;
-                }
-                tier = Some(t as u8);
-            }
-        }
-        tier
+        let tier = self.tiers.mask(flit.meta.route_state.tier());
+        flit.vc_mask.and(tier)
     }
 
     /// Debug cross-check of the static verifier's ordering invariant: a
@@ -540,7 +498,11 @@ impl VcRouter {
         let Some(front) = self.front(self.pv(in_port, in_vc.index())) else {
             return true;
         };
-        match (self.vc_tier(front, in_vc), self.vc_tier(front, out_vc)) {
+        let state = &front.meta.route_state;
+        match (
+            self.tiers.tier_holding(state, in_vc),
+            self.tiers.tier_holding(state, out_vc),
+        ) {
             (Some(from), Some(to)) => to >= from,
             _ => true,
         }
@@ -919,14 +881,20 @@ impl VcRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::VcPlan;
+    use crate::expand::RouteState;
     use crate::flit::{FlitKind, ServiceClass};
     use crate::ids::Direction;
     use crate::probe::NoProbe;
     use crate::router::tests::test_flit;
     use crate::topology::{FoldedTorus2D, Topology};
 
+    fn paper_tiers() -> TierTable {
+        TierTable::new(&VcPlan::paper_baseline(), true)
+    }
+
     fn router() -> VcRouter {
-        VcRouter::new(NodeId::new(0), VcPlan::paper_baseline(), true, 4, 64, 1)
+        VcRouter::new(NodeId::new(0), 8, paper_tiers(), 4, 64, 1)
     }
 
     fn env_at<'a>(topo: &'a dyn Topology, now: u64) -> EvalEnv<'a> {
@@ -984,7 +952,7 @@ mod tests {
     #[test]
     fn credits_gate_the_link() {
         let topo = FoldedTorus2D::new(4);
-        let mut r = VcRouter::new(NodeId::new(0), VcPlan::paper_baseline(), true, 1, 64, 1);
+        let mut r = VcRouter::new(NodeId::new(0), 8, paper_tiers(), 1, 64, 1);
         // Two single-flit packets for the same output; depth-1 downstream.
         let f1 = test_flit(FlitKind::HeadTail, &[Direction::East]);
         let mut f2 = test_flit(FlitKind::HeadTail, &[Direction::East]);
@@ -1026,13 +994,13 @@ mod tests {
         let mut pri = test_flit(FlitKind::HeadTail, &[Direction::North]);
         pri.meta.packet = crate::ids::PacketId(11);
         pri.meta.class = ServiceClass::Priority;
+        pri.meta.route_state = RouteState::at_injection(ServiceClass::Priority, 0);
         pri.link_vc = VcId::new(4);
         // Arrive on different inputs, same output.
         r.receive(Port::Tile, bulk);
         r.receive(Port::Dir(Direction::South), {
             let mut f = pri;
             super::super::resolve_route(&mut f, Port::Tile); // consume absolute entry
-            f.heading = Direction::North;
             f.resolved_port = None;
             // Rebuild: pretend it still needs its turn; simpler to hand-
             // craft a straight-through route.
@@ -1099,8 +1067,9 @@ mod tests {
 
     /// Flit `index` of the `len`-flit packet `packet` arriving on input
     /// `port`, VC `vc`. The class follows the paper plan's use of the VC
-    /// (7 reserved, 4-5 priority, the rest bulk), and the dateline class
-    /// matches the VC's tier so straight-through grants stay monotone.
+    /// (7 reserved, 4-5 priority, the rest bulk), and the route state's
+    /// dateline class matches the VC's tier so straight-through grants
+    /// stay monotone.
     /// Tile-port heads leave in a direction chosen by `vc`; network-port
     /// heads eject, go straight, or turn.
     fn packet_flit(port: Port, vc: usize, packet: u64, index: u16, len: u16) -> Flit {
@@ -1110,6 +1079,12 @@ mod tests {
             (i, l) if i + 1 == l => FlitKind::Tail,
             _ => FlitKind::Body,
         };
+        let class = match vc {
+            7 => ServiceClass::Reserved,
+            4 | 5 => ServiceClass::Priority,
+            _ => ServiceClass::Bulk,
+        };
+        let mut state = RouteState::at_injection(class, 0);
         let mut f = match port {
             Port::Tile => test_flit(kind, &[Direction::from_index(vc % 4)]),
             Port::Dir(from) => {
@@ -1121,7 +1096,7 @@ mod tests {
                 };
                 let mut f = test_flit(kind, &hops);
                 f.route = f.route.strip_first_hop().unwrap().1;
-                f.heading = heading;
+                state.take_hop(heading);
                 f
             }
         };
@@ -1129,12 +1104,9 @@ mod tests {
         f.meta.packet = PacketId(packet);
         f.meta.flit_index = index;
         f.meta.packet_len = len;
-        f.meta.class = match vc {
-            7 => ServiceClass::Reserved,
-            4 | 5 => ServiceClass::Priority,
-            _ => ServiceClass::Bulk,
-        };
-        f.meta.dateline_class = u8::from(matches!(vc, 2 | 3 | 5));
+        f.meta.class = class;
+        state.delivered_over(matches!(vc, 2 | 3 | 5));
+        f.meta.route_state = state;
         f
     }
 
@@ -1144,7 +1116,7 @@ mod tests {
         // Two ejection credits and a three-cycle credit return keep the
         // outputs credit-starved for most of the run; two-phit links
         // leave flits waiting in both staging banks.
-        let mut r = VcRouter::new(NodeId::new(0), VcPlan::paper_baseline(), true, 4, 2, 2);
+        let mut r = VcRouter::new(NodeId::new(0), 8, paper_tiers(), 4, 2, 2);
         // Every (port, VC) gets a 3-flit packet and then a 1-flit one,
         // filling its 4-flit buffer.
         let mut next_index = std::collections::BTreeMap::new();
@@ -1292,8 +1264,8 @@ mod tests {
     fn a_buffer_too_deep_for_the_handles_is_rejected() {
         let _ = VcRouter::new(
             NodeId::new(0),
-            VcPlan::paper_baseline(),
-            true,
+            8,
+            paper_tiers(),
             VcRouter::MAX_BUF_DEPTH + 1,
             64,
             1,
@@ -1303,11 +1275,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at most 8 VCs per port, got 9")]
     fn more_than_eight_vcs_is_rejected() {
-        let plan = VcPlan {
-            num_vcs: 9,
-            ..VcPlan::paper_baseline()
-        };
-        let _ = VcRouter::new(NodeId::new(0), plan, true, 4, 64, 1);
+        let _ = VcRouter::new(NodeId::new(0), 9, paper_tiers(), 4, 64, 1);
     }
 
     #[test]
@@ -1315,7 +1283,7 @@ mod tests {
         let topo = FoldedTorus2D::new(4);
         let mut r = router();
         let mut f = test_flit(FlitKind::HeadTail, &[Direction::East]);
-        f.meta.dateline_class = 1; // has crossed a wrap link
+        f.meta.route_state.delivered_over(true); // has crossed a wrap link
         f.link_vc = VcId::new(2);
         r.receive(Port::Tile, f);
         let out = eval(&mut r, &env(&topo));

@@ -30,6 +30,7 @@
 
 use crate::config::{FlowControl, NetworkConfig, RoutingAlg};
 use crate::error::Error;
+use crate::expand::{RouteState, TierTable};
 use crate::fault::SteeredLink;
 use crate::flit::{
     Flit, FlitKind, FlitMeta, Payload, ServiceClass, SizeCode, VcMask, FLIT_DATA_BITS,
@@ -107,7 +108,8 @@ pub(crate) struct PortLink {
 pub(crate) struct NetShared {
     pub cfg: NetworkConfig,
     pub topo: Box<dyn Topology>,
-    pub dateline_aware: bool,
+    /// The VC plan's tier masks on this topology.
+    pub tiers: TierTable,
     pub reservations: Option<ReservationTable>,
     /// Per-link-traversal probability of a transient single-bit upset.
     pub transient_rate: f64,
@@ -532,28 +534,11 @@ impl ShardCell {
             debug_assert_eq!(d.len(), num_flits, "one payload entry per flit");
         }
         // The packet's VC-mask field covers both dateline halves of its
-        // class; each router intersects it with the half its dateline
-        // class permits. Injection itself always happens in class 0 (for
-        // two-segment routes, the segment-0 pre-dateline tier).
-        let inject_mask = if valiant_boundary != 0 {
-            shared
-                .cfg
-                .vc_plan
-                .mask_for_two_segment(0, 0, shared.dateline_aware)
-        } else {
-            shared
-                .cfg
-                .vc_plan
-                .injection_mask(spec.class, shared.dateline_aware)
-        };
-        let packet_mask = shared
-            .cfg
-            .vc_plan
-            .mask_for(spec.class, 0, shared.dateline_aware)
-            .or(shared
-                .cfg
-                .vc_plan
-                .mask_for(spec.class, 1, shared.dateline_aware));
+        // class; each router intersects it with its route state's tier.
+        // Injection itself happens on the state's first tier.
+        let state = RouteState::at_injection(spec.class, valiant_boundary);
+        let inject_mask = shared.tiers.mask(state.tier());
+        let packet_mask = shared.tiers.packet_mask(spec.class);
         if inject_mask.is_empty() {
             return Err(Error::EmptyVcMask {
                 mask: inject_mask.bits(),
@@ -573,7 +558,7 @@ impl ShardCell {
         // allocate without coordination (the layout lives in `PacketId`).
         let id = PacketId::new(spec.src, self.next_seq[local]);
         self.next_seq[local] += 1;
-        let flits = flitize(spec, id, route, now, packet_mask, valiant_boundary);
+        let flits = flitize(spec, id, route, now, packet_mask, state);
         // INVARIANT: `choose_vc` picked a queue with room for every flit.
         iface.enqueue_packet(vc, flits).expect("space was checked");
         // INVARIANT: wake — a tile with queued flits must stay in the
@@ -708,9 +693,7 @@ impl ShardCell {
         let (payload, steering_hit) = self.rx_links[r].transmit(&flit.payload);
         flit.payload = payload;
         let mut hop_corrupt = steering_hit;
-        if meta.dateline {
-            flit.meta.dateline_class = 1;
-        }
+        flit.meta.route_state.delivered_over(meta.dateline);
         let (dst, port) = (meta.dst, meta.in_port);
         let rng = &mut self.rx_rng[r];
         if shared.transient_rate > 0.0
@@ -1111,7 +1094,7 @@ pub(crate) fn flitize(
     route: SourceRoute,
     now: Cycle,
     vc_mask: VcMask,
-    valiant_boundary: u8,
+    route_state: RouteState,
 ) -> impl ExactSizeIterator<Item = Flit> + '_ {
     let num_flits = spec.num_flits();
     let packet_len = u16::try_from(num_flits).expect("inject bounds the flit count");
@@ -1135,7 +1118,6 @@ pub(crate) fn flitize(
             vc_mask,
             route,
             payload,
-            heading: Direction::East,
             link_vc: VcId::new(0),
             resolved_port: None,
             meta: FlitMeta {
@@ -1148,10 +1130,7 @@ pub(crate) fn flitize(
                 injected_at: now,
                 class: spec.class,
                 flow: spec.flow,
-                dateline_class: 0,
-                valiant_boundary,
-                segment: 0,
-                hops_taken: 0,
+                route_state,
                 ecc: 0,
                 corrupted: false,
             },

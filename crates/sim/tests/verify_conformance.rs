@@ -1,9 +1,17 @@
 //! Dynamic-vs-static conformance: every `(channel, VC)` acquisition a
 //! simulated packet performs is a resource the static verifier's
 //! channel dependency graph knows about, and every *consecutive* pair
-//! of acquisitions is one of its waits-for edges. A divergence in
-//! either direction would mean the verifier's deadlock-freedom
-//! certificate does not cover what the router actually does.
+//! of acquisitions is one of its waits-for edges. A divergence would
+//! mean the verifier's deadlock-freedom certificate does not cover what
+//! the router actually does.
+//!
+//! The router and the verifier share one route-state machine
+//! (`ocin_core::expand::RouteState`) and one tier table, so this does
+//! not compare two copies of the tier logic. It checks what remains
+//! separate: the verifier's route enumeration (minimal routes, Valiant
+//! segments and their junctions) against the routes the simulator
+//! compiles, and its edge bookkeeping against the grants the VC
+//! allocator makes.
 //!
 //! The probe's event trace supplies the ground truth: each
 //! [`EventKind::VcAlloc`] record is the head flit of `packet` winning
