@@ -18,7 +18,9 @@
 
 use ocin_bench::{banner, check, f1, f2, or_exit, probe_enabled, quick_mode, write_metrics};
 use ocin_core::{NetworkConfig, ProbeConfig, TelemetryReport, TopologySpec};
-use ocin_sim::{LatencyReport, ShardedSimulation, SimConfig, SimReport, Simulation, Table};
+use ocin_sim::{
+    shards_from_env, LatencyReport, ShardedSimulation, SimConfig, SimReport, Simulation, Table,
+};
 use ocin_traffic::{InjectionProcess, TrafficPattern, Workload};
 
 /// Radix of the experiment network (256 tiles).
@@ -43,8 +45,8 @@ fn bursty(mean: f64) -> InjectionProcess {
 }
 
 /// Runs uniform traffic with `injection` on the k = 16 folded torus
-/// with telemetry attached, honoring `OCIN_QUICK` and `OCIN_SHARDS`.
-fn run(injection: InjectionProcess, sim_cfg: SimConfig) -> SimReport {
+/// with telemetry attached, on `shards` shards.
+fn run(injection: InjectionProcess, sim_cfg: SimConfig, shards: usize) -> SimReport {
     let wl = Workload::new(K * K, K, TrafficPattern::Uniform).injection(injection);
     let sim = Simulation::new(
         NetworkConfig::paper_baseline().with_topology(TopologySpec::FoldedTorus { k: K }),
@@ -53,7 +55,7 @@ fn run(injection: InjectionProcess, sim_cfg: SimConfig) -> SimReport {
     .expect("valid config")
     .with_workload(&wl)
     .with_probe(ProbeConfig::counters().with_telemetry(WINDOW));
-    or_exit(ShardedSimulation::from_env(sim)).run()
+    ShardedSimulation::new(sim, shards).run()
 }
 
 /// The telemetry report a probed run must carry.
@@ -99,6 +101,8 @@ fn export(dir: &std::path::Path, report: &SimReport) {
 }
 
 fn main() {
+    // Read once, before any output: a bad value prints only its error.
+    let shards = or_exit(shards_from_env());
     banner(
         "exp_tail_latency",
         "§2, §4",
@@ -124,8 +128,9 @@ fn main() {
             flit_rate: MEAN_LOAD,
         },
         sim_cfg,
+        shards,
     );
-    let bursty_run = run(bursty(MEAN_LOAD), sim_cfg);
+    let bursty_run = run(bursty(MEAN_LOAD), sim_cfg, shards);
 
     let mut t = Table::new(&[
         "injection",
@@ -198,6 +203,7 @@ fn main() {
             p_off_to_on: 0.02,
         },
         sim_cfg,
+        shards,
     );
     let onset = telemetry(&over).saturation_onset(3, 1);
     match onset {
@@ -228,6 +234,7 @@ fn main() {
                 drain_cycles: 4_000,
                 seed: 0xC0FFEE,
             },
+            shards,
         );
         export(std::path::Path::new(&dir), &fixed);
         check(

@@ -18,7 +18,7 @@ use std::path::{Path, PathBuf};
 
 use ocin_bench::or_exit;
 use ocin_core::{EventTrace, NetworkConfig, ProbeConfig, TopologySpec};
-use ocin_sim::{ShardedSimulation, SimConfig, Simulation};
+use ocin_sim::{shards_from_env, ShardedSimulation, SimConfig, Simulation};
 use ocin_traffic::{InjectionProcess, TrafficPattern, Workload};
 
 /// Runs the fixed-seed probed simulation for radix `k` at `flit_rate`
@@ -27,7 +27,7 @@ use ocin_traffic::{InjectionProcess, TrafficPattern, Workload};
 /// compact `totals.json` of the network-wide counters — at k = 16 the
 /// full per-router dump is megabytes and the totals pin the same
 /// determinism surface at golden-committable size.
-fn dump(out_dir: &Path, k: usize, flit_rate: f64, full_metrics: bool) {
+fn dump(out_dir: &Path, k: usize, flit_rate: f64, full_metrics: bool, shards: usize) {
     // Fixed configuration: never varies with the environment.
     let net_cfg = NetworkConfig::paper_baseline().with_topology(TopologySpec::FoldedTorus { k });
     let sim_cfg = SimConfig {
@@ -43,7 +43,7 @@ fn dump(out_dir: &Path, k: usize, flit_rate: f64, full_metrics: bool) {
         .expect("fixed configuration is valid")
         .with_workload(&wl)
         .with_probe(ProbeConfig::counters().with_trace(4096));
-    let report = or_exit(ShardedSimulation::from_env(sim)).run();
+    let report = ShardedSimulation::new(sim, shards).run();
     let metrics = report.metrics.as_ref().expect("probed run carries metrics");
 
     // Cross-layer invariants the determinism gate relies on: the probe
@@ -114,14 +114,15 @@ fn dump(out_dir: &Path, k: usize, flit_rate: f64, full_metrics: bool) {
 }
 
 fn main() {
+    let shards = or_exit(shards_from_env());
     let out_dir = std::env::args()
         .nth(1)
         .map_or_else(|| PathBuf::from("target/probe"), PathBuf::from);
 
     // The paper's 16-tile baseline, at the historical rate so the
     // committed golden bytes are stable across this binary's growth.
-    dump(&out_dir, 4, 0.3, true);
+    dump(&out_dir, 4, 0.3, true, shards);
     // The 256-tile network, well below its bisection-limited saturation
     // (~0.5 flits/node/cycle) so the dump stays fast and drain-clean.
-    dump(&out_dir.join("k16"), 16, 0.1, false);
+    dump(&out_dir.join("k16"), 16, 0.1, false, shards);
 }

@@ -43,7 +43,7 @@ pub use heatmap::{hottest_links, render_link_heatmap, render_metrics_heatmap};
 pub use multichip::{GlobalDelivery, MultiChipSim};
 pub use pool::{derive_seed, PointSpec, SimPool};
 pub use runner::{SimConfig, SimReport, Simulation};
-pub use shard::{shards_from_env, ShardedSimulation, ShardsEnvError};
+pub use shard::{shards_from_env, ShardedSimulation, SpeedEnvError};
 pub use stats::{LatencyReport, Samples};
 pub use sweep::{LoadPoint, LoadSweep};
 pub use table::Table;
