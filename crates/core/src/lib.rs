@@ -79,7 +79,7 @@ pub use config::{
 };
 pub use ecc::EccOutcome;
 pub use error::Error;
-pub use expand::{expand_route, HopAcquire, RouteState};
+pub use expand::RouteState;
 pub use fault::{FaultKind, LinkFault, SteeredLink};
 pub use flit::{Flit, FlitKind, FlitMeta, Payload, ServiceClass, SizeCode, VcMask};
 pub use ids::{Coord, Cycle, Direction, FlowId, NodeId, PacketId, Port, VcId};
