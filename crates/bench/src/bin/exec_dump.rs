@@ -6,12 +6,12 @@
 //! output file (first argument, default `target/exec-dump.txt`). With
 //! `--serial` the batch bypasses the pool entirely and evaluates each
 //! point in order on the calling thread; otherwise it goes through a
-//! fresh `SimPool` sized by `--exec-workers <n>` / `OCIN_EXEC_WORKERS`
-//! (default: available parallelism), exercising the two-level
-//! scheduler's wave plan and shard budgets. Scheduling decisions are
-//! printed to stdout for the log; the output file must be byte-
-//! identical between the serial and every pooled invocation — CI runs
-//! both under `OCIN_EXEC_WORKERS=8` and diffs the files.
+//! fresh `SimPool` sized by `--exec-workers <n>` (default: available
+//! parallelism), exercising the two-level scheduler's wave plan and
+//! shard budgets. Scheduling decisions are printed to stdout for the
+//! log; the output file must be byte-identical between the serial and
+//! every pooled invocation — CI runs the pooled one with
+//! `--exec-workers 8` and diffs the files.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -43,7 +43,8 @@ fn main() {
         println!("serial: evaluating {} points in order", LOADS.len());
         sweep.run_serial(&LOADS)
     } else {
-        let pool = Arc::new(SimPool::with_workers(or_exit(exec_workers_arg())));
+        let workers = or_exit(exec_workers_arg());
+        let pool = Arc::new(workers.map_or_else(SimPool::new, SimPool::with_workers));
         let points = sweep.with_pool(Arc::clone(&pool)).run(&LOADS);
         // Decisions go to the log, never the diffed artifact.
         println!("exec summary: {}", pool.exec_summary_json());

@@ -16,11 +16,11 @@
 //! the CI determinism gate byte-diffs two such trees (at different
 //! `OCIN_SHARDS`) against each other and against the committed golden.
 
-use ocin_bench::{banner, check, f1, f2, or_exit, probe_enabled, quick_mode, write_metrics};
-use ocin_core::{NetworkConfig, ProbeConfig, TelemetryReport, TopologySpec};
-use ocin_sim::{
-    shards_from_env, LatencyReport, ShardedSimulation, SimConfig, SimReport, Simulation, Table,
+use ocin_bench::{
+    banner, check, f1, f2, or_exit, probe_enabled, quick_mode, shards_env, write_metrics,
 };
+use ocin_core::{NetworkConfig, ProbeConfig, TelemetryReport, TopologySpec};
+use ocin_sim::{LatencyReport, ShardedSimulation, SimConfig, SimReport, Simulation, Table};
 use ocin_traffic::{InjectionProcess, TrafficPattern, Workload};
 
 /// Radix of the experiment network (256 tiles).
@@ -102,7 +102,7 @@ fn export(dir: &std::path::Path, report: &SimReport) {
 
 fn main() {
     // Read once, before any output: a bad value prints only its error.
-    let shards = or_exit(shards_from_env());
+    let shards = or_exit(shards_env());
     banner(
         "exp_tail_latency",
         "§2, §4",

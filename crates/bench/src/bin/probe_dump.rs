@@ -6,19 +6,20 @@
 //! (first argument, default `target/probe`): the paper's k = 4 at the
 //! top level and the 256-tile k = 16 network under `k16/`. The runs are
 //! configured identically regardless of `OCIN_QUICK`, and `OCIN_SHARDS`
-//! selects how many worker threads step each network without being
-//! allowed to change a single byte of output — so two invocations
-//! anywhere, at any shard count, must produce byte-identical trees. CI
-//! runs it at `OCIN_SHARDS ∈ {1, 2, 4, 8}` and diffs every tree
-//! against the committed golden.
+//! (read once at startup; default 1, and anything but a positive
+//! integer exits 2 before any output) selects how many worker threads
+//! step each network without being allowed to change a single byte of
+//! output — so two invocations anywhere, at any shard count, must
+//! produce byte-identical trees. CI runs it at `OCIN_SHARDS ∈
+//! {1, 2, 4, 8}` and diffs every tree against the committed golden.
 //!
 //! [`NetworkMetrics`]: ocin_core::NetworkMetrics
 
 use std::path::{Path, PathBuf};
 
-use ocin_bench::or_exit;
+use ocin_bench::{or_exit, shards_env};
 use ocin_core::{EventTrace, NetworkConfig, ProbeConfig, TopologySpec};
-use ocin_sim::{shards_from_env, ShardedSimulation, SimConfig, Simulation};
+use ocin_sim::{ShardedSimulation, SimConfig, Simulation};
 use ocin_traffic::{InjectionProcess, TrafficPattern, Workload};
 
 /// Runs the fixed-seed probed simulation for radix `k` at `flit_rate`
@@ -114,7 +115,7 @@ fn dump(out_dir: &Path, k: usize, flit_rate: f64, full_metrics: bool, shards: us
 }
 
 fn main() {
-    let shards = or_exit(shards_from_env());
+    let shards = or_exit(shards_env());
     let out_dir = std::env::args()
         .nth(1)
         .map_or_else(|| PathBuf::from("target/probe"), PathBuf::from);

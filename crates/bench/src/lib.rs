@@ -68,9 +68,6 @@ pub enum ArgError {
         /// The smallest accepted value.
         min: usize,
     },
-    /// A speed setting (`OCIN_SHARDS`, `OCIN_EXEC_WORKERS`) is not a
-    /// positive integer.
-    Env(ocin_sim::SpeedEnvError),
 }
 
 impl std::fmt::Display for ArgError {
@@ -83,7 +80,6 @@ impl std::fmt::Display for ArgError {
             ArgError::TooSmall { source, value, min } => {
                 write!(f, "{source}: {value} is below the minimum of {min}")
             }
-            ArgError::Env(e) => e.fmt(f),
         }
     }
 }
@@ -153,29 +149,37 @@ fn radix_from(
 }
 
 /// The worker count an experiment should size its `SimPool` with:
-/// `--exec-workers <n>` on the command line, else
-/// [`ocin_sim::exec_workers_from_env`] (`OCIN_EXEC_WORKERS`, else the
-/// machine's available parallelism).
+/// `--exec-workers <n>` on the command line, else `None` (a default
+/// pool, one worker per unit of available parallelism).
 ///
 /// # Errors
 ///
-/// An [`ArgError`] if the flag or variable is present but not a positive
-/// integer — a misconfigured run should fail loudly, not fall back
-/// silently.
-pub fn exec_workers_arg() -> Result<usize, ArgError> {
-    exec_workers_from(std::env::args(), ocin_sim::exec_workers_from_env)
+/// An [`ArgError`] if the flag is present but not a positive integer —
+/// a misconfigured run should fail loudly, not fall back silently.
+pub fn exec_workers_arg() -> Result<Option<usize>, ArgError> {
+    exec_workers_from(std::env::args())
 }
 
-/// `--exec-workers` in `args`, else `env()`, which is not called when
-/// the flag is given.
-fn exec_workers_from(
-    args: impl Iterator<Item = String>,
-    env: impl FnOnce() -> Result<usize, ocin_sim::SpeedEnvError>,
-) -> Result<usize, ArgError> {
-    match flag_value(args, "--exec-workers")? {
-        Some(v) => at_least("--exec-workers", &v, 1),
-        None => env().map_err(ArgError::Env),
-    }
+fn exec_workers_from(args: impl Iterator<Item = String>) -> Result<Option<usize>, ArgError> {
+    flag_value(args, "--exec-workers")?
+        .map(|v| at_least("--exec-workers", &v, 1))
+        .transpose()
+}
+
+/// The shard count a golden-diffed binary steps its networks on:
+/// `OCIN_SHARDS`, else 1 (a speed setting: DESIGN.md §3.15).
+///
+/// # Errors
+///
+/// An [`ArgError`] naming the variable and the value if it is set to
+/// anything but a positive integer: a typo must not quietly run one
+/// shard where several were asked for.
+pub fn shards_env() -> Result<usize, ArgError> {
+    shards_from(std::env::var_os("OCIN_SHARDS"))
+}
+
+fn shards_from(value: Option<std::ffi::OsString>) -> Result<usize, ArgError> {
+    value.map_or(Ok(1), |v| at_least("OCIN_SHARDS", &v.to_string_lossy(), 1))
 }
 
 /// Where probed experiments write their metrics snapshot:
@@ -214,14 +218,7 @@ pub fn write_metrics(metrics: &NetworkMetrics) {
 
 /// Prints the experiment banner: id, paper section, and the claim being
 /// reproduced.
-///
-/// Every experiment prints it first, so it checks the speed settings
-/// (`OCIN_SHARDS`, `OCIN_EXEC_WORKERS`) before printing: a bad value
-/// prints only its error and exits with status 2 (see [`or_exit`]),
-/// before any output and before a default `SimPool` would panic on it.
 pub fn banner(id: &str, paper_ref: &str, claim: &str) {
-    or_exit(ocin_sim::shards_from_env());
-    or_exit(ocin_sim::exec_workers_from_env());
     println!("================================================================");
     println!("{id}  [{paper_ref}]");
     println!("claim: {claim}");
@@ -299,38 +296,53 @@ mod tests {
         }
     }
 
-    fn bad_env() -> Result<usize, ocin_sim::SpeedEnvError> {
-        Err(ocin_sim::SpeedEnvError {
-            var: "OCIN_EXEC_WORKERS",
-            value: "abc".into(),
-        })
-    }
-
     #[test]
     fn exec_workers_flag_is_validated() {
-        // The flag beats the variable, even a bad one.
-        let two = || args(&["exp", "--exec-workers", "2"]);
-        assert_eq!(exec_workers_from(two(), || Ok(8)), Ok(2));
-        assert_eq!(exec_workers_from(two(), bad_env), Ok(2));
-        // Without the flag, the variable's value or error.
-        assert_eq!(exec_workers_from(args(&["exp"]), || Ok(8)), Ok(8));
-        let err = exec_workers_from(args(&["exp"]), bad_env).unwrap_err();
         assert_eq!(
-            err.to_string(),
-            "OCIN_EXEC_WORKERS: 'abc' is not a positive integer"
+            exec_workers_from(args(&["exp", "--exec-workers", "2"])),
+            Ok(Some(2))
         );
+        assert_eq!(exec_workers_from(args(&["exp"])), Ok(None));
         assert_eq!(
-            exec_workers_from(args(&["exp", "--exec-workers", "0"]), || Ok(8)),
+            exec_workers_from(args(&["exp", "--exec-workers", "0"])),
             Err(ArgError::TooSmall {
                 source: "--exec-workers",
                 value: 0,
                 min: 1
             })
         );
-        let err = exec_workers_from(args(&["exp", "--exec-workers", "two"]), || Ok(8)).unwrap_err();
+        let err = exec_workers_from(args(&["exp", "--exec-workers", "two"])).unwrap_err();
         assert_eq!(
             err.to_string(),
             "--exec-workers: 'two' is not a positive integer"
+        );
+    }
+
+    fn shards(value: Option<&str>) -> Result<usize, ArgError> {
+        shards_from(value.map(Into::into))
+    }
+
+    #[test]
+    fn shard_count_defaults_to_one_and_parses_positive_integers() {
+        assert_eq!(shards(None), Ok(1));
+        assert_eq!(shards(Some("1")), Ok(1));
+        assert_eq!(shards(Some("8")), Ok(8));
+    }
+
+    #[test]
+    fn bad_shard_counts_name_the_variable_and_value() {
+        for bad in ["0", "abc", "8x", "", "-2"] {
+            let err = shards(Some(bad)).unwrap_err().to_string();
+            assert!(err.starts_with("OCIN_SHARDS: "), "{err}");
+            assert!(err.contains(bad), "{err}");
+        }
+        assert_eq!(
+            shards(Some("abc")).unwrap_err().to_string(),
+            "OCIN_SHARDS: 'abc' is not a positive integer"
+        );
+        assert_eq!(
+            shards(Some("0")).unwrap_err().to_string(),
+            "OCIN_SHARDS: 0 is below the minimum of 1"
         );
     }
 

@@ -618,16 +618,6 @@ impl Network {
         })
     }
 
-    /// Renders router-internal state for congestion diagnosis (VC-router
-    /// cores only; other cores report their occupancy).
-    pub fn router_snapshot(&self, node: NodeId) -> String {
-        let cell = &self.cells[self.shared.cell_of_node[node.index()]];
-        match &cell.routers[node.index() - cell.node_base] {
-            RouterCore::Vc(r) => r.debug_snapshot(),
-            other => format!("router {node}: occupancy {}", other.occupancy()),
-        }
-    }
-
     /// Flits currently inside the network (buffers, staging, and pipes).
     pub fn flits_in_flight(&self) -> usize {
         self.cells

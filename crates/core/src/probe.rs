@@ -209,18 +209,13 @@ pub struct ProbeConfig {
     /// Ring-buffer capacity of the event trace (0 disables tracing;
     /// counters and histograms are always collected).
     pub trace_capacity: usize,
-    /// Whether per-packet journey decomposition is collected (see
-    /// [`crate::journey`]).
-    pub journeys: bool,
-    /// Full journey records retained when journeys are enabled (the
-    /// oldest are evicted first; stage aggregates are always complete).
-    pub journey_capacity: usize,
-    /// Whether windowed time-series telemetry and exact quantile
-    /// histograms are collected (see [`crate::telemetry`]).
-    pub telemetry: bool,
-    /// Window width, in cycles, of the telemetry time series (ignored
-    /// unless `telemetry` is set).
-    pub telemetry_window: Cycle,
+    /// Per-packet journey decomposition (see [`crate::journey`]), when
+    /// set: the number of full journey records retained (the oldest are
+    /// evicted first; stage aggregates are always complete).
+    pub journeys: Option<usize>,
+    /// Windowed time-series telemetry and exact quantile histograms
+    /// (see [`crate::telemetry`]), when set: the window width in cycles.
+    pub telemetry: Option<Cycle>,
 }
 
 impl ProbeConfig {
@@ -228,10 +223,8 @@ impl ProbeConfig {
     pub fn counters() -> ProbeConfig {
         ProbeConfig {
             trace_capacity: 0,
-            journeys: false,
-            journey_capacity: 0,
-            telemetry: false,
-            telemetry_window: crate::telemetry::DEFAULT_WINDOW,
+            journeys: None,
+            telemetry: None,
         }
     }
 
@@ -248,8 +241,7 @@ impl ProbeConfig {
     /// aggregates, which are always complete).
     #[must_use]
     pub fn with_journeys(mut self, capacity: usize) -> ProbeConfig {
-        self.journeys = true;
-        self.journey_capacity = capacity;
+        self.journeys = Some(capacity);
         self
     }
 
@@ -258,12 +250,11 @@ impl ProbeConfig {
     /// default width, [`crate::telemetry::DEFAULT_WINDOW`]).
     #[must_use]
     pub fn with_telemetry(mut self, window: Cycle) -> ProbeConfig {
-        self.telemetry = true;
-        self.telemetry_window = if window == 0 {
+        self.telemetry = Some(if window == 0 {
             crate::telemetry::DEFAULT_WINDOW
         } else {
             window
-        };
+        });
         self
     }
 }
@@ -722,16 +713,16 @@ impl NetworkProbe {
             routers: (0..nodes).map(|_| RouterProbe::new(num_vcs)).collect(),
             pair_latency: PairTable::new(),
             trace: EventTrace::new(cfg.trace_capacity),
-            journeys: cfg.journeys.then(|| {
+            journeys: cfg.journeys.map(|capacity| {
                 Box::new(JourneyCollector::new(
                     StageConstants::paper_baseline(),
                     num_vcs,
-                    cfg.journey_capacity,
+                    capacity,
                 ))
             }),
             telemetry: cfg
                 .telemetry
-                .then(|| Box::new(TelemetryCollector::new(cfg.telemetry_window, nodes))),
+                .map(|window| Box::new(TelemetryCollector::new(window, nodes))),
             packets_injected: 0,
             packets_delivered: 0,
         }

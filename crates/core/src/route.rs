@@ -267,11 +267,6 @@ impl SourceRoute {
         self.num_entries() <= Self::PAPER_FIELD_ENTRIES
     }
 
-    /// The raw packed bits (LSB = next entry), as carried on the head flit.
-    pub fn raw_bits(&self) -> u128 {
-        self.bits
-    }
-
     /// Strips the **first-hop absolute direction** off the route.
     ///
     /// Called by the source router when the head flit arrives on the tile

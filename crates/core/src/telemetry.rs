@@ -205,11 +205,6 @@ impl QuantileHistogram {
         }
         self.max
     }
-
-    /// Distinct quantized buckets currently held.
-    pub fn buckets_used(&self) -> usize {
-        self.buckets.len()
-    }
 }
 
 /// One telemetry window's counters. Every field is a plain sum over the

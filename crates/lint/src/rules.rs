@@ -118,16 +118,16 @@ pub fn all_rules() -> Vec<Rule> {
         },
         Rule {
             name: "env-read-outside-config",
-            summary: "std::env::var/var_os outside the bench harness and CLI bins",
+            summary: "std::env::var/var_os outside the bench harness",
             patterns: &["env::var", "env::var_os"],
             include: &[],
-            exclude: &["crates/bench/", "src/bin/"],
+            exclude: &["crates/bench/"],
             scope: CodeScope::Everywhere,
             suppression: Suppression::AllowComment,
             advice: "a simulation result must be a function of (config, seed), \
                      never of ambient process state; thread the value through \
-                     NetworkConfig/SimConfig, or read it in crates/bench / \
-                     src/bin and pass it down",
+                     NetworkConfig/SimConfig or a flag, or read it in \
+                     crates/bench and pass it down",
         },
         Rule {
             name: "panic-in-router-hot-path",

@@ -1,5 +1,5 @@
 //! Fixture: `env-read-outside-config` — ambient `std::env` reads in
-//! library crates fire; the bench harness, CLI bins, and suppressed
+//! library crates and CLI bins fire; the bench harness and suppressed
 //! reads do not.
 
 pub fn bad_var() -> Option<String> {

@@ -1,6 +1,6 @@
-//! CLI entry points read the environment and pass values down as
-//! config: exempt by path.
+//! CLI entry points take flags; only the bench harness may read the
+//! environment.
 
 fn main() {
-    let _ = std::env::var("OCIN_RADIX");
+    let _ = std::env::var("OCIN_RADIX"); // FINDING: line 5
 }

@@ -86,6 +86,7 @@ fn fixture_env_read_outside_config() {
         vec![
             ("env-read-outside-config".to_string(), 6),
             ("env-read-outside-config".to_string(), 10),
+            ("env-read-outside-config".to_string(), 5),
         ],
         "{:#?}",
         a.findings

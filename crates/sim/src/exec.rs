@@ -53,32 +53,7 @@
 //! steps on the calling thread.
 
 use crate::pool::PointSpec;
-use crate::shard::{count_from, SpeedEnvError};
 use crate::sweep::LoadPoint;
-
-/// The worker count of `SimPool::new`: `OCIN_EXEC_WORKERS=<n>` when
-/// set, else the machine's available parallelism.
-///
-/// Like `OCIN_SHARDS` this is a speed knob, not an experiment parameter —
-/// it can change how fast results arrive but (by the determinism
-/// invariants above) never what they are, so reading it outside the
-/// config layer is sound.
-///
-/// # Errors
-///
-/// A [`SpeedEnvError`] naming the value if the variable is set to
-/// anything but a positive integer.
-pub fn exec_workers_from_env() -> Result<usize, SpeedEnvError> {
-    // ocin-lint: allow(env-read-outside-config) — speed knob, not config
-    workers_from(std::env::var_os("OCIN_EXEC_WORKERS"))
-}
-
-/// Parses an `OCIN_EXEC_WORKERS` value; unset is the available
-/// parallelism.
-fn workers_from(value: Option<std::ffi::OsString>) -> Result<usize, SpeedEnvError> {
-    Ok(count_from("OCIN_EXEC_WORKERS", value)?
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get)))
-}
 
 /// Runs every task on its own scoped thread and returns the results in
 /// **task order** (never completion order). A single task runs inline on
@@ -262,22 +237,6 @@ pub(crate) fn decisions_json(decisions: &[ExecDecision]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// `OCIN_EXEC_WORKERS` is parsed as strictly as `OCIN_SHARDS`: a
-    /// value that is not a positive integer is an error naming it, never
-    /// the machine's parallelism.
-    #[test]
-    fn bad_worker_counts_name_the_variable_and_value() {
-        assert_eq!(workers_from(Some("3".into())), Ok(3));
-        assert!(workers_from(None).is_ok_and(|w| w >= 1));
-        for bad in ["abc", "0", "8x", "", "-1"] {
-            let err = workers_from(Some(bad.into())).unwrap_err();
-            assert_eq!(
-                err.to_string(),
-                format!("OCIN_EXEC_WORKERS: '{bad}' is not a positive integer")
-            );
-        }
-    }
 
     fn shape(load: f64, num_nodes: usize) -> PointShape {
         PointShape { load, num_nodes }

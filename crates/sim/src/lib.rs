@@ -38,12 +38,12 @@ pub mod sweep;
 pub mod table;
 
 pub use clients::{Client, ClientCtx, ServiceSim};
-pub use exec::{exec_workers_from_env, max_useful_shards, ExecDecision};
+pub use exec::{max_useful_shards, ExecDecision};
 pub use heatmap::{hottest_links, render_link_heatmap, render_metrics_heatmap};
 pub use multichip::{GlobalDelivery, MultiChipSim};
 pub use pool::{derive_seed, PointSpec, SimPool};
 pub use runner::{SimConfig, SimReport, Simulation};
-pub use shard::{shards_from_env, ShardedSimulation, SpeedEnvError};
+pub use shard::ShardedSimulation;
 pub use stats::{LatencyReport, Samples};
 pub use sweep::{LoadPoint, LoadSweep};
 pub use table::Table;

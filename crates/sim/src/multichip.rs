@@ -95,11 +95,6 @@ impl MultiChipSim {
         &self.chips[chip as usize]
     }
 
-    /// Mutable access to a chip's network.
-    pub fn chip_mut(&mut self, chip: u8) -> &mut Network {
-        &mut self.chips[chip as usize]
-    }
-
     /// Current cycle.
     pub fn cycle(&self) -> Cycle {
         self.cycle

@@ -202,18 +202,12 @@ impl Default for SimPool {
 }
 
 impl SimPool {
-    /// A pool sized by [`crate::exec_workers_from_env`]: the
-    /// `OCIN_EXEC_WORKERS` override when set, else the machine's
-    /// available parallelism.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `OCIN_EXEC_WORKERS` is set to anything but a positive
-    /// integer; a binary that wants a clean error checks
-    /// [`crate::exec_workers_from_env`] at startup, as the `ocin` CLI
-    /// and the experiment binaries (in `ocin_bench::banner`) do.
+    /// A pool with one worker per unit of the machine's available
+    /// parallelism.
     pub fn new() -> SimPool {
-        SimPool::with_workers(exec::exec_workers_from_env().unwrap_or_else(|e| panic!("{e}")))
+        SimPool::with_workers(
+            std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
+        )
     }
 
     /// A pool with an explicit worker count (clamped to at least 1).

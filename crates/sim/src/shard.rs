@@ -94,61 +94,6 @@ const HANDOFF_ITEMS: usize = 4_096;
 /// Hand-offs a cell may have queued for the coordinator before it waits.
 const HANDOFFS_IN_FLIGHT: usize = 2;
 
-/// Reads the shard count from the `OCIN_SHARDS` environment variable
-/// (default 1: one cell when the variable is unset).
-///
-/// # Errors
-///
-/// A [`SpeedEnvError`] naming the value if the variable is set to
-/// anything but a positive integer: a typo must not quietly run one
-/// shard where several were asked for.
-pub fn shards_from_env() -> Result<usize, SpeedEnvError> {
-    // The blessed entry point for the shard count: it only changes how
-    // fast a result arrives, never the result (sharding is
-    // bit-identical by construction), so it is exempt from the
-    // config-purity rule.
-    // ocin-lint: allow(env-read-outside-config) — speed knob, not config
-    let value = std::env::var_os("OCIN_SHARDS");
-    Ok(count_from("OCIN_SHARDS", value)?.unwrap_or(1))
-}
-
-/// Parses the value of the speed setting `var` (`OCIN_SHARDS`,
-/// `OCIN_EXEC_WORKERS`): unset is `None`, a positive integer is itself,
-/// anything else an error naming the variable and the value.
-pub(crate) fn count_from(
-    var: &'static str,
-    value: Option<std::ffi::OsString>,
-) -> Result<Option<usize>, SpeedEnvError> {
-    let Some(value) = value else { return Ok(None) };
-    let value = value.to_string_lossy().into_owned();
-    match value.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(Some(n)),
-        _ => Err(SpeedEnvError { var, value }),
-    }
-}
-
-/// A speed setting (`OCIN_SHARDS`, `OCIN_EXEC_WORKERS`) is set to
-/// something other than a positive integer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpeedEnvError {
-    /// The variable's name.
-    pub var: &'static str,
-    /// The variable's text as given.
-    pub value: String,
-}
-
-impl std::fmt::Display for SpeedEnvError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}: '{}' is not a positive integer",
-            self.var, self.value
-        )
-    }
-}
-
-impl std::error::Error for SpeedEnvError {}
-
 /// A [`Simulation`] stepped across worker threads, bit-identical to
 /// [`Simulation::run`] at any shard count.
 pub struct ShardedSimulation {
@@ -164,15 +109,6 @@ impl ShardedSimulation {
             sim,
             shards: shards.max(1),
         }
-    }
-
-    /// Wraps `sim` with the shard count taken from `OCIN_SHARDS`.
-    ///
-    /// # Errors
-    ///
-    /// The [`SpeedEnvError`] of [`shards_from_env`].
-    pub fn from_env(sim: Simulation) -> Result<ShardedSimulation, SpeedEnvError> {
-        Ok(ShardedSimulation::new(sim, shards_from_env()?))
     }
 
     /// The configured shard count.
@@ -755,32 +691,4 @@ fn sum_snaps<'a>(
         }
     }
     Some(e)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn shards_from(value: Option<&str>) -> Result<usize, SpeedEnvError> {
-        Ok(count_from("OCIN_SHARDS", value.map(Into::into))?.unwrap_or(1))
-    }
-
-    #[test]
-    fn shard_count_defaults_to_one_and_parses_positive_integers() {
-        assert_eq!(shards_from(None), Ok(1));
-        assert_eq!(shards_from(Some("1")), Ok(1));
-        assert_eq!(shards_from(Some("8")), Ok(8));
-    }
-
-    #[test]
-    fn bad_shard_counts_name_the_variable_and_value() {
-        for bad in ["0", "abc", "8x", "", "-2"] {
-            let err = shards_from(Some(bad)).unwrap_err();
-            assert_eq!(err.value, bad);
-            assert_eq!(
-                err.to_string(),
-                format!("OCIN_SHARDS: '{bad}' is not a positive integer")
-            );
-        }
-    }
 }

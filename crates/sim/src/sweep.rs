@@ -8,7 +8,7 @@
 //! every point's RNG seed depends only on the point itself
 //! ([`crate::pool::derive_seed`]).
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use ocin_core::{NetworkConfig, ProbeConfig};
 use ocin_traffic::Workload;
@@ -40,15 +40,12 @@ pub struct LoadSweep {
     net_cfg: NetworkConfig,
     sim_cfg: SimConfig,
     workload_template: Workload,
-    /// The pool `with_pool` set, else a [`SimPool::new`] built on first
-    /// use: a sweep given a pool never reads `OCIN_EXEC_WORKERS`.
-    pool: OnceLock<Arc<SimPool>>,
+    pool: Arc<SimPool>,
     probe: Option<ProbeConfig>,
 }
 
 impl LoadSweep {
-    /// Creates a sweep with its own [`SimPool`], built on first use
-    /// unless [`LoadSweep::with_pool`] supplies one; the workload's
+    /// Creates a sweep with its own [`SimPool`]; the workload's
     /// injection process is replaced at each point by
     /// `Bernoulli { flit_rate: load }`.
     pub fn new(net_cfg: NetworkConfig, sim_cfg: SimConfig, workload: Workload) -> LoadSweep {
@@ -56,7 +53,7 @@ impl LoadSweep {
             net_cfg,
             sim_cfg,
             workload_template: workload,
-            pool: OnceLock::new(),
+            pool: Arc::new(SimPool::new()),
             probe: None,
         }
     }
@@ -79,13 +76,13 @@ impl LoadSweep {
     /// the same experiment.
     #[must_use]
     pub fn with_pool(mut self, pool: Arc<SimPool>) -> LoadSweep {
-        self.pool = OnceLock::from(pool);
+        self.pool = pool;
         self
     }
 
     /// The pool this sweep evaluates on.
     pub fn pool(&self) -> Arc<SimPool> {
-        Arc::clone(self.pool.get_or_init(|| Arc::new(SimPool::new())))
+        Arc::clone(&self.pool)
     }
 
     /// The [`PointSpec`] for `load`.
@@ -108,7 +105,7 @@ impl LoadSweep {
     /// Panics if the network configuration is invalid (programmer error
     /// in the sweep setup).
     pub fn point(&self, load: f64) -> LoadPoint {
-        self.pool()
+        self.pool
             .run(std::slice::from_ref(&self.spec(load)))
             .pop()
             .expect("one spec in, one point out")
@@ -118,7 +115,7 @@ impl LoadSweep {
     /// Bit-identical to [`LoadSweep::run_serial`] on the same loads.
     pub fn run(&self, loads: &[f64]) -> Vec<LoadPoint> {
         let specs: Vec<PointSpec> = loads.iter().map(|&l| self.spec(l)).collect();
-        self.pool().run(&specs)
+        self.pool.run(&specs)
     }
 
     /// The serial reference path: evaluates each load in order on the
@@ -144,7 +141,7 @@ impl LoadSweep {
     pub fn saturation_load(&self, tol: f64) -> f64 {
         let mut lo = 0.0f64;
         let mut hi = 1.0f64;
-        let probes_per_round = self.pool().workers().clamp(1, 8);
+        let probes_per_round = self.pool.workers().clamp(1, 8);
         while hi - lo > tol {
             let step = (hi - lo) / (probes_per_round + 1) as f64;
             let probes: Vec<f64> = (1..=probes_per_round)

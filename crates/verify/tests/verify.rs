@@ -127,7 +127,9 @@ fn reports_are_deterministic_across_rebuilds() {
 fn run_cli(args: &[&str]) -> (i32, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_ocin-verify"))
         .args(args)
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        // The CLI writes its JSON report under `target/` of its working
+        // directory; keep it out of the source tree.
+        .current_dir(env!("CARGO_TARGET_TMPDIR"))
         .output()
         .expect("spawn ocin-verify");
     (

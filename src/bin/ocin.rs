@@ -80,12 +80,6 @@ fn parse_args(args: &[String]) -> Result<(String, Options), String> {
     let Some(cmd) = args.first() else {
         return Err("usage: ocin <info|run|sweep> [options]".into());
     };
-    // `--shards` wins over the environment, but a bad `OCIN_SHARDS` is
-    // an error either way.
-    opts.shards = ocin::sim::shards_from_env().map_err(|e| e.to_string())?;
-    // The sweep's pool reads `OCIN_EXEC_WORKERS`; a bad value fails here
-    // like a bad flag, before any work starts.
-    ocin::sim::exec_workers_from_env().map_err(|e| e.to_string())?;
     let mut it = args[1..].iter();
     while let Some(flag) = it.next() {
         let mut value = || {

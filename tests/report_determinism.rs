@@ -5,11 +5,9 @@
 //! — two runs of the same `(config, seed)` must produce reports whose
 //! textual renderings are byte-identical, which is what lets CI diff
 //! experiment transcripts. (`ocin-lint`'s `nondeterministic-iteration`
-//! rule keeps hash maps from creeping back into these paths.) The run
-//! goes through `ShardedSimulation::from_env`, so the CI
-//! shard-equivalence matrix re-runs this suite at `OCIN_SHARDS ∈
-//! {1, 2, 4, 8}` — and the rendering must also match a forced
-//! sequential run byte for byte.
+//! rule keeps hash maps from creeping back into these paths.) The
+//! rendering must also be the same at 1, 2, 4 and 8 shards, byte for
+//! byte.
 
 use std::fmt::Write as _;
 
@@ -19,9 +17,8 @@ use ocin::sim::{ShardedSimulation, SimConfig, SimReport, Simulation};
 use ocin::traffic::{InjectionProcess, TrafficPattern, Workload};
 
 /// A run with dynamic traffic in every class plus two static flows, so
-/// the class- and flow-keyed maps are all populated. `shards` of 0
-/// means "whatever `OCIN_SHARDS` says".
-fn run(shards: Option<usize>) -> SimReport {
+/// the class- and flow-keyed maps are all populated.
+fn run(shards: usize) -> SimReport {
     let cfg = NetworkConfig::paper_baseline()
         .with_static_flow(StaticFlowSpec::new(0.into(), 5.into(), 0, 256))
         .with_static_flow(StaticFlowSpec::new(9.into(), 2.into(), 3, 128))
@@ -31,11 +28,7 @@ fn run(shards: Option<usize>) -> SimReport {
     let sim = Simulation::new(cfg, SimConfig::quick())
         .unwrap()
         .with_workload(&wl);
-    let mut sharded = match shards {
-        Some(s) => ShardedSimulation::new(sim, s),
-        None => ShardedSimulation::from_env(sim).expect("OCIN_SHARDS is a positive integer"),
-    };
-    sharded.run()
+    ShardedSimulation::new(sim, shards).run()
 }
 
 /// Renders the report the way an experiment transcript would: every
@@ -65,8 +58,8 @@ fn render(r: &SimReport) -> String {
 
 #[test]
 fn two_runs_render_identical_report_text() {
-    let a = run(None);
-    let b = run(None);
+    let a = run(1);
+    let b = run(1);
     assert!(!a.class_latency.is_empty(), "classes populated");
     assert!(!a.flow_latency.is_empty(), "flows populated");
     assert_eq!(a, b, "reports must be bit-identical");
@@ -74,12 +67,13 @@ fn two_runs_render_identical_report_text() {
 }
 
 #[test]
-fn env_selected_shard_count_renders_the_sequential_text() {
-    let sharded = run(None);
-    let sequential = run(Some(1));
-    assert_eq!(
-        render(&sharded),
-        render(&sequential),
-        "OCIN_SHARDS changed the report rendering"
-    );
+fn sharded_runs_render_the_sequential_text() {
+    let sequential = render(&run(1));
+    for shards in [2, 4, 8] {
+        assert_eq!(
+            render(&run(shards)),
+            sequential,
+            "{shards} shards changed the report rendering"
+        );
+    }
 }
