@@ -3,7 +3,8 @@
 //! Runs fixed-seed probed simulations (folded torus, uniform Bernoulli
 //! traffic, trace ring enabled) and writes each run's
 //! [`NetworkMetrics`] JSON and event-trace text to an output directory
-//! (first argument, default `target/probe`): the paper's k = 4 at the
+//! (the one argument, default `target/probe`; a flag or a second
+//! argument exits 2 before any output): the paper's k = 4 at the
 //! top level and the 256-tile k = 16 network under `k16/`. The runs are
 //! configured identically regardless of `OCIN_QUICK`, and `OCIN_SHARDS`
 //! (read once at startup; default 1, and anything but a positive
@@ -17,7 +18,7 @@
 
 use std::path::{Path, PathBuf};
 
-use ocin_bench::{or_exit, shards_env};
+use ocin_bench::{dump_args, or_exit, shards_env};
 use ocin_core::{EventTrace, NetworkConfig, ProbeConfig, TopologySpec};
 use ocin_sim::{ShardedSimulation, SimConfig, Simulation};
 use ocin_traffic::{InjectionProcess, TrafficPattern, Workload};
@@ -116,9 +117,9 @@ fn dump(out_dir: &Path, k: usize, flit_rate: f64, full_metrics: bool, shards: us
 
 fn main() {
     let shards = or_exit(shards_env());
-    let out_dir = std::env::args()
-        .nth(1)
-        .map_or_else(|| PathBuf::from("target/probe"), PathBuf::from);
+    let out_dir = or_exit(dump_args(&[]))
+        .out
+        .unwrap_or_else(|| PathBuf::from("target/probe"));
 
     // The paper's 16-tile baseline, at the historical rate so the
     // committed golden bytes are stable across this binary's growth.

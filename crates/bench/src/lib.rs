@@ -68,6 +68,16 @@ pub enum ArgError {
         /// The smallest accepted value.
         min: usize,
     },
+    /// A flag the binary does not take.
+    UnknownFlag {
+        /// The flag as given.
+        flag: String,
+    },
+    /// A positional argument after the one the binary takes.
+    ExtraArgument {
+        /// The argument as given.
+        value: String,
+    },
 }
 
 impl std::fmt::Display for ArgError {
@@ -79,6 +89,10 @@ impl std::fmt::Display for ArgError {
             }
             ArgError::TooSmall { source, value, min } => {
                 write!(f, "{source}: {value} is below the minimum of {min}")
+            }
+            ArgError::UnknownFlag { flag } => write!(f, "unknown flag '{flag}'"),
+            ArgError::ExtraArgument { value } => {
+                write!(f, "unexpected argument '{value}': one output path only")
             }
         }
     }
@@ -148,22 +162,52 @@ fn radix_from(
     }
 }
 
-/// The worker count an experiment should size its `SimPool` with:
-/// `--exec-workers <n>` on the command line, else `None` (a default
-/// pool, one worker per unit of available parallelism).
+/// The command line of a dump binary (`exec_dump`, `probe_dump`):
+/// one optional output path and the flags the binary takes, in any
+/// order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct DumpArgs {
+    /// The one positional argument that is not a flag's value.
+    pub out: Option<std::path::PathBuf>,
+    /// `--serial`: evaluate in order on the calling thread.
+    pub serial: bool,
+    /// `--exec-workers <n>`: the pool's worker count (`None`: a default
+    /// pool, one worker per unit of available parallelism).
+    pub exec_workers: Option<usize>,
+}
+
+/// Parses the running dump binary's command line, which may use the
+/// flags in `flags` (`--serial`, `--exec-workers`).
 ///
 /// # Errors
 ///
-/// An [`ArgError`] if the flag is present but not a positive integer —
-/// a misconfigured run should fail loudly, not fall back silently.
-pub fn exec_workers_arg() -> Result<Option<usize>, ArgError> {
-    exec_workers_from(std::env::args())
+/// An [`ArgError`] for a flag outside `flags`, a second positional
+/// argument, or an `--exec-workers` value that is not a positive
+/// integer — a misconfigured run should fail loudly, not write
+/// somewhere else.
+pub fn dump_args(flags: &[&str]) -> Result<DumpArgs, ArgError> {
+    dump_args_from(std::env::args().skip(1), flags)
 }
 
-fn exec_workers_from(args: impl Iterator<Item = String>) -> Result<Option<usize>, ArgError> {
-    flag_value(args, "--exec-workers")?
-        .map(|v| at_least("--exec-workers", &v, 1))
-        .transpose()
+fn dump_args_from(
+    mut args: impl Iterator<Item = String>,
+    flags: &[&str],
+) -> Result<DumpArgs, ArgError> {
+    let mut got = DumpArgs::default();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--serial" if flags.contains(&"--serial") => got.serial = true,
+            "--exec-workers" if flags.contains(&"--exec-workers") => {
+                let flag = "--exec-workers";
+                let value = args.next().ok_or(ArgError::MissingValue { flag })?;
+                got.exec_workers = Some(at_least(flag, &value, 1)?);
+            }
+            _ if arg.starts_with('-') => return Err(ArgError::UnknownFlag { flag: arg }),
+            _ if got.out.is_some() => return Err(ArgError::ExtraArgument { value: arg }),
+            _ => got.out = Some(arg.into()),
+        }
+    }
+    Ok(got)
 }
 
 /// The shard count a golden-diffed binary steps its networks on:
@@ -296,25 +340,76 @@ mod tests {
         }
     }
 
+    const EXEC_FLAGS: [&str; 2] = ["--serial", "--exec-workers"];
+
     #[test]
     fn exec_workers_flag_is_validated() {
+        let workers =
+            |list: &[&str]| dump_args_from(args(list), &EXEC_FLAGS).map(|a| a.exec_workers);
+        assert_eq!(workers(&["--exec-workers", "2"]), Ok(Some(2)));
+        assert_eq!(workers(&[]), Ok(None));
         assert_eq!(
-            exec_workers_from(args(&["exp", "--exec-workers", "2"])),
-            Ok(Some(2))
-        );
-        assert_eq!(exec_workers_from(args(&["exp"])), Ok(None));
-        assert_eq!(
-            exec_workers_from(args(&["exp", "--exec-workers", "0"])),
+            workers(&["--exec-workers", "0"]),
             Err(ArgError::TooSmall {
                 source: "--exec-workers",
                 value: 0,
                 min: 1
             })
         );
-        let err = exec_workers_from(args(&["exp", "--exec-workers", "two"])).unwrap_err();
+        assert_eq!(
+            workers(&["out.txt", "--exec-workers"]),
+            Err(ArgError::MissingValue {
+                flag: "--exec-workers"
+            })
+        );
+        let err = workers(&["--exec-workers", "two"]).unwrap_err();
         assert_eq!(
             err.to_string(),
             "--exec-workers: 'two' is not a positive integer"
+        );
+    }
+
+    #[test]
+    fn dump_output_path_is_the_positional_argument() {
+        let parse = |list: &[&str]| dump_args_from(args(list), &EXEC_FLAGS);
+        let want = DumpArgs {
+            out: Some("out.txt".into()),
+            serial: false,
+            exec_workers: Some(2),
+        };
+        // The path may come before or after a flag and its value.
+        assert_eq!(parse(&["--exec-workers", "2", "out.txt"]), Ok(want.clone()));
+        assert_eq!(parse(&["out.txt", "--exec-workers", "2"]), Ok(want));
+        let serial = parse(&["--serial", "s.txt"]).expect("valid");
+        assert_eq!((serial.out, serial.serial), (Some("s.txt".into()), true));
+        assert_eq!(parse(&[]), Ok(DumpArgs::default()));
+        // probe_dump takes a directory and no flag.
+        let dir = dump_args_from(args(&["target/probe-a"]), &[]).expect("valid");
+        assert_eq!(dir.out, Some("target/probe-a".into()));
+    }
+
+    #[test]
+    fn dump_rejects_unknown_flags_and_extra_arguments() {
+        let parse = |list: &[&str], flags: &[&str]| dump_args_from(args(list), flags);
+        assert_eq!(
+            parse(&["out.txt", "--workers", "2"], &EXEC_FLAGS),
+            Err(ArgError::UnknownFlag {
+                flag: "--workers".into()
+            })
+        );
+        assert_eq!(
+            parse(&["a.txt", "b.txt"], &EXEC_FLAGS),
+            Err(ArgError::ExtraArgument {
+                value: "b.txt".into()
+            })
+        );
+        // A flag another dump binary takes is still unknown here.
+        let err = parse(&["--serial"], &[]).unwrap_err();
+        assert_eq!(err.to_string(), "unknown flag '--serial'");
+        let err = parse(&["a", "b"], &[]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "unexpected argument 'b': one output path only"
         );
     }
 

@@ -179,9 +179,11 @@ impl PointSpec {
 /// memoization.
 ///
 /// Batches are deduplicated against the cache and against themselves,
-/// the misses are handed to the two-level wave plan (which decides, per
-/// wave, how many points run side by side and how many shards each gets
-/// — see `exec.rs`), and results are returned in input order.
+/// the misses are handed to the two-level executor (which runs them
+/// through one longest-first queue and decides how many points run side
+/// by side and how many shards each gets — see `exec.rs`), and results
+/// are returned in input order. Which worker runs a point depends on
+/// timing; its result and the recorded decision do not.
 pub struct SimPool {
     /// Worker threads shared by the points of a batch and their shards.
     workers: usize,
@@ -230,9 +232,10 @@ impl SimPool {
     }
 
     /// The scheduling decisions so far: one inner vector per
-    /// miss batch, in batch order, each entry recording the wave and
-    /// shard budget a point received. Deterministic for a given sequence
-    /// of [`SimPool::run`] calls.
+    /// miss batch, in batch order, each entry recording the dispatch
+    /// round a point started in and the shard budget it received, in the
+    /// batch's input order. Deterministic for a given sequence of
+    /// [`SimPool::run`] calls.
     pub fn exec_decisions(&self) -> Vec<Vec<ExecDecision>> {
         self.decisions.lock().expect("decisions lock").clone()
     }

@@ -1,20 +1,23 @@
 //! Executor equivalence: the two-level scheduler must be bit-transparent.
 //!
-//! `exec.rs` decides how many points run side by side and how many shard
-//! workers each point's network is split across — decisions that may
-//! change with worker count and batch size, but must never change a
-//! result. The property test samples the wave plan (batch size × worker
-//! counts × probe/journeys/telemetry × flow control) against the serial
-//! `LoadSweep` reference at k = 4, where every point runs unsharded;
-//! directed tests at k = 16 give points real shard budgets (a lone
-//! point, a saturation search) and pin the budget policy itself.
+//! `exec.rs` runs a batch through one longest-first queue and decides how
+//! many points run side by side and how many shard workers each point's
+//! network is split across — decisions that may change with worker count
+//! and batch size, and which worker runs a point depends on timing, but
+//! none of it may change a result. The property test samples the queue
+//! (batch size × worker counts × probe/journeys/telemetry × flow control)
+//! against the serial `LoadSweep` reference at k = 4, where every point
+//! runs unsharded; directed tests at k = 16 give points real shard
+//! budgets (a lone point, a saturation search), pin the budget and
+//! dispatch policy itself, and check that a failing point stops its
+//! batch.
 
 use std::sync::Arc;
 
 use ocin::core::ProbeConfig;
 use ocin::core::{FlowControl, NetworkConfig, TopologySpec};
-use ocin::sim::{LoadSweep, SimConfig, SimPool};
-use ocin::traffic::{TrafficPattern, Workload};
+use ocin::sim::{LoadSweep, PointSpec, SimConfig, SimPool};
+use ocin::traffic::{LengthDist, TrafficPattern, Workload};
 use proptest::prelude::*;
 
 const LOADS: [f64; 5] = [0.02, 0.05, 0.1, 0.2, 0.35];
@@ -89,18 +92,62 @@ fn lone_big_point_is_sharded_and_bit_identical() {
     assert_eq!(vec![point], s.run_serial(&[0.05]));
 }
 
-/// A full head wave stays point-parallel (budget 1 per point), and the
-/// tail of the same batch gets the freed workers.
+/// A batch of at least as many points as workers runs point-parallel
+/// (budget 1 per point), longest first: the rounds count down the load
+/// axis, and the decisions stay in input order. A short batch gets the
+/// idle workers as shards.
 #[test]
-fn head_and_tail_budgets_follow_the_wave_plan() {
+fn budgets_follow_the_queue_plan() {
     let pool = Arc::new(SimPool::with_workers(4));
     let s = sweep(FlowControl::VirtualChannel, 4, Arc::clone(&pool));
-    s.run(&LOADS); // 5 points on 4 workers: wave 0 ×4, wave 1 ×1.
+    s.run(&LOADS); // 5 points on 4 workers, costliest (highest load) first.
     let d = &pool.exec_decisions()[0];
-    assert!(d[..4].iter().all(|d| d.wave == 0 && d.shards == 1));
-    assert_eq!(d[4].wave, 1);
-    // k=4 is too small to shard: the tail budget is usefulness-capped.
-    assert_eq!(d[4].shards, 1);
+    let loads: Vec<f64> = d.iter().map(|d| d.load).collect();
+    assert_eq!(loads, LOADS);
+    assert!(d.iter().all(|d| d.shards == 1));
+    let waves: Vec<usize> = d.iter().map(|d| d.wave).collect();
+    assert_eq!(waves, [1, 0, 0, 0, 0]);
+
+    let pool = Arc::new(SimPool::with_workers(8));
+    k16_sweep(Arc::clone(&pool)).run(&LOADS[..3]);
+    // 3 points on 8 workers: pow2 floor of 8/3 is 2 shards each.
+    let d = &pool.exec_decisions()[0];
+    assert!(d.iter().all(|d| d.wave == 0 && d.shards == 2));
+}
+
+/// A pool batch with one point whose workload offers 65-flit packets,
+/// which can never fit the 64-flit injection queue, panics with that
+/// point's own message — instead of hanging or losing the message.
+#[test]
+fn unroutable_point_fails_its_batch() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    // ocin-lint: allow(raw-thread-spawn) — watchdog: a hung batch must fail the test, not block it
+    std::thread::spawn(move || {
+        let net = NetworkConfig::paper_baseline().with_topology(TopologySpec::FoldedTorus { k: 8 });
+        let workload = Workload::new(64, 8, TrafficPattern::Uniform);
+        let mut specs: Vec<PointSpec> = [0.05, 0.1, 0.15, 0.2, 0.25]
+            .iter()
+            .map(|&load| PointSpec::new(net.clone(), SMALL, workload.clone(), load))
+            .collect();
+        let long = workload.length(LengthDist::Fixed { flits: 65 });
+        specs.insert(2, PointSpec::new(net, SMALL, long, 0.3));
+        let got = std::panic::catch_unwind(|| SimPool::with_workers(2).run(&specs));
+        let msg = got.err().map(|p| {
+            p.downcast_ref::<String>()
+                .cloned()
+                .or_else(|| p.downcast_ref::<&str>().map(ToString::to_string))
+                .unwrap_or_default()
+        });
+        let _ = tx.send(msg);
+    });
+    let msg = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the batch hung instead of panicking")
+        .expect("the batch finished instead of panicking");
+    assert!(
+        msg.starts_with("workload produced an unroutable packet"),
+        "panicked with {msg:?}"
+    );
 }
 
 /// Saturation search is invariant to the shard budgets its probes get:
