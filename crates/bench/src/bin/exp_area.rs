@@ -2,7 +2,7 @@
 //! edge ... 0.59 mm² or 6.6% of the tile area", plus the wiring-track
 //! budget ("about 3000 of the 6000 available tracks").
 
-use ocin_bench::{banner, check, f2, f3};
+use ocin_bench::{banner, check, f2, f3, finish};
 use ocin_core::flit::FLIT_TOTAL_BITS;
 use ocin_phys::{RouterAreaModel, Technology, WiringBudget};
 use ocin_sim::Table;
@@ -88,4 +88,5 @@ fn main() {
         100.0 * w.utilization(&tech)
     );
     check(w.tracks_used() == 3_000, "matches the paper's ~3000 tracks");
+    finish();
 }

@@ -7,7 +7,7 @@
 //! spanning the 12 mm die; the network moves flits concurrently over
 //! short structured links.
 
-use ocin_bench::{banner, check, f1, f2, f3, quick_mode, sim_config};
+use ocin_bench::{banner, check, f1, f2, f3, finish, quick_mode, sim_config};
 use ocin_core::bus::SharedBus;
 use ocin_core::ids::NodeId;
 use ocin_core::NetworkConfig;
@@ -128,4 +128,5 @@ fn main() {
         net_ls_pj < bus_pj / 2.0,
         "the structured network + low-swing circuits beat the bus on energy (paper §4.1)",
     );
+    finish();
 }

@@ -3,7 +3,7 @@
 //! multi-bit-per-cycle wires, and network latency competitive with a
 //! dedicated, optimally repeated full-swing wire.
 
-use ocin_bench::{banner, check, f1, f2};
+use ocin_bench::{banner, check, f1, f2, finish};
 use ocin_phys::{
     RepeaterDesign, RepeaterDevice, SerialLinkModel, SignalingScheme, Technology, WireModel,
 };
@@ -122,4 +122,5 @@ fn main() {
         design.repeaters_for(3.0) >= 1,
         "full-swing wires need repeaters within a tile; 3x low-swing spacing removes them (paper §4.1)",
     );
+    finish();
 }

@@ -5,7 +5,9 @@
 //! across many signals. ... over 100% if we transmit several bits per
 //! cycle."
 
-use ocin_bench::{banner, check, f2, f3, probe_enabled, quick_mode, sim_config, write_metrics};
+use ocin_bench::{
+    banner, check, f2, f3, finish, probe_enabled, quick_mode, sim_config, write_metrics,
+};
 use ocin_core::{NetworkConfig, ProbeConfig};
 use ocin_phys::{DutyFactorModel, SerialLinkModel, Technology};
 use ocin_sim::{Simulation, Table};
@@ -82,4 +84,5 @@ fn main() {
         100.0 * best_serial,
         f2(best_serial / duty.dedicated_toggle_rate)
     );
+    finish();
 }

@@ -5,7 +5,7 @@
 //! to route around the faulty bit. ... modules that required transient
 //! fault tolerance could employ end-to-end checking with retry."
 
-use ocin_bench::{banner, check};
+use ocin_bench::{banner, check, finish};
 use ocin_core::fault::{FaultKind, LinkFault};
 use ocin_core::flit::Payload;
 use ocin_core::ids::NodeId;
@@ -234,4 +234,5 @@ fn main() {
         rows[1].1 == 0 && rows[1].2 > 0,
         "SEC-DED repairs every single-bit upset (at +1 cycle per hop)",
     );
+    finish();
 }

@@ -8,7 +8,9 @@
 
 use std::sync::Arc;
 
-use ocin_bench::{banner, check, f1, f2, f3, probe_enabled, quick_mode, sim_config, write_metrics};
+use ocin_bench::{
+    banner, check, f1, f2, f3, finish, probe_enabled, quick_mode, sim_config, write_metrics,
+};
 use ocin_core::{FlowControl, NetworkConfig, ProbeConfig};
 use ocin_phys::{RouterAreaModel, Technology};
 use ocin_sim::{LoadSweep, SimPool, Simulation, Table};
@@ -225,4 +227,5 @@ fn main() {
         ]);
     }
     println!("{area}");
+    finish();
 }

@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use ocin_bench::{banner, check, f1, f2, f3, probe_enabled, quick_mode, sim_config};
+use ocin_bench::{banner, check, f1, f2, f3, finish, probe_enabled, quick_mode, sim_config};
 use ocin_core::probe::ProbeConfig;
 use ocin_core::{DecompositionReport, NetworkConfig, TopologySpec};
 use ocin_sim::{LoadSweep, SimConfig, SimPool, Simulation, Table};
@@ -211,4 +211,5 @@ fn main() {
     }
 
     println!("\n(pool: {} distinct points cached)", pool.cached_points());
+    finish();
 }

@@ -10,7 +10,8 @@
 use std::sync::Arc;
 
 use ocin_bench::{
-    banner, check, f1, f3, or_exit, probe_enabled, quick_mode, radix_arg, sim_config, write_metrics,
+    banner, check, f1, f3, finish, or_exit, probe_enabled, quick_mode, radix_arg, sim_config,
+    write_metrics,
 };
 use ocin_core::{NetworkConfig, ProbeConfig, RoutingAlg, TopologySpec};
 use ocin_sim::{render_metrics_heatmap, LatencyReport, LoadSweep, SimPool, Table};
@@ -232,4 +233,5 @@ fn main() {
             "k=8 torus saturation well above the mesh (bisection-limited)",
         );
     }
+    finish();
 }

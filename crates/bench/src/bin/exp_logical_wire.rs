@@ -6,7 +6,7 @@
 //! can be made competitive with dedicated wires" once low-swing velocity
 //! and pre-scheduling are accounted for.
 
-use ocin_bench::{banner, check, f1, quick_mode, sim_config};
+use ocin_bench::{banner, check, f1, finish, quick_mode, sim_config};
 use ocin_core::ids::NodeId;
 use ocin_core::{Error, Network, NetworkConfig, PacketSpec};
 use ocin_phys::{SignalingScheme, Technology, WireModel};
@@ -118,4 +118,5 @@ fn main() {
         "logical wire is within the same order of magnitude as a dedicated wire \
          (and pre-scheduled slots / faster clocks close the rest, per §4.1)",
     );
+    finish();
 }

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use ocin_bench::{banner, check, f1, f2, f3, sim_config};
+use ocin_bench::{banner, check, f1, f2, f3, finish, sim_config};
 use ocin_core::flit::{FLIT_DATA_BITS, FLIT_OVERHEAD_BITS};
 use ocin_core::NetworkConfig;
 use ocin_sim::{LoadSweep, SimPool, Table};
@@ -143,4 +143,5 @@ fn main() {
         narrowest_latency > widest_latency + 10.0,
         "narrow channels pay serialization latency on every hop (the width trade is real)",
     );
+    finish();
 }

@@ -2,7 +2,7 @@
 //! of a tile" vs <1,000 for a packaged router: a 24:1 advantage that
 //! makes wide, broadside flits and wire-hungry topologies feasible.
 
-use ocin_bench::{banner, check};
+use ocin_bench::{banner, check, finish};
 use ocin_phys::{SerialLinkModel, Technology};
 use ocin_sim::Table;
 
@@ -59,4 +59,5 @@ fn main() {
         SerialLinkModel::new(&Technology::dac2001_slow()).bits_per_cycle_per_wire() == 20.0,
         "slow clock reaches the paper's 20 bits/cycle/wire",
     );
+    finish();
 }

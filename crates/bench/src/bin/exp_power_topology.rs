@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use ocin_bench::{banner, check, f2, f3, sim_config};
+use ocin_bench::{banner, check, f2, f3, finish, sim_config};
 use ocin_core::{NetworkConfig, TopologySpec};
 use ocin_phys::{NetworkEnergyModel, SignalingScheme, Technology, TopologyPowerModel};
 use ocin_sim::{LoadSweep, SimPool, Simulation, Table};
@@ -152,4 +152,5 @@ fn main() {
         sim_ratio_ls < 1.0,
         "simulation confirms the torus wins with low-swing wires",
     );
+    finish();
 }

@@ -8,7 +8,7 @@
 //! priority packet overtakes the bulk stream at the injection port and
 //! at every arbitration point.
 
-use ocin_bench::{banner, check, f1};
+use ocin_bench::{banner, check, f1, finish};
 use ocin_core::flit::ServiceClass;
 use ocin_core::{Network, NetworkConfig, PacketSpec};
 use ocin_sim::Table;
@@ -67,4 +67,5 @@ fn main() {
         "priority probe at least 2x faster than bulk probe",
     );
     check(pri <= 16, "priority probe sees near-zero-load latency");
+    finish();
 }

@@ -9,7 +9,7 @@
 //! A camera→encoder-style static flow keeps constant latency and zero
 //! jitter no matter how much dynamic traffic is offered.
 
-use ocin_bench::{banner, check, f1, f3, quick_mode, sim_config};
+use ocin_bench::{banner, check, f1, f3, finish, quick_mode, sim_config};
 use ocin_core::ids::FlowId;
 use ocin_core::{NetworkConfig, ReservationPolicy, StaticFlowSpec};
 use ocin_sim::{Simulation, Table};
@@ -90,4 +90,5 @@ fn main() {
         err.is_some(),
         "conflicting reservations are rejected when the system is configured",
     );
+    finish();
 }

@@ -8,7 +8,7 @@
 //! `ocin-soc`'s set-top-box floorplan and scales the dynamic load until
 //! the network runs out.
 
-use ocin_bench::{banner, check, f1, f3, quick_mode, sim_config};
+use ocin_bench::{banner, check, f1, f3, finish, quick_mode, sim_config};
 use ocin_sim::{Simulation, Table};
 use ocin_soc::{Floorplan, SocWorkload};
 
@@ -79,4 +79,5 @@ fn main() {
     println!(
         "\n(one shared network, 6.6% of each tile, zero dedicated top-level wires — the paper's pitch)"
     );
+    finish();
 }

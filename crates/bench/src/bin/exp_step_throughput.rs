@@ -21,7 +21,9 @@
 
 use std::time::Instant;
 
-use ocin_bench::{banner, check, f1, or_exit, probe_enabled, quick_mode, radix_arg, write_metrics};
+use ocin_bench::{
+    banner, check, f1, finish, or_exit, probe_enabled, quick_mode, radix_arg, write_metrics,
+};
 use ocin_core::{FlowControl, Network, NetworkConfig, PacketSpec, ProbeConfig, TopologySpec};
 use ocin_sim::{SimConfig, Simulation, Table};
 use ocin_traffic::{InjectionProcess, TrafficPattern, Workload};
@@ -212,4 +214,5 @@ fn main() {
             write_metrics(metrics);
         }
     }
+    finish();
 }

@@ -17,7 +17,7 @@
 //! `OCIN_SHARDS`) against each other and against the committed golden.
 
 use ocin_bench::{
-    banner, check, f1, f2, or_exit, probe_enabled, quick_mode, shards_env, write_metrics,
+    banner, check, f1, f2, finish, or_exit, probe_enabled, quick_mode, shards_env, write_metrics,
 };
 use ocin_core::{NetworkConfig, ProbeConfig, TelemetryReport, TopologySpec};
 use ocin_sim::{LatencyReport, ShardedSimulation, SimConfig, SimReport, Simulation, Table};
@@ -247,4 +247,5 @@ fn main() {
         // Smoke-job convention: a probed point writes metrics.json.
         write_metrics(bursty_run.metrics.as_ref().expect("probed"));
     }
+    finish();
 }

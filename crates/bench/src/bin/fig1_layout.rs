@@ -5,7 +5,7 @@
 //! link's physical length — no link exceeds two tile pitches, which is
 //! the point of folding.
 
-use ocin_bench::{banner, check};
+use ocin_bench::{banner, check, finish};
 use ocin_core::ids::Coord;
 use ocin_core::{FoldedTorus2D, Topology};
 use ocin_sim::Table;
@@ -69,4 +69,5 @@ fn main() {
         t.avg_min_hops(),
         t.avg_min_distance_pitches()
     );
+    finish();
 }

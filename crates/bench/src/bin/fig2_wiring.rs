@@ -7,7 +7,7 @@
 //! pitch, kept equal by placing opposite-direction MSBs at opposite
 //! ends).
 
-use ocin_bench::{banner, check};
+use ocin_bench::{banner, check, finish};
 use ocin_core::ids::Port;
 use ocin_core::route::Turn;
 
@@ -55,6 +55,7 @@ fn main() {
         per_input.iter().all(|&c| c == 4),
         "every input controller connects to exactly 4 output controllers",
     );
+    finish();
 }
 
 /// `x` when connected, `.` when not (an input never exits the edge it

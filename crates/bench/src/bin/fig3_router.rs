@@ -5,7 +5,7 @@
 //! at each output controller, credit loops — and then traces one 3-flit
 //! packet through the live simulator cycle by cycle.
 
-use ocin_bench::{banner, check};
+use ocin_bench::{banner, check, finish};
 use ocin_core::flit::FLIT_TOTAL_BITS;
 use ocin_core::{Network, NetworkConfig, PacketSpec};
 use ocin_sim::Table;
@@ -80,4 +80,5 @@ fn main() {
     let (at, lat) = delivered_at.expect("packet must arrive");
     println!("tail delivered at cycle {at}; network latency {lat} cycles");
     check(lat <= 12, "zero-load latency is a few cycles per hop");
+    finish();
 }

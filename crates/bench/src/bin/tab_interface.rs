@@ -1,7 +1,7 @@
 //! §2.1: the tile port's field layout — type, size, virtual channel,
 //! route, ready — with live encode/decode demonstrations.
 
-use ocin_bench::{banner, check};
+use ocin_bench::{banner, check, finish};
 use ocin_core::flit::{SizeCode, VcMask, FLIT_DATA_BITS, FLIT_OVERHEAD_BITS};
 use ocin_core::ids::Direction;
 use ocin_core::route::SourceRoute;
@@ -91,4 +91,5 @@ fn main() {
         pri.bits(),
         0b1000_0000u8
     );
+    finish();
 }

@@ -14,6 +14,9 @@
 //! Set `OCIN_QUICK=1` to shorten simulation windows (used by the test
 //! suite to smoke-run every experiment).
 
+use std::io::Write;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use ocin_core::NetworkMetrics;
 use ocin_sim::SimConfig;
 
@@ -269,9 +272,28 @@ pub fn banner(id: &str, paper_ref: &str, claim: &str) {
     println!("================================================================");
 }
 
+/// `[MISS]` lines printed so far by [`check`].
+static MISSES: AtomicUsize = AtomicUsize::new(0);
+
 /// Prints a labelled check line, e.g. `[ok] torus/mesh ratio 1.09 < 1.15`.
+/// A failed check prints `[MISS]` and is counted: [`finish`] then exits 1.
 pub fn check(ok: bool, what: &str) {
+    if !ok {
+        MISSES.fetch_add(1, Ordering::Relaxed);
+    }
     println!("[{}] {}", if ok { "ok" } else { "MISS" }, what);
+}
+
+/// Ends an experiment binary, after everything is printed: exits 1 if
+/// any [`check`] printed `[MISS]`, so a failed paper claim fails the run.
+pub fn finish() {
+    let misses = MISSES.load(Ordering::Relaxed);
+    if misses > 0 {
+        // Best effort: the process is exiting with the failure anyway.
+        let _ = std::io::stdout().flush();
+        eprintln!("{misses} check(s) missed");
+        std::process::exit(1);
+    }
 }
 
 /// Formats a float with 2 decimals.
@@ -292,6 +314,15 @@ pub fn f1(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn only_failed_checks_count_as_misses() {
+        let before = MISSES.load(Ordering::Relaxed);
+        check(true, "passes");
+        assert_eq!(MISSES.load(Ordering::Relaxed), before);
+        check(false, "fails");
+        assert_eq!(MISSES.load(Ordering::Relaxed), before + 1);
+    }
 
     #[test]
     fn formatting_helpers() {

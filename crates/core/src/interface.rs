@@ -75,6 +75,9 @@ pub struct TileInterface {
     num_vcs: usize,
     queue_capacity: usize,
     inject_queues: Vec<VecDeque<Flit>>,
+    /// Bit `v` set iff `inject_queues[v]` is non-empty, so `next_vc`
+    /// visits only VCs with a flit waiting.
+    queued: u64,
     credits: Vec<u64>,
     credit_gated: bool,
     rr: usize,
@@ -100,6 +103,10 @@ impl TileInterface {
     /// `initial_credits` is the router's per-VC tile-input buffer depth;
     /// `credit_gated` is false for flow-control methods without credits
     /// (dropping, deflection).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_vcs` is 0 or above 64.
     pub fn new(
         node: NodeId,
         num_vcs: usize,
@@ -107,11 +114,16 @@ impl TileInterface {
         initial_credits: u64,
         credit_gated: bool,
     ) -> TileInterface {
+        assert!(
+            (1..=64).contains(&num_vcs),
+            "tile {node}: {num_vcs} VCs do not fit the queue mask"
+        );
         TileInterface {
             node,
             num_vcs,
             queue_capacity,
             inject_queues: (0..num_vcs).map(|_| VecDeque::new()).collect(),
+            queued: 0,
             credits: vec![initial_credits; num_vcs],
             credit_gated,
             rr: 0,
@@ -169,6 +181,9 @@ impl TileInterface {
             f.link_vc = vc;
             q.push_back(f);
         }
+        if !q.is_empty() {
+            self.queued |= 1 << vc.index();
+        }
         Ok(())
     }
 
@@ -179,19 +194,24 @@ impl TileInterface {
         if self.open.is_some() {
             return self.open;
         }
-        let n = self.num_vcs;
+        // Candidates in round-robin order from `rr`: queued VCs at or
+        // above it, then those below.
+        let below = self.queued & ((1 << self.rr) - 1);
         let mut best: Option<(u8, usize)> = None; // (priority, vc index)
-        for off in 0..n {
-            let v = (self.rr + off) % n;
-            let Some(front) = self.inject_queues[v].front() else {
-                continue;
-            };
-            if self.credit_gated && self.credits[v] == 0 {
-                continue;
-            }
-            let pri = front.meta.class.priority();
-            if best.is_none_or(|(bp, _)| pri > bp) {
-                best = Some((pri, v));
+        for mut m in [self.queued ^ below, below] {
+            while m != 0 {
+                let v = m.trailing_zeros() as usize;
+                m &= m - 1;
+                if self.credit_gated && self.credits[v] == 0 {
+                    continue;
+                }
+                // INVARIANT: bit `v` of `queued` is set iff queue `v`
+                // is non-empty.
+                let front = self.inject_queues[v].front().expect("queued VC");
+                let pri = front.meta.class.priority();
+                if best.is_none_or(|(bp, _)| pri > bp) {
+                    best = Some((pri, v));
+                }
             }
         }
         best.map(|(_, v)| v)
@@ -203,7 +223,11 @@ impl TileInterface {
         let v = self.next_vc()?;
         // INVARIANT: a packet is queued whole, so an open packet's VC
         // still holds its remaining flits.
-        let mut flit = self.inject_queues[v].pop_front().expect("non-empty");
+        let q = &mut self.inject_queues[v];
+        let mut flit = q.pop_front().expect("non-empty");
+        if q.is_empty() {
+            self.queued &= !(1 << v);
+        }
         // INVARIANT: `pending` counts exactly the flits across the
         // injection queues; the pop above removed one.
         self.pending -= 1;
@@ -214,7 +238,7 @@ impl TileInterface {
         }
         flit.meta.injected_at = now;
         self.flits_injected += 1;
-        self.rr = (v + 1) % self.num_vcs;
+        self.rr = if v + 1 == self.num_vcs { 0 } else { v + 1 };
         Some(flit)
     }
 
@@ -308,6 +332,14 @@ impl TileInterface {
             self.pending,
             self.inject_queues.iter().map(VecDeque::len).sum::<usize>(),
             "tile {}: pending counter out of sync",
+            self.node
+        );
+        debug_assert!(
+            self.inject_queues
+                .iter()
+                .enumerate()
+                .all(|(v, q)| (self.queued >> v & 1 == 1) != q.is_empty()),
+            "tile {}: queued mask out of sync",
             self.node
         );
         self.pending
@@ -473,5 +505,118 @@ mod tests {
         assert_eq!(vc, VcId::new(1)); // vc0 has one flit queued
                                       // Demand more space than any queue has.
         assert!(i.choose_vc(allowed.iter(), 100).is_none());
+    }
+
+    /// The injection arbiter before the queue mask: every VC probed in
+    /// round-robin order with a `%` each. A reference for the
+    /// equivalence test only.
+    struct ReferenceArbiter {
+        queues: Vec<VecDeque<Flit>>,
+        credits: Vec<u64>,
+        gated: bool,
+        rr: usize,
+        open: Option<usize>,
+    }
+
+    impl ReferenceArbiter {
+        fn next_vc(&self) -> Option<usize> {
+            if self.open.is_some() {
+                return self.open;
+            }
+            let n = self.queues.len();
+            let mut best: Option<(u8, usize)> = None;
+            for off in 0..n {
+                let v = (self.rr + off) % n;
+                let Some(front) = self.queues[v].front() else {
+                    continue;
+                };
+                if self.gated && self.credits[v] == 0 {
+                    continue;
+                }
+                let pri = front.meta.class.priority();
+                if best.is_none_or(|(bp, _)| pri > bp) {
+                    best = Some((pri, v));
+                }
+            }
+            best.map(|(_, v)| v)
+        }
+
+        fn pick(&mut self, now: Cycle) -> Option<Flit> {
+            let v = self.next_vc()?;
+            let mut flit = self.queues[v].pop_front().unwrap();
+            if self.gated {
+                self.credits[v] -= 1;
+            } else {
+                self.open = (!flit.kind.is_tail()).then_some(v);
+            }
+            flit.meta.injected_at = now;
+            self.rr = (v + 1) % self.queues.len();
+            Some(flit)
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The mask walk picks the same flit sequence as the probe-every-
+        /// VC reference over random enqueue, peek, pick and credit
+        /// sequences on 8 VCs: credit-gated (credits running out and
+        /// returning) and ungated (multi-flit packets held open to the
+        /// tail), with all three service classes competing.
+        #[test]
+        fn mask_walk_matches_the_probing_reference(
+            gated in proptest::prelude::any::<bool>(),
+            credits in 0u64..3,
+            ops in proptest::collection::vec((0u8..4, 0usize..8, 1u16..4, 0u8..3), 0..80),
+        ) {
+            let mut i = TileInterface::new(NodeId::new(0), 8, 6, credits, gated);
+            let mut r = ReferenceArbiter {
+                queues: (0..8).map(|_| VecDeque::new()).collect(),
+                credits: vec![credits; 8],
+                gated,
+                rr: 0,
+                open: None,
+            };
+            for (now, &(op, vc, len, class)) in ops.iter().enumerate() {
+                let now = now as Cycle;
+                match op {
+                    0 => {
+                        let class = [ServiceClass::Bulk, ServiceClass::Priority, ServiceClass::Reserved]
+                            [usize::from(class)];
+                        let packet: Vec<Flit> = (0..len)
+                            .map(|idx| {
+                                let kind = match (idx == 0, idx + 1 == len) {
+                                    (true, true) => FlitKind::HeadTail,
+                                    (true, false) => FlitKind::Head,
+                                    (false, true) => FlitKind::Tail,
+                                    (false, false) => FlitKind::Body,
+                                };
+                                flit(kind, class, now, idx)
+                            })
+                            .collect();
+                        let vc = VcId::new(vc as u8);
+                        if i.enqueue_packet(vc, packet.iter().copied()).is_ok() {
+                            r.queues[vc.index()].extend(packet.into_iter().map(|mut f| {
+                                f.link_vc = vc;
+                                f
+                            }));
+                        }
+                    }
+                    1 => {
+                        let want = r.next_vc().map(|v| *r.queues[v].front().unwrap());
+                        proptest::prelude::prop_assert_eq!(i.peek_injection().copied(), want);
+                    }
+                    2 => proptest::prelude::prop_assert_eq!(i.pick_injection(now), r.pick(now)),
+                    _ => {
+                        i.credit_return(VcId::new(vc as u8));
+                        r.credits[vc] += 1;
+                    }
+                }
+                proptest::prelude::prop_assert_eq!(
+                    i.pending_flits(),
+                    r.queues.iter().map(VecDeque::len).sum::<usize>()
+                );
+            }
+        }
     }
 }

@@ -504,7 +504,14 @@ impl Network {
             .and_then(|ports| ports[dir.index()].out)
             .ok_or_else(|| Error::Config(format!("no channel at {node}:{dir}")))?;
         let cell = &mut self.cells[link.to_cell as usize];
-        cell.rx_links[link.rx as usize - cell.rx_base].inject_fault(fault);
+        let rx = &mut cell.rx_links[link.rx as usize - cell.rx_base];
+        let was_healthy = rx.fault_count() == 0;
+        rx.inject_fault(fault);
+        // INVARIANT: `faulty_rx_links` counts the cell's receive halves
+        // with a fault; this link just gained its first.
+        if was_healthy {
+            cell.faulty_rx_links += 1;
+        }
         Ok(())
     }
 
@@ -932,6 +939,71 @@ mod tests {
             let d = net.drain_delivered(dst);
             assert!(d[0].corrupted && d[0].payloads[0].bit(3), "shards {shards}");
         }
+    }
+
+    /// A link fault injected mid-run, after the network has stepped as
+    /// 2 cells, reaches the owning cell's count of faulty receive
+    /// halves: the corrupted deliveries and SEC-DED counters equal the
+    /// 1-cell run's, and stay equal when the faulty network is re-cut
+    /// into 1 cell later on. One fault lands in each cell (links 5→6
+    /// and 10→14); the single stuck wire is repaired, the double one is
+    /// not.
+    #[test]
+    fn mid_run_fault_on_two_cells_matches_one_cell() {
+        use crate::config::LinkProtection;
+        use crate::fault::FaultKind;
+        let run = |cells_at: fn(u64) -> usize| {
+            let cfg = NetworkConfig::paper_baseline().with_link_protection(LinkProtection::Secded);
+            let mut net = Network::new(cfg).unwrap();
+            net.set_steering(false);
+            let mut corrupted = Vec::new();
+            for now in 0..600u64 {
+                if now == 200 {
+                    let stuck = |wire, kind| LinkFault { wire, kind };
+                    let faults = [
+                        (5, Direction::East, stuck(3, FaultKind::StuckAtOne)),
+                        (10, Direction::North, stuck(1, FaultKind::StuckAtOne)),
+                        (10, Direction::North, stuck(2, FaultKind::StuckAtZero)),
+                    ];
+                    for (node, dir, fault) in faults {
+                        net.inject_link_fault(NodeId::new(node), dir, fault)
+                            .unwrap();
+                    }
+                }
+                if now < 400 {
+                    // Every ordered pair within 240 cycles; a full
+                    // source queue just skips one.
+                    let (src, dst) = (now % 16, (now + 1 + now / 16 % 15) % 16);
+                    let (src, dst) = (NodeId::new(src as u16), NodeId::new(dst as u16));
+                    let data = vec![Payload::from_u64(now.wrapping_mul(0x9E37_79B9_7F4A_7C15))];
+                    let _ = net.inject(&PacketSpec::new(src, dst).data(data));
+                }
+                match cells_at(now) {
+                    1 => net.step(),
+                    cells => step_on_cells(&mut net, cells),
+                }
+                for n in 0..16u16 {
+                    for d in net.drain_delivered(n.into()) {
+                        if d.corrupted {
+                            corrupted.push(d.id);
+                        }
+                    }
+                }
+            }
+            let stats = net.stats();
+            (corrupted, stats.ecc_corrections, stats.ecc_uncorrectable)
+        };
+        let one = run(|_| 1);
+        assert!(
+            !one.0.is_empty() && one.1 > 0 && one.2 > 0,
+            "the faults must corrupt, and SEC-DED correct, some flits: {one:?}"
+        );
+        assert_eq!(run(|_| 2), one, "2 cells");
+        assert_eq!(
+            run(|now| if now < 300 { 2 } else { 1 }),
+            one,
+            "2 cells, then 1"
+        );
     }
 
     #[test]

@@ -13,9 +13,8 @@
 //! port.
 
 use crate::flit::Flit;
-use crate::ids::{Direction, NodeId, Port};
+use crate::ids::{Direction, NodeId, PacketId, Port};
 use crate::probe::{Event, Probe};
-use crate::topology::{DirVec, Topology};
 
 use super::{EvalEnv, RouterOutput};
 
@@ -71,15 +70,6 @@ impl DeflectionRouter {
         self.arrivals.len()
     }
 
-    /// Productive directions for `flit` from this node (directions that
-    /// appear in a minimal route), in preference order. Delegates to the
-    /// topology's closed-form [`Topology::productive_dirs`] — inline and
-    /// allocation-free, where the old path built the full `route_dirs`
-    /// hop vector per flit per cycle just to deduplicate it.
-    fn productive_dirs(&self, topo: &dyn Topology, flit: &Flit) -> DirVec {
-        topo.productive_dirs(self.node, flit.meta.dst)
-    }
-
     /// Evaluates one cycle: ejects at most one local flit, matches the
     /// rest (oldest first) to outputs, and pulls in an injection if an
     /// output remains free. Launches/ejects are written into `out` (the
@@ -97,22 +87,38 @@ impl DeflectionRouter {
         out: &mut RouterOutput,
         probe: &mut dyn Probe,
     ) -> bool {
-        // The arrival buffer is taken, drained, and put back so its
-        // capacity survives across cycles (no per-cycle allocation).
-        let mut flits = std::mem::take(&mut self.arrivals);
-        // Oldest first; ties by packet id for determinism.
-        flits.sort_by_key(|f| (f.meta.injected_at, f.meta.packet));
+        // Oldest first; ties by packet id, then arrival order: an
+        // insertion sort of at most 4 indices, so each flit is read in
+        // place and copied once, into its launch.
+        let n = self.arrivals.len();
+        let key = |f: &Flit| (f.meta.injected_at, f.meta.packet);
+        let mut order = [0usize, 1, 2, 3];
+        for i in 1..n {
+            let mut j = i;
+            while j > 0 && key(&self.arrivals[order[j - 1]]) > key(&self.arrivals[order[i]]) {
+                j -= 1;
+            }
+            order[j..=i].rotate_right(1);
+        }
+        let order = &order[..n];
         // Eject at most one local flit — the oldest. Pushed before any
         // transit launch so the launch order the network (and its probe
         // stream) sees is eject first, then transit in age order.
-        if let Some(k) = flits.iter().position(|f| f.meta.dst == self.node) {
-            let f = flits.remove(k);
-            out.launches.push((Port::Tile, f));
+        let eject = order
+            .iter()
+            .position(|&i| self.arrivals[i].meta.dst == self.node);
+        if let Some(k) = eject {
+            out.launches.push((Port::Tile, self.arrivals[order[k]]));
         }
-        let consumed = flits.len() < 4 && inject.is_some();
+        let transit = n - usize::from(eject.is_some());
+        let consumed = transit < 4 && inject.is_some();
         let mut free = [true; 4]; // direction outputs
-        for f in flits.drain(..) {
-            self.route_one(env, &mut free, f, out, probe);
+        for (rank, &i) in order.iter().enumerate() {
+            if Some(rank) != eject {
+                let meta = &self.arrivals[i].meta;
+                let d = self.route_one(env, &mut free, meta.dst, meta.packet, probe);
+                out.launches.push((Port::Dir(d), self.arrivals[i]));
+            }
         }
         if consumed {
             // The offered flit is copied out of the interface queue only
@@ -121,24 +127,27 @@ impl DeflectionRouter {
             // INVARIANT: `consumed` is only true when `inject` is Some.
             let mut f = *inject.expect("consumed implies an offer");
             f.meta.injected_at = env.now;
-            self.route_one(env, &mut free, f, out, probe);
+            let d = self.route_one(env, &mut free, f.meta.dst, f.meta.packet, probe);
+            out.launches.push((Port::Dir(d), f));
         }
-        self.arrivals = flits;
+        // The buffer keeps its capacity across cycles (no per-cycle
+        // allocation).
+        self.arrivals.clear();
         consumed
     }
 
-    /// Routes one transit (or just-injected) flit: a free productive
-    /// direction if one exists, otherwise a free non-productive one
-    /// (a deflection).
+    /// Picks the output for one transit (or just-injected) flit bound
+    /// for `dst`: a free productive direction if one exists, otherwise a
+    /// free non-productive one (a deflection). Marks it taken.
     fn route_one(
         &mut self,
         env: &EvalEnv<'_>,
         free: &mut [bool; 4],
-        f: Flit,
-        out: &mut RouterOutput,
+        dst: NodeId,
+        packet: PacketId,
         probe: &mut dyn Probe,
-    ) {
-        let productive = self.productive_dirs(env.topo, &f);
+    ) -> Direction {
+        let productive = env.topo.productive_dirs(self.node, dst);
         let chosen = productive
             .iter()
             .find(|d| free[d.index()])
@@ -148,12 +157,12 @@ impl DeflectionRouter {
         let d = chosen.expect("outputs cannot be exhausted: at most 4 flits routed");
         if !productive.contains(d) {
             self.deflections += 1;
-            let (node, packet) = (self.node, f.meta.packet);
+            let node = self.node;
             probe.record(env.now, Event::Misroute { node, packet });
         }
         free[d.index()] = false;
         self.forwarded += 1;
-        out.launches.push((Port::Dir(d), f));
+        d
     }
 }
 
@@ -161,10 +170,9 @@ impl DeflectionRouter {
 mod tests {
     use super::*;
     use crate::flit::FlitKind;
-    use crate::ids::PacketId;
     use crate::probe::NoProbe;
     use crate::router::tests::test_flit;
-    use crate::topology::FoldedTorus2D;
+    use crate::topology::{FoldedTorus2D, Topology};
 
     fn env<'a>(topo: &'a dyn Topology) -> EvalEnv<'a> {
         EvalEnv {
@@ -264,5 +272,95 @@ mod tests {
         ports.dedup();
         assert_eq!(ports.len(), 4);
         assert!(out.dropped_packets.is_empty());
+    }
+
+    /// The evaluation before arrivals were ordered by index: a stable
+    /// sort of the flits by `(injected_at, packet)`, the local flit
+    /// removed, the rest drained. A reference for the equivalence test
+    /// only. Returns the launches, whether the offer was consumed, and
+    /// the deflections.
+    fn reference_evaluate(
+        node: NodeId,
+        mut flits: Vec<Flit>,
+        env: &EvalEnv<'_>,
+        inject: Option<&Flit>,
+    ) -> (Vec<(Port, Flit)>, bool, u64) {
+        let mut launches = Vec::new();
+        let mut deflections = 0;
+        let mut route = |free: &mut [bool; 4], f: Flit| {
+            let productive = env.topo.productive_dirs(node, f.meta.dst);
+            let d = productive
+                .iter()
+                .find(|d| free[d.index()])
+                .or_else(|| Direction::ALL.iter().copied().find(|d| free[d.index()]))
+                .unwrap();
+            if !productive.contains(d) {
+                deflections += 1;
+            }
+            free[d.index()] = false;
+            launches.push((Port::Dir(d), f));
+        };
+        flits.sort_by_key(|f| (f.meta.injected_at, f.meta.packet));
+        let mut eject = None;
+        if let Some(k) = flits.iter().position(|f| f.meta.dst == node) {
+            eject = Some(flits.remove(k));
+        }
+        let consumed = flits.len() < 4 && inject.is_some();
+        let mut free = [true; 4];
+        for f in flits.drain(..) {
+            route(&mut free, f);
+        }
+        if consumed {
+            let mut f = *inject.unwrap();
+            f.meta.injected_at = env.now;
+            route(&mut free, f);
+        }
+        if let Some(f) = eject {
+            launches.insert(0, (Port::Tile, f));
+        }
+        (launches, consumed, deflections)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Ordering arrivals by index launches the same flits, in the
+        /// same order and on the same ports, consumes the same offer and
+        /// counts the same deflections as the sort-and-remove reference:
+        /// up to 4 arrivals with colliding ages and packet ids (ties
+        /// broken by arrival order), local destinations included, with
+        /// and without an offered injection.
+        #[test]
+        fn index_order_matches_the_sorting_reference(
+            node in 0u16..16,
+            arrivals in proptest::collection::vec((0u64..4, 0u64..4, 0u16..16), 0..5),
+            offer in proptest::prelude::any::<bool>(),
+            offer_dst in 0u16..16,
+        ) {
+            let topo = FoldedTorus2D::new(4);
+            let env = EvalEnv { now: 9, reservations: None, topo: &topo };
+            let node = NodeId::new(node);
+            let flits: Vec<Flit> = arrivals
+                .iter()
+                .enumerate()
+                .map(|(i, &(age, packet, dst))| {
+                    let mut f = flit_to(dst, packet, age);
+                    // Tell equal-keyed flits apart by arrival order.
+                    f.meta.flit_index = i as u16;
+                    f
+                })
+                .collect();
+            let offered = flit_to(offer_dst, 100, 0);
+            let inject = offer.then_some(&offered);
+            let mut r = DeflectionRouter::new(node);
+            for (i, &f) in flits.iter().enumerate() {
+                r.receive(Port::Dir(Direction::ALL[i]), f);
+            }
+            let (out, consumed) = eval(&mut r, &env, inject);
+            let launches: Vec<(Port, Flit)> = out.launches.iter().copied().collect();
+            let want = reference_evaluate(node, flits, &env, inject);
+            proptest::prelude::prop_assert_eq!((launches, consumed, r.deflections), want);
+            proptest::prelude::prop_assert_eq!(r.occupancy(), 0);
+        }
     }
 }

@@ -559,6 +559,7 @@ impl VcRouter {
         // requesters, so one pass up front sees what a per-output scan
         // would.
         let mut waiting = [0u64; Port::COUNT];
+        let port_vcs = (1u64 << self.num_vcs) - 1;
         for idx in set_bits(self.in_occupied) {
             if let (Some(op), None) = (self.in_out_port[idx], self.in_out_vc[idx]) {
                 waiting[op.index()] |= 1 << idx;
@@ -572,15 +573,17 @@ impl VcRouter {
             // Gather requests: (priority, input port, input vc, mask,
             // requesting packet), in ascending (port, VC) order.
             reqs.clear();
-            for idx in set_bits(requesters) {
-                if let Some(front) = self.front(idx) {
-                    reqs.push((
-                        front.meta.class.priority(),
-                        idx / self.num_vcs,
-                        idx % self.num_vcs,
-                        self.effective_mask(front),
-                        front.meta.packet,
-                    ));
+            for i in 0..Port::COUNT {
+                for v in set_bits(requesters >> (i * self.num_vcs) & port_vcs) {
+                    if let Some(front) = self.front(self.pv(i, v)) {
+                        reqs.push((
+                            front.meta.class.priority(),
+                            i,
+                            v,
+                            self.effective_mask(front),
+                            front.meta.packet,
+                        ));
+                    }
                 }
             }
             // Rotate for fairness, then stable-sort by priority (desc).

@@ -266,6 +266,9 @@ pub(crate) struct ShardCell {
     /// delivers node by node, inject before eject.
     pub pipes: Calendar<Flit>,
     pub rx_links: Vec<SteeredLink>,
+    /// How many of `rx_links` have at least one fault. While it is zero
+    /// every link's `transmit` is the identity, so delivery skips it.
+    pub faulty_rx_links: usize,
     /// Flits in flight on the owned receive halves.
     pub rx: Calendar<Flit>,
     /// Per-receive-half transient-fault RNG: fault draws stay on a
@@ -346,6 +349,7 @@ pub(crate) fn build_cells(
         let next_seq = state.next_seq.split_off(node_base);
         let route_rng = state.route_rng.split_off(node_base);
         let rx_links = state.rx_links.split_off(rx_base);
+        let faulty_rx_links = rx_links.iter().filter(|l| l.fault_count() > 0).count();
         let rx_rng = state.rx_rng.split_off(rx_base);
         let tx_flits_carried = state.tx_flits_carried.split_off(tx_base);
         let tx_bit_pitches = state.tx_bit_pitches.split_off(tx_base);
@@ -379,6 +383,7 @@ pub(crate) fn build_cells(
             interfaces,
             pipes: Calendar::new(shared.inject_latency.max(cfg.channel_latency), 2 * n_local),
             rx_links,
+            faulty_rx_links,
             rx: Calendar::new(shared.flit_latency, rx_local),
             rx_rng,
             tx: Calendar::new(cfg.credit_latency, tx_local),
@@ -690,9 +695,12 @@ impl ShardCell {
         probe: &mut dyn Probe,
     ) {
         let meta = &shared.rx_meta[self.rx_base + r];
-        let (payload, steering_hit) = self.rx_links[r].transmit(&flit.payload);
-        flit.payload = payload;
-        let mut hop_corrupt = steering_hit;
+        let mut hop_corrupt = false;
+        if self.faulty_rx_links > 0 {
+            let (payload, steering_hit) = self.rx_links[r].transmit(&flit.payload);
+            flit.payload = payload;
+            hop_corrupt = steering_hit;
+        }
         flit.meta.route_state.delivered_over(meta.dateline);
         let (dst, port) = (meta.dst, meta.in_port);
         let rng = &mut self.rx_rng[r];

@@ -20,6 +20,9 @@ use super::Topology;
 #[derive(Debug, Clone)]
 pub struct Mesh2D {
     k: usize,
+    /// Logical coordinate of each node, by node index: computed once in
+    /// `new` so the per-hop routing functions do no division.
+    coords: Vec<Coord>,
 }
 
 impl Mesh2D {
@@ -31,7 +34,10 @@ impl Mesh2D {
     pub fn new(k: usize) -> Mesh2D {
         assert!(k >= 2, "mesh radix must be at least 2");
         assert!(k * k <= u16::MAX as usize, "mesh too large");
-        Mesh2D { k }
+        Mesh2D {
+            k,
+            coords: super::grid_coords(k),
+        }
     }
 }
 
@@ -49,8 +55,7 @@ impl Topology for Mesh2D {
     }
 
     fn coord(&self, node: NodeId) -> Coord {
-        let i = node.index();
-        Coord::new((i % self.k) as u8, (i / self.k) as u8)
+        self.coords[node.index()]
     }
 
     fn node_at(&self, coord: Coord) -> NodeId {

@@ -34,6 +34,14 @@ fn xy_route(dx: isize, dy: isize) -> Result<SourceRoute, RouteError> {
     SourceRoute::from_runs(&[(xdir, dx.unsigned_abs()), (ydir, dy.unsigned_abs())])
 }
 
+/// The logical coordinate of every node of a `k × k` grid, by node
+/// index (`x` = index mod `k`, `y` = index / `k`).
+fn grid_coords(k: usize) -> Vec<Coord> {
+    (0..k)
+        .flat_map(|y| (0..k).map(move |x| Coord::new(x as u8, y as u8)))
+        .collect()
+}
+
 /// An inline fixed-capacity direction set: the allocation-free return
 /// type of [`Topology::productive_dirs`] (same pattern as the router
 /// layer's `PortVec`). A minimal dimension-order route takes at most one
@@ -265,31 +273,115 @@ pub(crate) fn folded_link_pitches(a: usize, b: usize, k: usize) -> f64 {
 mod tests {
     use super::*;
 
-    /// Every closed-form source route equals compiling the hop vector
-    /// it replaces, for every pair, including the ties and wrap-around
-    /// runs of odd and even tori and the k = 32 diameter routes.
+    /// The division-based arithmetic the topologies routed with before
+    /// they cached node coordinates: `%` and `/` for coordinates and
+    /// `rem_euclid` for ring offsets. A reference for the oracle test
+    /// only.
+    mod oracle {
+        use crate::ids::{Coord, Direction};
+
+        pub fn grid_coord(k: usize, node: usize) -> Coord {
+            Coord::new((node % k) as u8, (node / k) as u8)
+        }
+
+        /// Signed minimal offset from `from` to `to` on a ring of `k`,
+        /// halfway ties East (positive) from even positions.
+        fn ring_offset(k: usize, from: usize, to: usize) -> isize {
+            let k = k as isize;
+            let fwd = (to as isize - from as isize).rem_euclid(k);
+            let tie_east = from.is_multiple_of(2);
+            if fwd == 0 {
+                0
+            } else if 2 * fwd < k || (2 * fwd == k && tie_east) {
+                fwd
+            } else {
+                fwd - k
+            }
+        }
+
+        fn xy_hops(dx: isize, dy: isize) -> Vec<Direction> {
+            let xdir = if dx > 0 {
+                Direction::East
+            } else {
+                Direction::West
+            };
+            let ydir = if dy > 0 {
+                Direction::North
+            } else {
+                Direction::South
+            };
+            let mut dirs = vec![xdir; dx.unsigned_abs()];
+            dirs.extend(vec![ydir; dy.unsigned_abs()]);
+            dirs
+        }
+
+        pub fn torus_dirs(k: usize, src: usize, dst: usize) -> Vec<Direction> {
+            let (s, d) = (grid_coord(k, src), grid_coord(k, dst));
+            xy_hops(
+                ring_offset(k, s.x.into(), d.x.into()),
+                ring_offset(k, s.y.into(), d.y.into()),
+            )
+        }
+
+        pub fn mesh_dirs(k: usize, src: usize, dst: usize) -> Vec<Direction> {
+            let (s, d) = (grid_coord(k, src), grid_coord(k, dst));
+            xy_hops(d.x as isize - s.x as isize, d.y as isize - s.y as isize)
+        }
+
+        pub fn ring_dirs(k: usize, src: usize, dst: usize) -> Vec<Direction> {
+            xy_hops(ring_offset(k, src, dst), 0)
+        }
+    }
+
+    /// The division-free coordinates and routes equal the division-based
+    /// reference for every (src, dst) pair: odd and even tori (the
+    /// halfway-tie parity break the deflection router depends on
+    /// included, and the k = 32 diameter routes), meshes, and odd and
+    /// even rings. Each closed form is checked too: `source_route`
+    /// against compiling the reference hops, and `productive_dirs`
+    /// against them deduplicated in first-seen order (the trait
+    /// default).
     #[test]
-    fn source_route_closed_forms_match_compiled_hops() {
-        let mut topos: Vec<Box<dyn Topology>> = Vec::new();
+    fn division_free_routing_matches_the_division_oracle() {
+        type Oracle = fn(usize, usize, usize) -> Vec<Direction>;
+        let mut cases: Vec<(Box<dyn Topology>, Oracle)> = Vec::new();
+        for k in [2, 3, 4, 5, 6, 16, 32] {
+            cases.push((Box::new(FoldedTorus2D::new(k)), oracle::torus_dirs));
+        }
         for k in [2, 4, 8, 32] {
-            topos.push(Box::new(Mesh2D::new(k)));
+            cases.push((Box::new(Mesh2D::new(k)), oracle::mesh_dirs));
         }
-        for k in [4, 5, 16, 32] {
-            topos.push(Box::new(FoldedTorus2D::new(k)));
+        for k in [3, 6, 7, 8] {
+            cases.push((Box::new(Ring::new(k)), oracle::ring_dirs));
         }
-        for k in [3, 8] {
-            topos.push(Box::new(Ring::new(k)));
-        }
-        for t in &topos {
-            for s in 0..t.num_nodes() {
-                for d in 0..t.num_nodes() {
-                    let (s, d) = (NodeId::new(s as u16), NodeId::new(d as u16));
+        for (t, reference) in &cases {
+            let (k, n) = (t.radix(), t.num_nodes());
+            let is_ring = n == k;
+            for s in 0..n {
+                let src = NodeId::new(s as u16);
+                let coord = if is_ring {
+                    Coord::new(s as u8, 0)
+                } else {
+                    oracle::grid_coord(k, s)
+                };
+                assert_eq!(t.coord(src), coord, "{} coord of {src:?}", t.name());
+                for d in 0..n {
+                    let dst = NodeId::new(d as u16);
+                    let want = reference(k, s, d);
+                    let mut want_dirs = DirVec::new();
+                    for &dir in &want {
+                        if !want_dirs.contains(dir) {
+                            want_dirs.push(dir);
+                        }
+                    }
+                    let what = format!("{} {src:?}->{dst:?}", t.name());
+                    assert_eq!(t.route_dirs(src, dst), want, "{what}");
                     assert_eq!(
-                        t.source_route(s, d),
-                        SourceRoute::compile(&t.route_dirs(s, d)),
-                        "{} {s:?}->{d:?}",
-                        t.name()
+                        t.source_route(src, dst),
+                        SourceRoute::compile(&want),
+                        "{what}"
                     );
+                    assert_eq!(t.productive_dirs(src, dst), want_dirs, "{what}");
                 }
             }
         }
@@ -313,35 +405,6 @@ mod tests {
                     (1.0..=2.0).contains(&len),
                     "k={k} link {a}->{b} spans {len} pitches"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn productive_dirs_overrides_match_default_dedup() {
-        // Every closed-form override must equal route_dirs deduplicated
-        // in first-seen order (the trait default), for every pair —
-        // including the halfway ties whose parity break the deflection
-        // router depends on.
-        let topos: Vec<Box<dyn Topology>> = vec![
-            Box::new(FoldedTorus2D::new(4)),
-            Box::new(FoldedTorus2D::new(6)),
-            Box::new(Mesh2D::new(4)),
-            Box::new(Ring::new(6)),
-            Box::new(Ring::new(7)),
-        ];
-        for t in &topos {
-            for s in 0..t.num_nodes() {
-                for d in 0..t.num_nodes() {
-                    let (s, d) = (NodeId::new(s as u16), NodeId::new(d as u16));
-                    let mut expect = DirVec::new();
-                    for dir in t.route_dirs(s, d) {
-                        if !expect.contains(dir) {
-                            expect.push(dir);
-                        }
-                    }
-                    assert_eq!(t.productive_dirs(s, d), expect, "{} {s:?}->{d:?}", t.name());
-                }
             }
         }
     }

@@ -30,6 +30,26 @@ impl Ring {
         assert!(k <= u16::MAX as usize, "ring too large");
         Ring { k }
     }
+
+    /// The minimal route from `src` to `dst` as one run `(direction,
+    /// hops)`; `(East, 0)` when `src == dst`. Halfway ties on an even
+    /// ring go East from even sources and West from odd ones, so both
+    /// ring directions carry equal load under uniform traffic.
+    fn min_run(&self, src: NodeId, dst: NodeId) -> (Direction, usize) {
+        let k = self.k as isize;
+        // The difference lies in (-k, k): one conditional add is the
+        // Euclidean remainder.
+        let mut fwd = dst.index() as isize - src.index() as isize;
+        if fwd < 0 {
+            fwd += k;
+        }
+        let tie_east = src.index().is_multiple_of(2);
+        if 2 * fwd < k || (2 * fwd == k && tie_east) {
+            (Direction::East, fwd as usize)
+        } else {
+            (Direction::West, (k - fwd) as usize)
+        }
+    }
 }
 
 impl Topology for Ring {
@@ -87,46 +107,19 @@ impl Topology for Ring {
     }
 
     fn route_dirs(&self, src: NodeId, dst: NodeId) -> Vec<Direction> {
-        let k = self.k as isize;
-        let fwd = (dst.index() as isize - src.index() as isize).rem_euclid(k);
-        if fwd == 0 {
-            return Vec::new();
-        }
-        let tie_east = src.index().is_multiple_of(2);
-        let (dir, hops) = if 2 * fwd < k || (2 * fwd == k && tie_east) {
-            (Direction::East, fwd)
-        } else {
-            (Direction::West, k - fwd)
-        };
-        vec![dir; hops as usize]
+        let (dir, hops) = self.min_run(src, dst);
+        vec![dir; hops]
     }
 
     fn source_route(&self, src: NodeId, dst: NodeId) -> Result<SourceRoute, RouteError> {
-        // Same forward-offset and tie-break arithmetic as route_dirs.
-        let k = self.k as isize;
-        let fwd = (dst.index() as isize - src.index() as isize).rem_euclid(k);
-        let tie_east = src.index().is_multiple_of(2);
-        let run = if 2 * fwd < k || (2 * fwd == k && tie_east) {
-            (Direction::East, fwd as usize)
-        } else {
-            (Direction::West, (k - fwd) as usize)
-        };
-        SourceRoute::from_runs(&[run])
+        SourceRoute::from_runs(&[self.min_run(src, dst)])
     }
 
     fn productive_dirs(&self, src: NodeId, dst: NodeId) -> super::DirVec {
-        // Same forward-offset and tie-break arithmetic as route_dirs,
-        // minus the hop vector.
-        let k = self.k as isize;
-        let fwd = (dst.index() as isize - src.index() as isize).rem_euclid(k);
+        let (dir, hops) = self.min_run(src, dst);
         let mut dirs = super::DirVec::new();
-        if fwd != 0 {
-            let tie_east = src.index().is_multiple_of(2);
-            dirs.push(if 2 * fwd < k || (2 * fwd == k && tie_east) {
-                Direction::East
-            } else {
-                Direction::West
-            });
+        if hops != 0 {
+            dirs.push(dir);
         }
         dirs
     }

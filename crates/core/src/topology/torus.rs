@@ -26,6 +26,9 @@ use super::{folded_link_pitches, folded_position, Topology};
 #[derive(Debug, Clone)]
 pub struct FoldedTorus2D {
     k: usize,
+    /// Logical coordinate of each node, by node index: computed once in
+    /// `new` so the per-hop routing functions do no division.
+    coords: Vec<Coord>,
 }
 
 impl FoldedTorus2D {
@@ -37,7 +40,10 @@ impl FoldedTorus2D {
     pub fn new(k: usize) -> FoldedTorus2D {
         assert!(k >= 2, "torus radix must be at least 2");
         assert!(k * k <= u16::MAX as usize, "torus too large");
-        FoldedTorus2D { k }
+        FoldedTorus2D {
+            k,
+            coords: super::grid_coords(k),
+        }
     }
 
     /// Signed minimal offsets `(dx, dy)` from `src` to `dst` along the two
@@ -50,7 +56,12 @@ impl FoldedTorus2D {
         // Halfway ties alternate by source coordinate so both ring
         // directions carry equal load under uniform traffic.
         let off = |from: u8, to: u8| -> isize {
-            let fwd = (to as isize - from as isize).rem_euclid(k);
+            // The difference lies in (-k, k): one conditional add is the
+            // Euclidean remainder.
+            let mut fwd = to as isize - from as isize;
+            if fwd < 0 {
+                fwd += k;
+            }
             let tie_east = from.is_multiple_of(2);
             if fwd == 0 {
                 0
@@ -78,8 +89,7 @@ impl Topology for FoldedTorus2D {
     }
 
     fn coord(&self, node: NodeId) -> Coord {
-        let i = node.index();
-        Coord::new((i % self.k) as u8, (i / self.k) as u8)
+        self.coords[node.index()]
     }
 
     fn node_at(&self, coord: Coord) -> NodeId {

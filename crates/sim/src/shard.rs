@@ -65,9 +65,9 @@
 //! A worker that stops early — by panicking, or because the coordinator
 //! has gone — breaks the window barrier on its way out, so its peers
 //! stop too instead of waiting for it; the run then panics with the
-//! failing worker's own message ([`crate::exec::run_scoped`],
-//! [`crate::exec::run_with`]). A worker on the calling thread unwinds
-//! straight through the caller.
+//! failing worker's own message ([`crate::exec::run_with`], which joins
+//! every spawned worker and resumes the first panic in worker order). A
+//! worker on the calling thread unwinds straight through the caller.
 //!
 //! See DESIGN.md §3.15 for the lookahead-window argument.
 
