@@ -2,24 +2,22 @@
 //!
 //! Evaluates a fixed three-point load batch on the 256-tile k = 16
 //! folded torus and writes the full `LoadPoint` reports (pretty debug
-//! rendering — every counter, percentile, and energy figure) to an
-//! output file (the one positional argument, default
-//! `target/exec-dump.txt`). With `--serial` the batch bypasses the pool
-//! entirely and evaluates each point in order on the calling thread;
-//! otherwise it goes through a fresh `SimPool` sized by
+//! rendering — every counter, percentile, and energy figure) to
+//! `exec.txt` under `--out <dir>`. With `--serial` the batch bypasses
+//! the pool entirely and evaluates each point in order on the calling
+//! thread; otherwise it goes through a fresh `SimPool` sized by
 //! `--exec-workers <n>` (default: available parallelism), exercising the
 //! two-level scheduler's longest-first queue and shard budgets: on 8
 //! workers the three points run side by side at 2 shards each, on 2
-//! workers they queue at 1 shard. An unknown flag or a second path
-//! exits 2. Scheduling decisions are printed to stdout for the log; the
-//! output file must be byte-identical between the serial and every
-//! pooled invocation — CI runs the pooled one with `--exec-workers 8`
-//! and `--exec-workers 2` and diffs the files.
+//! workers they queue at 1 shard. Any other argument exits 2.
+//! Scheduling decisions are printed to stdout for the log; the output
+//! file must be byte-identical between the serial and every pooled
+//! invocation — CI runs the pooled one with `--exec-workers 8` and
+//! `--exec-workers 2` and diffs the files.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
-use ocin_bench::{dump_args, or_exit};
+use ocin_bench::command_line;
 use ocin_core::{NetworkConfig, TopologySpec};
 use ocin_sim::{LoadSweep, SimConfig, SimPool};
 use ocin_traffic::{TrafficPattern, Workload};
@@ -29,10 +27,7 @@ use ocin_traffic::{TrafficPattern, Workload};
 const LOADS: [f64; 3] = [0.05, 0.1, 0.2];
 
 fn main() {
-    let args = or_exit(dump_args(&["--serial", "--exec-workers"]));
-    let out = args
-        .out
-        .unwrap_or_else(|| PathBuf::from("target/exec-dump.txt"));
+    let args = command_line(&["--out", "--serial", "--exec-workers"]);
 
     let sweep = LoadSweep::new(
         NetworkConfig::paper_baseline().with_topology(TopologySpec::FoldedTorus { k: 16 }),
@@ -55,10 +50,5 @@ fn main() {
 
     // Pretty debug of the full reports: any scheduling-dependent bit
     // anywhere in a report breaks the byte-diff.
-    let rendered = format!("{points:#?}\n");
-    if let Some(dir) = out.parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir).expect("create output directory");
-    }
-    std::fs::write(&out, rendered).expect("write exec dump");
-    println!("wrote {}", out.display());
+    args.write("exec.txt", format!("{points:#?}\n"));
 }

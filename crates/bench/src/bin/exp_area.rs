@@ -2,12 +2,13 @@
 //! edge ... 0.59 mm² or 6.6% of the tile area", plus the wiring-track
 //! budget ("about 3000 of the 6000 available tracks").
 
-use ocin_bench::{banner, check, f2, f3, finish};
+use ocin_bench::{banner, check, command_line, f2, f3, finish, EXPERIMENT};
 use ocin_core::flit::FLIT_TOTAL_BITS;
 use ocin_phys::{RouterAreaModel, Technology, WiringBudget};
 use ocin_sim::Table;
 
 fn main() {
+    command_line(EXPERIMENT);
     banner(
         "exp_area",
         "§2.4",

@@ -7,7 +7,7 @@
 //! spanning the 12 mm die; the network moves flits concurrently over
 //! short structured links.
 
-use ocin_bench::{banner, check, f1, f2, f3, finish, quick_mode, sim_config};
+use ocin_bench::{banner, check, command_line, f1, f2, f3, finish, sim_config, EXPERIMENT};
 use ocin_core::bus::SharedBus;
 use ocin_core::ids::NodeId;
 use ocin_core::NetworkConfig;
@@ -47,17 +47,18 @@ fn run_bus(load: f64, cycles: u64) -> (f64, f64, f64, f64) {
 }
 
 fn main() {
+    let args = command_line(EXPERIMENT);
     banner(
         "exp_bus",
         "§1, §4.2",
         "a shared bus saturates at 1/N per client; the network keeps scaling",
     );
-    let cfg = sim_config();
+    let cfg = sim_config(args.quick);
     let cycles = cfg.warmup_cycles + cfg.measure_cycles;
     let tech = Technology::dac2001();
     let fs = NetworkEnergyModel::new(&tech, SignalingScheme::FullSwing);
 
-    let loads: &[f64] = if quick_mode() {
+    let loads: &[f64] = if args.quick {
         &[0.03, 0.0625, 0.4]
     } else {
         &[0.02, 0.04, 0.0625, 0.1, 0.2, 0.4]

@@ -3,13 +3,14 @@
 //! multi-bit-per-cycle wires, and network latency competitive with a
 //! dedicated, optimally repeated full-swing wire.
 
-use ocin_bench::{banner, check, f1, f2, finish};
+use ocin_bench::{banner, check, command_line, f1, f2, finish, EXPERIMENT};
 use ocin_phys::{
     RepeaterDesign, RepeaterDevice, SerialLinkModel, SignalingScheme, Technology, WireModel,
 };
 use ocin_sim::Table;
 
 fn main() {
+    command_line(EXPERIMENT);
     banner(
         "exp_circuits",
         "§3.3, §4.1",

@@ -5,15 +5,14 @@
 //! across many signals. ... over 100% if we transmit several bits per
 //! cycle."
 
-use ocin_bench::{
-    banner, check, f2, f3, finish, probe_enabled, quick_mode, sim_config, write_metrics,
-};
+use ocin_bench::{banner, check, command_line, f2, f3, finish, sim_config, EXPERIMENT};
 use ocin_core::{NetworkConfig, ProbeConfig};
 use ocin_phys::{DutyFactorModel, SerialLinkModel, Technology};
 use ocin_sim::{Simulation, Table};
 use ocin_traffic::{InjectionProcess, TrafficPattern, Workload};
 
 fn main() {
+    let args = command_line(EXPERIMENT);
     banner(
         "exp_duty_factor",
         "§4.4",
@@ -22,7 +21,7 @@ fn main() {
     let duty = DutyFactorModel::paper_baseline();
     let slow = SerialLinkModel::new(&Technology::dac2001_slow());
 
-    let loads: &[f64] = if quick_mode() {
+    let loads: &[f64] = if args.quick {
         &[0.3]
     } else {
         &[0.1, 0.3, 0.5, 0.7]
@@ -41,10 +40,10 @@ fn main() {
     for &load in loads {
         let wl = Workload::new(16, 4, TrafficPattern::Uniform)
             .injection(InjectionProcess::Bernoulli { flit_rate: load });
-        let mut sim = Simulation::new(NetworkConfig::paper_baseline(), sim_config())
+        let mut sim = Simulation::new(NetworkConfig::paper_baseline(), sim_config(args.quick))
             .expect("valid")
             .with_workload(&wl);
-        if probe_enabled() {
+        if args.probe {
             sim = sim.with_probe(ProbeConfig::counters());
         }
         let report = sim.run();
@@ -52,7 +51,7 @@ fn main() {
             // The probe's per-port flit counters are the duty-factor
             // measurement taken a second way: write the last load's
             // snapshot for offline inspection.
-            write_metrics(metrics);
+            args.write_metrics(metrics);
         }
         let u = report.avg_link_utilization;
         let d1 = duty.network_duty(u, 1.0);
@@ -70,11 +69,11 @@ fn main() {
     }
     println!("\n{t}");
     check(
-        best_plain > 3.0 * duty.dedicated_toggle_rate || (quick_mode() && best_plain > 0.15),
+        best_plain > 3.0 * duty.dedicated_toggle_rate || (args.quick && best_plain > 0.15),
         "network wires reach several times the 10% dedicated-wire duty factor",
     );
     check(
-        best_serial > 1.0 || quick_mode(),
+        best_serial > 1.0 || args.quick,
         "with multi-bit-per-cycle signaling the duty factor exceeds 100% (paper's 'over 100%')",
     );
     println!(

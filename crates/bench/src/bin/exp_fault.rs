@@ -5,7 +5,7 @@
 //! to route around the faulty bit. ... modules that required transient
 //! fault tolerance could employ end-to-end checking with retry."
 
-use ocin_bench::{banner, check, finish};
+use ocin_bench::{banner, check, command_line, finish, EXPERIMENT};
 use ocin_core::fault::{FaultKind, LinkFault};
 use ocin_core::flit::Payload;
 use ocin_core::ids::NodeId;
@@ -77,6 +77,7 @@ fn faulty_network(faults_per_link: usize, steering: bool) -> Network {
 }
 
 fn main() {
+    command_line(EXPERIMENT);
     banner(
         "exp_fault",
         "§2.5",

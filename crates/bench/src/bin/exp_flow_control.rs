@@ -8,12 +8,10 @@
 
 use std::sync::Arc;
 
-use ocin_bench::{
-    banner, check, f1, f2, f3, finish, probe_enabled, quick_mode, sim_config, write_metrics,
-};
+use ocin_bench::{banner, check, command_line, f1, f2, f3, finish, sim_config, EXPERIMENT};
 use ocin_core::{FlowControl, NetworkConfig, ProbeConfig};
 use ocin_phys::{RouterAreaModel, Technology};
-use ocin_sim::{LoadSweep, SimPool, Simulation, Table};
+use ocin_sim::{LoadSweep, SimConfig, SimPool, Simulation, Table};
 use ocin_traffic::{TrafficPattern, Workload};
 
 struct Row {
@@ -25,14 +23,10 @@ struct Row {
     buffer_bits: usize,
 }
 
-fn run(pool: &Arc<SimPool>, cfg: NetworkConfig, load: f64) -> (f64, f64, f64, f64) {
-    let point = LoadSweep::new(
-        cfg,
-        sim_config(),
-        Workload::new(16, 4, TrafficPattern::Uniform),
-    )
-    .with_pool(Arc::clone(pool))
-    .point(load);
+fn run(pool: &Arc<SimPool>, cfg: NetworkConfig, sim: SimConfig, load: f64) -> (f64, f64, f64, f64) {
+    let point = LoadSweep::new(cfg, sim, Workload::new(16, 4, TrafficPattern::Uniform))
+        .with_pool(Arc::clone(pool))
+        .point(load);
     let report = &point.report;
     let injected = report.packets_injected.max(1) as f64;
     let delivered_frac = report.packets_delivered as f64 / injected;
@@ -46,17 +40,15 @@ fn run(pool: &Arc<SimPool>, cfg: NetworkConfig, load: f64) -> (f64, f64, f64, f6
 }
 
 fn main() {
+    let args = command_line(EXPERIMENT);
     banner(
         "exp_flow_control",
         "§3.2",
         "dropping/misrouting need little buffer but lose performance and load the wires",
     );
     let tech = Technology::dac2001();
-    let loads: &[f64] = if quick_mode() {
-        &[0.2]
-    } else {
-        &[0.1, 0.2, 0.3]
-    };
+    let sim = sim_config(args.quick);
+    let loads: &[f64] = if args.quick { &[0.2] } else { &[0.1, 0.2, 0.3] };
     let pool = Arc::new(SimPool::new());
 
     for &load in loads {
@@ -73,7 +65,7 @@ fn main() {
             ("deflection", FlowControl::Deflection, 1, 1),
         ] {
             let cfg = NetworkConfig::paper_baseline().with_flow_control(fc);
-            let (accepted, delivered_frac, latency, pitches) = run(&pool, cfg, load);
+            let (accepted, delivered_frac, latency, pitches) = run(&pool, cfg, sim, load);
             rows.push(Row {
                 name,
                 accepted,
@@ -128,7 +120,7 @@ fn main() {
         );
     }
 
-    if probe_enabled() {
+    if args.probe {
         // Probed reference points: the drop and misroute counters come
         // straight from the routers, cross-checking the report's
         // aggregate drop/deflection statistics.
@@ -142,7 +134,7 @@ fn main() {
         ] {
             let point = LoadSweep::new(
                 NetworkConfig::paper_baseline().with_flow_control(fc),
-                sim_config(),
+                sim,
                 Workload::new(16, 4, TrafficPattern::Uniform),
             )
             .with_pool(Arc::clone(&pool))
@@ -161,7 +153,7 @@ fn main() {
                 metrics.totals.packets_delivered,
             );
             if name == "deflection" {
-                write_metrics(metrics);
+                args.write_metrics(metrics);
             }
         }
     }
@@ -180,13 +172,9 @@ fn main() {
     let mut by_depth = Vec::new();
     for depth in [1usize, 2, 4, 8] {
         let cfg = NetworkConfig::paper_baseline().with_buf_depth(depth);
-        let point = LoadSweep::new(
-            cfg,
-            sim_config(),
-            Workload::new(16, 4, TrafficPattern::Uniform),
-        )
-        .with_pool(Arc::clone(&pool))
-        .point(0.5);
+        let point = LoadSweep::new(cfg, sim, Workload::new(16, 4, TrafficPattern::Uniform))
+            .with_pool(Arc::clone(&pool))
+            .point(0.5);
         let area = RouterAreaModel::with_buffering(8, depth, 300);
         by_depth.push((depth, point.accepted, point.mean_latency));
         ab.row(&[

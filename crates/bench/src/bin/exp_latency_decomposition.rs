@@ -6,14 +6,15 @@
 //! measurement collapses onto the analytic baseline exactly; as offered
 //! load rises, the surplus is attributed stage by stage (VC allocation,
 //! switch, credits, preemption, link waits) and link by link (the
-//! bottleneck ranking). With `--probe`, a fixed-seed run exports the
+//! bottleneck ranking). With `--probe`, a fixed-seed run renders the
 //! retained journeys as `ocin-journeys v1` text and Chrome
-//! `trace_event` JSON (viewable in Perfetto) — byte-identical across
-//! runs by construction.
+//! `trace_event` JSON (viewable in Perfetto), and with `--out <dir>`
+//! writes them to `journeys.txt` and `trace.json` there — byte-identical
+//! across runs by construction.
 
 use std::sync::Arc;
 
-use ocin_bench::{banner, check, f1, f2, f3, finish, probe_enabled, quick_mode, sim_config};
+use ocin_bench::{banner, check, command_line, f1, f2, f3, finish, sim_config, EXPERIMENT};
 use ocin_core::probe::ProbeConfig;
 use ocin_core::{DecompositionReport, NetworkConfig, TopologySpec};
 use ocin_sim::{LoadSweep, SimConfig, SimPool, Simulation, Table};
@@ -32,13 +33,14 @@ fn decomposition(point: &ocin_sim::LoadPoint) -> &DecompositionReport {
 }
 
 fn main() {
+    let args = command_line(EXPERIMENT);
     banner(
         "exp_latency_decomposition",
         "§3",
         "latency decomposes into H*t_r + L/b plus attributable contention",
     );
 
-    let loads: &[f64] = if quick_mode() {
+    let loads: &[f64] = if args.quick {
         &[0.02, 0.3, 0.55]
     } else {
         &[0.02, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
@@ -47,7 +49,7 @@ fn main() {
     let pool = Arc::new(SimPool::new());
     let sweep = LoadSweep::new(
         NetworkConfig::paper_baseline().with_topology(TopologySpec::FoldedTorus { k: 4 }),
-        sim_config(),
+        sim_config(args.quick),
         Workload::new(16, 4, TrafficPattern::Uniform),
     )
     .with_pool(Arc::clone(&pool))
@@ -148,17 +150,10 @@ fn main() {
         hi.packets, hi.in_flight, hi.incomplete
     );
 
-    if probe_enabled() {
-        // Fixed-seed export run, independent of OCIN_QUICK so the bytes
+    if args.probe {
+        // Fixed-seed export run, independent of --quick so the bytes
         // are identical however the experiment is invoked.
-        let out_dir = std::env::var_os("OCIN_DECOMP_OUT").map_or_else(
-            || std::path::PathBuf::from("target/decomposition"),
-            Into::into,
-        );
-        println!(
-            "\n--- journey export (fixed seed) -> {} ---\n",
-            out_dir.display()
-        );
+        println!("\n--- journey export (fixed seed) ---\n");
         let cfg = SimConfig {
             warmup_cycles: 200,
             measure_cycles: 800,
@@ -182,13 +177,12 @@ fn main() {
             .decomposition
             .as_ref()
             .expect("journeyed run carries a decomposition");
-        std::fs::create_dir_all(&out_dir).expect("create export directory");
         let text = d.to_text();
         let trace = d.to_trace_json();
-        std::fs::write(out_dir.join("journeys.txt"), &text).expect("write journeys.txt");
-        std::fs::write(out_dir.join("trace.json"), &trace).expect("write trace.json");
+        args.write("journeys.txt", &text);
+        args.write("trace.json", &trace);
         println!(
-            "wrote {} journeys ({} text bytes, {} trace bytes); open trace.json in Perfetto",
+            "{} journeys retained ({} text bytes, {} trace bytes)",
             d.journeys.len(),
             text.len(),
             trace.len(),

@@ -9,31 +9,20 @@
 
 use std::sync::Arc;
 
-use ocin_bench::{
-    banner, check, f1, f3, finish, or_exit, probe_enabled, quick_mode, radix_arg, sim_config,
-    write_metrics,
-};
+use ocin_bench::{banner, check, command_line, f1, f3, finish, sim_config};
 use ocin_core::{NetworkConfig, ProbeConfig, RoutingAlg, TopologySpec};
 use ocin_sim::{render_metrics_heatmap, LatencyReport, LoadSweep, SimPool, Table};
 use ocin_traffic::{TrafficPattern, Workload};
 
-fn sweep(pool: &Arc<SimPool>, spec: TopologySpec, pattern: TrafficPattern) -> LoadSweep {
-    LoadSweep::new(
-        NetworkConfig::paper_baseline().with_topology(spec),
-        sim_config(),
-        Workload::for_topology(&spec, pattern),
-    )
-    .with_pool(Arc::clone(pool))
-}
-
 fn main() {
+    let args = command_line(&["--quick", "--probe", "--out", "--radix"]);
     banner(
         "exp_latency_load",
         "§1, §3.1",
         "latency vs offered load; torus sustains higher throughput (2x bisection)",
     );
 
-    let loads: &[f64] = if quick_mode() {
+    let loads: &[f64] = if args.quick {
         &[0.1, 0.4, 0.7]
     } else {
         &[0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
@@ -42,14 +31,21 @@ fn main() {
     // One pool for the whole experiment: curve points computed here are
     // reused by the saturation searches below.
     let pool = Arc::new(SimPool::new());
+    let sim = sim_config(args.quick);
+    let sweep = |spec: TopologySpec, pattern: TrafficPattern| {
+        LoadSweep::new(
+            NetworkConfig::paper_baseline().with_topology(spec),
+            sim,
+            Workload::for_topology(&spec, pattern),
+        )
+        .with_pool(Arc::clone(&pool))
+    };
 
     // The paper's k = 4 and the crossover point k = 8, plus any larger
-    // radix requested via --radix / OCIN_RADIX (e.g. 16 for the
-    // 256-tile network).
+    // radix requested via --radix (e.g. 16 for the 256-tile network).
     let mut radices = vec![4usize, 8];
-    let extra = or_exit(radix_arg(4));
-    if !radices.contains(&extra) {
-        radices.push(extra);
+    if !radices.contains(&args.radix) {
+        radices.push(args.radix);
     }
     for k in radices {
         let pattern = TrafficPattern::Uniform;
@@ -63,8 +59,8 @@ fn main() {
             "torus mean lat",
             "torus p99",
         ]);
-        let mesh = sweep(&pool, TopologySpec::Mesh { k }, pattern.clone());
-        let torus = sweep(&pool, TopologySpec::FoldedTorus { k }, pattern);
+        let mesh = sweep(TopologySpec::Mesh { k }, pattern.clone());
+        let torus = sweep(TopologySpec::FoldedTorus { k }, pattern);
         let mut last: Option<(f64, f64)> = None;
         for (pm, pt) in mesh.run(loads).iter().zip(torus.run(loads).iter()) {
             t.row(&[
@@ -102,17 +98,13 @@ fn main() {
             "torus minimal accepted",
             "torus valiant accepted",
         ]);
-        let mesh = sweep(&pool, TopologySpec::Mesh { k }, TrafficPattern::Tornado);
-        let tmin = sweep(
-            &pool,
-            TopologySpec::FoldedTorus { k },
-            TrafficPattern::Tornado,
-        );
+        let mesh = sweep(TopologySpec::Mesh { k }, TrafficPattern::Tornado);
+        let tmin = sweep(TopologySpec::FoldedTorus { k }, TrafficPattern::Tornado);
         let tval = LoadSweep::new(
             NetworkConfig::paper_baseline()
                 .with_topology(TopologySpec::FoldedTorus { k })
                 .with_routing(RoutingAlg::Valiant),
-            sim_config(),
+            sim,
             Workload::for_topology(&TopologySpec::FoldedTorus { k }, TrafficPattern::Tornado),
         )
         .with_pool(Arc::clone(&pool));
@@ -137,12 +129,8 @@ fn main() {
     println!("\nexact tail quantiles (telemetry histograms), torus k = 4, uniform:\n");
     {
         let mut t = Table::new(&["offered", "count", "mean", "p50", "p99", "p99.9"]);
-        let torus = sweep(
-            &pool,
-            TopologySpec::FoldedTorus { k: 4 },
-            TrafficPattern::Uniform,
-        )
-        .with_probe(ProbeConfig::counters().with_telemetry(0));
+        let torus = sweep(TopologySpec::FoldedTorus { k: 4 }, TrafficPattern::Uniform)
+            .with_probe(ProbeConfig::counters().with_telemetry(0));
         let mut tail_ordered = true;
         for p in torus.run(loads) {
             let telemetry = p
@@ -169,7 +157,7 @@ fn main() {
         );
     }
 
-    if probe_enabled() {
+    if args.probe {
         // Probed reference point: torus k = 4, uniform, highest swept
         // load. Counters ride along without touching the measurements,
         // so the table above is bit-identical with or without --probe.
@@ -177,13 +165,9 @@ fn main() {
             "\n--- probe: torus k = 4, uniform, load {} ---\n",
             loads[loads.len() - 1]
         );
-        let point = sweep(
-            &pool,
-            TopologySpec::FoldedTorus { k: 4 },
-            TrafficPattern::Uniform,
-        )
-        .with_probe(ProbeConfig::counters())
-        .point(loads[loads.len() - 1]);
+        let point = sweep(TopologySpec::FoldedTorus { k: 4 }, TrafficPattern::Uniform)
+            .with_probe(ProbeConfig::counters())
+            .point(loads[loads.len() - 1]);
         let metrics = point
             .report
             .metrics
@@ -199,10 +183,10 @@ fn main() {
         );
         println!("\nper-link utilization from probe counters:\n");
         println!("{}", render_metrics_heatmap(metrics, 4));
-        write_metrics(metrics);
+        args.write_metrics(metrics);
     }
 
-    if !quick_mode() {
+    if !args.quick {
         println!("\nsaturation search (uniform, accepted >= 95% of offered):\n");
         let mut sat = Table::new(&["topology", "k", "saturation (flits/node/cycle)"]);
         let mut results = Vec::new();
@@ -211,7 +195,7 @@ fn main() {
                 ("mesh", TopologySpec::Mesh { k }),
                 ("ftorus", TopologySpec::FoldedTorus { k }),
             ] {
-                let s = sweep(&pool, spec, TrafficPattern::Uniform).saturation_load(0.05);
+                let s = sweep(spec, TrafficPattern::Uniform).saturation_load(0.05);
                 sat.row(&[name.into(), k.to_string(), f3(s)]);
                 results.push((name, k, s));
             }

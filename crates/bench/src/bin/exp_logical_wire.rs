@@ -6,7 +6,7 @@
 //! can be made competitive with dedicated wires" once low-swing velocity
 //! and pre-scheduling are accounted for.
 
-use ocin_bench::{banner, check, f1, finish, quick_mode, sim_config};
+use ocin_bench::{banner, check, command_line, f1, finish, sim_config, EXPERIMENT};
 use ocin_core::ids::NodeId;
 use ocin_core::{Error, Network, NetworkConfig, PacketSpec};
 use ocin_phys::{SignalingScheme, Technology, WireModel};
@@ -15,15 +15,13 @@ use ocin_sim::{Samples, Table};
 use ocin_traffic::{InjectionProcess, TrafficPattern, Workload};
 
 /// Runs the logical wire under background load; returns (mean, p99, max)
-/// update latency in cycles.
-fn run(load: f64, toggle_period: u64) -> (f64, f64, f64) {
+/// update latency in cycles over `cycles` cycles.
+fn run(load: f64, toggle_period: u64, cycles: u64) -> (f64, f64, f64) {
     let src = NodeId::new(0);
     let dst = NodeId::new(5);
     let mut net = Network::new(NetworkConfig::paper_baseline()).expect("valid");
     let mut tx = LogicalWireTx::new(dst, 0, 8);
     let mut rx = LogicalWireRx::new(0);
-    let cfg = sim_config();
-    let cycles = cfg.warmup_cycles + cfg.measure_cycles;
     let wl = Workload::new(16, 4, TrafficPattern::Uniform)
         .injection(InjectionProcess::Bernoulli { flit_rate: load });
     let mut generation = wl.generator(7);
@@ -72,21 +70,24 @@ fn run(load: f64, toggle_period: u64) -> (f64, f64, f64) {
 }
 
 fn main() {
+    let args = command_line(EXPERIMENT);
     banner(
         "exp_logical_wire",
         "§2.2",
         "8-bit logical wire carried as single-flit packets; latency competitive with dedicated wires",
     );
 
-    let loads: &[f64] = if quick_mode() {
+    let loads: &[f64] = if args.quick {
         &[0.0, 0.3]
     } else {
         &[0.0, 0.1, 0.3, 0.5]
     };
+    let cfg = sim_config(args.quick);
+    let cycles = cfg.warmup_cycles + cfg.measure_cycles;
     let mut t = Table::new(&["background load", "mean update latency", "p99", "max"]);
     let mut zero_load_mean = 0.0;
     for &load in loads {
-        let (mean, p99, max) = run(load, 16);
+        let (mean, p99, max) = run(load, 16, cycles);
         if load == 0.0 {
             zero_load_mean = mean;
         }

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use ocin_bench::{banner, check, f1, f2, f3, finish, sim_config};
+use ocin_bench::{banner, check, command_line, f1, f2, f3, finish, sim_config, EXPERIMENT};
 use ocin_core::flit::{FLIT_DATA_BITS, FLIT_OVERHEAD_BITS};
 use ocin_core::NetworkConfig;
 use ocin_sim::{LoadSweep, SimPool, Table};
@@ -35,6 +35,7 @@ fn wire_bits(payload: usize, partitions: usize, width: usize) -> usize {
 }
 
 fn main() {
+    let args = command_line(EXPERIMENT);
     banner(
         "exp_partitioning",
         "§4.2",
@@ -122,7 +123,7 @@ fn main() {
         let cfg = NetworkConfig::paper_baseline().with_channel_phits(phits);
         let point = LoadSweep::new(
             cfg,
-            sim_config(),
+            sim_config(args.quick),
             Workload::new(16, 4, TrafficPattern::Uniform),
         )
         .with_pool(Arc::clone(&pool))

@@ -2,11 +2,12 @@
 //! of a tile" vs <1,000 for a packaged router: a 24:1 advantage that
 //! makes wide, broadside flits and wire-hungry topologies feasible.
 
-use ocin_bench::{banner, check, finish};
+use ocin_bench::{banner, check, command_line, finish, EXPERIMENT};
 use ocin_phys::{SerialLinkModel, Technology};
 use ocin_sim::Table;
 
 fn main() {
+    command_line(EXPERIMENT);
     banner(
         "exp_pincount",
         "§3.1",

@@ -12,13 +12,14 @@
 
 use std::sync::Arc;
 
-use ocin_bench::{banner, check, f2, f3, finish, sim_config};
+use ocin_bench::{banner, check, command_line, f2, f3, finish, sim_config, EXPERIMENT};
 use ocin_core::{NetworkConfig, TopologySpec};
 use ocin_phys::{NetworkEnergyModel, SignalingScheme, Technology, TopologyPowerModel};
 use ocin_sim::{LoadSweep, SimPool, Simulation, Table};
 use ocin_traffic::{TrafficPattern, Workload};
 
 fn main() {
+    let args = command_line(EXPERIMENT);
     banner(
         "exp_power_topology",
         "§3.1",
@@ -121,7 +122,7 @@ fn main() {
     ] {
         let point = LoadSweep::new(
             NetworkConfig::paper_baseline().with_topology(spec),
-            sim_config(),
+            sim_config(args.quick),
             Workload::new(16, 4, TrafficPattern::Uniform),
         )
         .with_pool(Arc::clone(&pool))

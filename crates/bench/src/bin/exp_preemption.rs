@@ -8,7 +8,7 @@
 //! priority packet overtakes the bulk stream at the injection port and
 //! at every arbitration point.
 
-use ocin_bench::{banner, check, f1, finish};
+use ocin_bench::{banner, check, command_line, f1, finish, EXPERIMENT};
 use ocin_core::flit::ServiceClass;
 use ocin_core::{Network, NetworkConfig, PacketSpec};
 use ocin_sim::Table;
@@ -48,6 +48,7 @@ fn probe_latency(probe_class: ServiceClass) -> u64 {
 }
 
 fn main() {
+    command_line(EXPERIMENT);
     banner(
         "exp_preemption",
         "§2.1",

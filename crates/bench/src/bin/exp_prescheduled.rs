@@ -9,13 +9,13 @@
 //! A camera→encoder-style static flow keeps constant latency and zero
 //! jitter no matter how much dynamic traffic is offered.
 
-use ocin_bench::{banner, check, f1, f3, finish, quick_mode, sim_config};
+use ocin_bench::{banner, check, command_line, f1, f3, finish, sim_config, EXPERIMENT};
 use ocin_core::ids::FlowId;
 use ocin_core::{NetworkConfig, ReservationPolicy, StaticFlowSpec};
-use ocin_sim::{Simulation, Table};
+use ocin_sim::{SimConfig, Simulation, Table};
 use ocin_traffic::{InjectionProcess, TrafficPattern, Workload};
 
-fn run(policy: ReservationPolicy, load: f64) -> (f64, f64, f64, f64) {
+fn run(policy: ReservationPolicy, load: f64, sim: SimConfig) -> (f64, f64, f64, f64) {
     let cfg = NetworkConfig::paper_baseline()
         .with_reservation_period(8)
         .with_reservation_policy(policy)
@@ -25,7 +25,7 @@ fn run(policy: ReservationPolicy, load: f64) -> (f64, f64, f64, f64) {
         .with_static_flow(StaticFlowSpec::new(3.into(), 12.into(), 4, 256));
     let wl = Workload::new(16, 4, TrafficPattern::Uniform)
         .injection(InjectionProcess::Bernoulli { flit_rate: load });
-    let report = Simulation::new(cfg, sim_config())
+    let report = Simulation::new(cfg, sim)
         .expect("flows admit")
         .with_workload(&wl)
         .run();
@@ -36,13 +36,14 @@ fn run(policy: ReservationPolicy, load: f64) -> (f64, f64, f64, f64) {
 }
 
 fn main() {
+    let args = command_line(EXPERIMENT);
     banner(
         "exp_prescheduled",
         "§2.6",
         "reserved flows keep constant latency and ~zero jitter under any dynamic load",
     );
 
-    let loads: &[f64] = if quick_mode() {
+    let loads: &[f64] = if args.quick {
         &[0.0, 0.4]
     } else {
         &[0.0, 0.1, 0.2, 0.4, 0.6, 0.8]
@@ -60,7 +61,7 @@ fn main() {
         let mut flow_lat = Vec::new();
         let mut flow_jit = Vec::new();
         for &load in loads {
-            let (fmean, fjit, bulk, acc) = run(policy, load);
+            let (fmean, fjit, bulk, acc) = run(policy, load, sim_config(args.quick));
             flow_lat.push(fmean);
             flow_jit.push(fjit);
             t.row(&[f3(load), f1(fmean), f1(fjit), f1(bulk), f3(acc)]);

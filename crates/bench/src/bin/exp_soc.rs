@@ -8,11 +8,12 @@
 //! `ocin-soc`'s set-top-box floorplan and scales the dynamic load until
 //! the network runs out.
 
-use ocin_bench::{banner, check, f1, f3, finish, quick_mode, sim_config};
+use ocin_bench::{banner, check, command_line, f1, f3, finish, sim_config, EXPERIMENT};
 use ocin_sim::{Simulation, Table};
 use ocin_soc::{Floorplan, SocWorkload};
 
 fn main() {
+    let args = command_line(EXPERIMENT);
     banner(
         "exp_soc",
         "§1, §2.6",
@@ -26,7 +27,7 @@ fn main() {
     );
     let workload = SocWorkload::for_floorplan(&plan);
 
-    let scales: &[f64] = if quick_mode() {
+    let scales: &[f64] = if args.quick {
         &[1.0, 4.0]
     } else {
         &[1.0, 2.0, 4.0, 6.0, 8.0]
@@ -45,7 +46,7 @@ fn main() {
     for &scale in scales {
         let (cfg, matrix) = workload.build(scale).expect("set-top box builds");
         let offered = matrix.mean_load();
-        let report = Simulation::new(cfg, sim_config())
+        let report = Simulation::new(cfg, sim_config(args.quick))
             .expect("valid")
             .with_traffic_matrix(&matrix)
             .run();

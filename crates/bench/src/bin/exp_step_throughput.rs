@@ -6,13 +6,13 @@
 //! entities with work each cycle; debug builds audit that every skipped
 //! one had none (DESIGN.md §3.13), so the rate here is the only thing
 //! this binary measures. The flow-control table runs at the paper's k = 4 by default;
-//! pass `--radix <k>` (or set `OCIN_RADIX`) to run it at another radix.
+//! pass `--radix <k>` to run it at another radix.
 //! A radix-scaling sweep over k ∈ {4, 16, 32} always runs afterwards,
-//! reporting the headline flit-hops/sec at 1024 tiles. Set
-//! `OCIN_STEP_OUT` to also write the numbers as JSON (the perf-snapshot
-//! CI job folds that file into `BENCH_<sha>.json`); every row's
-//! `flit_hops` is a deterministic counter, and the quick-mode rows are
-//! committed in `results/golden/step/flit_hops.txt`.
+//! reporting the headline flit-hops/sec at 1024 tiles. Pass
+//! `--out <dir>` to also write the numbers as JSON to `step.json` there
+//! (the perf-snapshot CI job folds that file into `BENCH_<sha>.json`);
+//! every row's `flit_hops` is a deterministic counter, and the `--quick`
+//! rows are committed in `results/golden/step/flit_hops.txt`.
 //!
 //! Sharded stepping, the pool's shard budgets and the probe layers are
 //! timed by the `benchmark` package (`benchmark trace`:
@@ -21,9 +21,7 @@
 
 use std::time::Instant;
 
-use ocin_bench::{
-    banner, check, f1, finish, or_exit, probe_enabled, quick_mode, radix_arg, write_metrics,
-};
+use ocin_bench::{banner, check, command_line, f1, finish};
 use ocin_core::{FlowControl, Network, NetworkConfig, PacketSpec, ProbeConfig, TopologySpec};
 use ocin_sim::{SimConfig, Simulation, Table};
 use ocin_traffic::{InjectionProcess, TrafficPattern, Workload};
@@ -97,15 +95,16 @@ fn fc_name(fc: FlowControl) -> &'static str {
 }
 
 fn main() {
+    let args = command_line(&["--quick", "--probe", "--out", "--radix"]);
     banner(
         "exp_step_throughput",
         "engine",
         "the activity-gated engine steps 1024 tiles",
     );
 
-    let k = or_exit(radix_arg(4));
+    let k = args.radix;
     let nodes = k * k;
-    let cycles: u64 = if quick_mode() { 2_000 } else { 20_000 };
+    let cycles: u64 = if args.quick { 2_000 } else { 20_000 };
     let fractions = [0.1, 0.5, 0.9];
     let methods = [
         FlowControl::VirtualChannel,
@@ -180,22 +179,15 @@ fn main() {
         ),
     );
 
-    if let Some(path) = std::env::var_os("OCIN_STEP_OUT") {
-        let json = format!(
-            "{{\n  \"cycles\": {cycles},\n  \"radix\": {k},\n  \"points\": [\n{}\n  ],\n  \
-             \"radix_scaling\": [\n{}\n  ]\n}}\n",
-            rows.join(",\n"),
-            scaling_rows.join(",\n")
-        );
-        let path = std::path::PathBuf::from(path);
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            std::fs::create_dir_all(dir).expect("create step output directory");
-        }
-        std::fs::write(&path, json).expect("write step-throughput JSON");
-        println!("wrote {}", path.display());
-    }
+    let json = format!(
+        "{{\n  \"cycles\": {cycles},\n  \"radix\": {k},\n  \"points\": [\n{}\n  ],\n  \
+         \"radix_scaling\": [\n{}\n  ]\n}}\n",
+        rows.join(",\n"),
+        scaling_rows.join(",\n")
+    );
+    args.write("step.json", json);
 
-    if probe_enabled() {
+    if args.probe {
         // One probed point so the smoke job's metrics convention holds;
         // probes are observational, so counters match the runs above.
         let mut sim = Simulation::new(
@@ -211,7 +203,7 @@ fn main() {
         .with_probe(ProbeConfig::default());
         let report = sim.run();
         if let Some(metrics) = report.metrics.as_ref() {
-            write_metrics(metrics);
+            args.write_metrics(metrics);
         }
     }
     finish();

@@ -10,15 +10,16 @@
 //! layer: same mean, very different p99.9. A second, overdriven run
 //! exercises the saturation-onset detector on the windowed series.
 //!
-//! Set `OCIN_TAIL_OUT=<dir>` to also write the deterministic telemetry
-//! exports (`series.txt`, `series.json`, `trace.json`, `slo.txt`) of a
-//! fixed-seed run whose configuration never varies with `OCIN_QUICK` —
+//! Pass `--out <dir>` to also write the deterministic telemetry exports
+//! (`series.txt`, `series.json`, `trace.json`, `slo.txt`) of a
+//! fixed-seed run whose configuration never varies with `--quick` —
 //! the CI determinism gate byte-diffs two such trees (at different
-//! `OCIN_SHARDS`) against each other and against the committed golden.
+//! `--shards`) against each other and against the committed golden.
+//! `--shards <n>` (default 1) sets how many threads step each network;
+//! it may not change a byte of output. With `--probe` the bursty run's
+//! `metrics.json` joins the exports.
 
-use ocin_bench::{
-    banner, check, f1, f2, finish, or_exit, probe_enabled, quick_mode, shards_env, write_metrics,
-};
+use ocin_bench::{banner, check, command_line, f1, f2, finish, Args};
 use ocin_core::{NetworkConfig, ProbeConfig, TelemetryReport, TopologySpec};
 use ocin_sim::{LatencyReport, ShardedSimulation, SimConfig, SimReport, Simulation, Table};
 use ocin_traffic::{InjectionProcess, TrafficPattern, Workload};
@@ -83,33 +84,26 @@ fn check_reconciliation(report: &SimReport) -> bool {
         && sum(|w| w.occupancy_integral) == metrics.totals.occupancy_integral
 }
 
-/// Writes the four deterministic exports of `report`'s telemetry into
-/// `dir`.
-fn export(dir: &std::path::Path, report: &SimReport) {
-    std::fs::create_dir_all(dir).expect("create telemetry output directory");
+/// Writes the four deterministic exports of `report`'s telemetry under
+/// `--out`.
+fn export(args: &Args, report: &SimReport) {
     let t = telemetry(report);
-    for (name, bytes) in [
-        ("series.txt", t.to_text()),
-        ("series.json", t.to_json()),
-        ("trace.json", t.to_perfetto_json()),
-        ("slo.txt", t.slo_table()),
-    ] {
-        let path = dir.join(name);
-        std::fs::write(&path, &bytes).expect("write telemetry export");
-        println!("wrote {} ({} bytes)", path.display(), bytes.len());
-    }
+    args.write("series.txt", t.to_text());
+    args.write("series.json", t.to_json());
+    args.write("trace.json", t.to_perfetto_json());
+    args.write("slo.txt", t.slo_table());
 }
 
 fn main() {
-    // Read once, before any output: a bad value prints only its error.
-    let shards = or_exit(shards_env());
+    let args = command_line(&["--quick", "--probe", "--out", "--shards"]);
+    let shards = args.shards;
     banner(
         "exp_tail_latency",
         "§2, §4",
         "bursty traffic inflates the latency tail far beyond the mean; telemetry pins the onset",
     );
 
-    let sim_cfg = if quick_mode() {
+    let sim_cfg = if args.quick {
         SimConfig::quick().with_seed(0x7A11)
     } else {
         SimConfig {
@@ -222,9 +216,9 @@ fn main() {
     );
 
     // --- deterministic export for the CI determinism gate ----------
-    if let Some(dir) = std::env::var_os("OCIN_TAIL_OUT") {
-        // Fixed configuration: never varies with OCIN_QUICK; OCIN_SHARDS
-        // picks the worker count without being allowed to change a byte.
+    if args.out.is_some() {
+        // Fixed configuration: never varies with --quick; --shards picks
+        // the worker count without being allowed to change a byte.
         println!("\ndeterministic export (fixed seed, fixed phases):\n");
         let fixed = run(
             bursty(MEAN_LOAD),
@@ -236,16 +230,16 @@ fn main() {
             },
             shards,
         );
-        export(std::path::Path::new(&dir), &fixed);
+        export(&args, &fixed);
         check(
             check_reconciliation(&fixed),
             "exported run's window series reconciles with probe totals",
         );
     }
 
-    if probe_enabled() {
+    if args.probe {
         // Smoke-job convention: a probed point writes metrics.json.
-        write_metrics(bursty_run.metrics.as_ref().expect("probed"));
+        args.write_metrics(bursty_run.metrics.as_ref().expect("probed"));
     }
     finish();
 }

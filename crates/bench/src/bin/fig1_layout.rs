@@ -5,12 +5,13 @@
 //! link's physical length — no link exceeds two tile pitches, which is
 //! the point of folding.
 
-use ocin_bench::{banner, check, finish};
+use ocin_bench::{banner, check, command_line, finish, EXPERIMENT};
 use ocin_core::ids::Coord;
 use ocin_core::{FoldedTorus2D, Topology};
 use ocin_sim::Table;
 
 fn main() {
+    command_line(EXPERIMENT);
     banner(
         "fig1_layout",
         "Fig. 1, §2",

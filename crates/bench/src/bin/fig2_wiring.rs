@@ -7,11 +7,12 @@
 //! pitch, kept equal by placing opposite-direction MSBs at opposite
 //! ends).
 
-use ocin_bench::{banner, check, finish};
+use ocin_bench::{banner, check, command_line, finish, EXPERIMENT};
 use ocin_core::ids::Port;
 use ocin_core::route::Turn;
 
 fn main() {
+    command_line(EXPERIMENT);
     banner(
         "fig2_wiring",
         "Fig. 2, §2.3",

@@ -5,12 +5,13 @@
 //! at each output controller, credit loops — and then traces one 3-flit
 //! packet through the live simulator cycle by cycle.
 
-use ocin_bench::{banner, check, finish};
+use ocin_bench::{banner, check, command_line, finish, EXPERIMENT};
 use ocin_core::flit::FLIT_TOTAL_BITS;
 use ocin_core::{Network, NetworkConfig, PacketSpec};
 use ocin_sim::Table;
 
 fn main() {
+    command_line(EXPERIMENT);
     banner(
         "fig3_router",
         "Fig. 3, §2.3-2.4",

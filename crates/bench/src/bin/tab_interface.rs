@@ -1,13 +1,14 @@
 //! §2.1: the tile port's field layout — type, size, virtual channel,
 //! route, ready — with live encode/decode demonstrations.
 
-use ocin_bench::{banner, check, finish};
+use ocin_bench::{banner, check, command_line, finish, EXPERIMENT};
 use ocin_core::flit::{SizeCode, VcMask, FLIT_DATA_BITS, FLIT_OVERHEAD_BITS};
 use ocin_core::ids::Direction;
 use ocin_core::route::SourceRoute;
 use ocin_sim::Table;
 
 fn main() {
+    command_line(EXPERIMENT);
     banner(
         "tab_interface",
         "§2.1",

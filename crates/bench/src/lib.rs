@@ -2,28 +2,34 @@
 //!
 //! One binary per figure / quantitative claim of the paper (see
 //! `DESIGN.md` §4 for the index and `EXPERIMENTS.md` for recorded
-//! results). Wall-clock performance is measured by the `benchmark/`
-//! package at the repository root, not here.
+//! results), plus two dumps (`probe_dump`, `exec_dump`) that CI diffs
+//! against committed goldens. Wall-clock performance is measured by the
+//! `benchmark/` package at the repository root, not here.
 //!
 //! Run an experiment with e.g.
 //!
 //! ```text
-//! cargo run --release -p ocin-bench --bin exp_power_topology
+//! cargo run --release -p ocin-bench --bin exp_power_topology -- --quick
 //! ```
 //!
-//! Set `OCIN_QUICK=1` to shorten simulation windows (used by the test
-//! suite to smoke-run every experiment).
+//! Every binary parses its whole command line once, before it prints
+//! anything, with [`parse`]. Each experiment takes `--quick` (shorter
+//! simulation windows, same shapes), `--probe` (attach an observability
+//! probe) and `--out <dir>` (the only place it writes files); a few take
+//! one more flag. No binary reads the environment. CI's
+//! `experiments-smoke` job runs every experiment with `--quick --probe`.
 
 use std::io::Write;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ocin_core::NetworkMetrics;
 use ocin_sim::SimConfig;
 
-/// Simulation phases for experiments: standard, or quick when
-/// `OCIN_QUICK` is set.
-pub fn sim_config() -> SimConfig {
-    if quick_mode() {
+/// Simulation phases for experiments: standard, or
+/// [`SimConfig::quick`] under `--quick`.
+pub fn sim_config(quick: bool) -> SimConfig {
+    if quick {
         SimConfig::quick()
     } else {
         SimConfig {
@@ -35,21 +41,41 @@ pub fn sim_config() -> SimConfig {
     }
 }
 
-/// Whether `OCIN_QUICK=1` (shorter runs, same shapes).
-pub fn quick_mode() -> bool {
-    std::env::var("OCIN_QUICK").is_ok_and(|v| v == "1")
+/// The flags every experiment binary takes.
+pub const EXPERIMENT: &[&str] = &["--quick", "--probe", "--out"];
+
+/// A binary's parsed command line: each field is one flag, at its
+/// default when the flag is absent.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Args {
+    /// `--quick`: shorter simulation windows, same shapes.
+    pub quick: bool,
+    /// `--probe`: attach an observability probe to the reference runs.
+    pub probe: bool,
+    /// `--out <dir>`: where the binary writes its files. Without it the
+    /// binary writes none.
+    pub out: Option<PathBuf>,
+    /// `--radix <k>`: the torus radix to run at (at least 2; default the
+    /// paper's 4).
+    pub radix: usize,
+    /// `--shards <n>`: how many threads step each network (default 1), a
+    /// speed setting that may not change a byte of output.
+    pub shards: usize,
+    /// `--serial`: evaluate in order on the calling thread.
+    pub serial: bool,
+    /// `--exec-workers <n>`: the pool's worker count (`None`: one per
+    /// unit of available parallelism).
+    pub exec_workers: Option<usize>,
 }
 
-/// Whether probing was requested: `--probe` on the command line or
-/// `OCIN_PROBE=1`. Probed runs attach an observability probe and write
-/// a `metrics.json` snapshot (see [`write_metrics`]).
-pub fn probe_enabled() -> bool {
-    std::env::args().any(|a| a == "--probe") || std::env::var("OCIN_PROBE").is_ok_and(|v| v == "1")
-}
-
-/// A bad value in a flag or environment variable an experiment reads.
+/// A command line a binary does not accept.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArgError {
+    /// An argument outside the binary's flags.
+    Unknown {
+        /// The argument as given.
+        arg: String,
+    },
     /// The flag is the last argument, with no value after it.
     MissingValue {
         /// The flag, e.g. `--radix`.
@@ -57,45 +83,32 @@ pub enum ArgError {
     },
     /// The value is not a non-negative integer.
     NotANumber {
-        /// Where the value came from: a flag or a variable name.
-        source: &'static str,
+        /// The flag the value belongs to.
+        flag: &'static str,
         /// The text as given.
         value: String,
     },
     /// The value is below the smallest one that makes sense.
     TooSmall {
-        /// Where the value came from: a flag or a variable name.
-        source: &'static str,
+        /// The flag the value belongs to.
+        flag: &'static str,
         /// The value as given.
         value: usize,
         /// The smallest accepted value.
         min: usize,
-    },
-    /// A flag the binary does not take.
-    UnknownFlag {
-        /// The flag as given.
-        flag: String,
-    },
-    /// A positional argument after the one the binary takes.
-    ExtraArgument {
-        /// The argument as given.
-        value: String,
     },
 }
 
 impl std::fmt::Display for ArgError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            ArgError::Unknown { arg } => write!(f, "unknown argument '{arg}'"),
             ArgError::MissingValue { flag } => write!(f, "{flag} needs a value"),
-            ArgError::NotANumber { source, value } => {
-                write!(f, "{source}: '{value}' is not a positive integer")
+            ArgError::NotANumber { flag, value } => {
+                write!(f, "{flag}: '{value}' is not a positive integer")
             }
-            ArgError::TooSmall { source, value, min } => {
-                write!(f, "{source}: {value} is below the minimum of {min}")
-            }
-            ArgError::UnknownFlag { flag } => write!(f, "unknown flag '{flag}'"),
-            ArgError::ExtraArgument { value } => {
-                write!(f, "unexpected argument '{value}': one output path only")
+            ArgError::TooSmall { flag, value, min } => {
+                write!(f, "{flag}: {value} is below the minimum of {min}")
             }
         }
     }
@@ -103,36 +116,57 @@ impl std::fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
-/// Returns `r`'s value, or prints its error and exits with status 2
-/// (a bad command line or speed setting), the convention of every
-/// experiment binary.
-pub fn or_exit<T, E: std::fmt::Display>(r: Result<T, E>) -> T {
-    r.unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2)
-    })
-}
-
-/// The value after `flag` in `args`: `Ok(None)` if the flag is absent.
-fn flag_value(
-    mut args: impl Iterator<Item = String>,
-    flag: &'static str,
-) -> Result<Option<String>, ArgError> {
-    match args.by_ref().find(|a| a == flag) {
-        None => Ok(None),
-        Some(_) => args.next().map(Some).ok_or(ArgError::MissingValue { flag }),
+/// Parses `args` (the command line after the program name), which may
+/// use only the flags in `accepted`, in any order.
+///
+/// # Errors
+///
+/// An [`ArgError`] for an argument outside `accepted`, a flag missing
+/// its value, or a value that is not an integer at least the flag's
+/// minimum: a misconfigured run must fail loudly, not run something
+/// else.
+pub fn parse(
+    args: impl IntoIterator<Item = String>,
+    accepted: &[&'static str],
+) -> Result<Args, ArgError> {
+    let mut got = Args {
+        quick: false,
+        probe: false,
+        out: None,
+        radix: 4,
+        shards: 1,
+        serial: false,
+        exec_workers: None,
+    };
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        let Some(&flag) = accepted.iter().find(|f| **f == arg) else {
+            return Err(ArgError::Unknown { arg });
+        };
+        let mut value = || args.next().ok_or(ArgError::MissingValue { flag });
+        match flag {
+            "--quick" => got.quick = true,
+            "--probe" => got.probe = true,
+            "--serial" => got.serial = true,
+            "--out" => got.out = Some(value()?.into()),
+            "--radix" => got.radix = at_least(flag, &value()?, 2)?,
+            "--shards" => got.shards = at_least(flag, &value()?, 1)?,
+            "--exec-workers" => got.exec_workers = Some(at_least(flag, &value()?, 1)?),
+            _ => return Err(ArgError::Unknown { arg }),
+        }
     }
+    Ok(got)
 }
 
 /// Parses `value` as an integer of at least `min`.
-fn at_least(source: &'static str, value: &str, min: usize) -> Result<usize, ArgError> {
+fn at_least(flag: &'static str, value: &str, min: usize) -> Result<usize, ArgError> {
     let n: usize = value.parse().map_err(|_| ArgError::NotANumber {
-        source,
+        flag,
         value: value.to_string(),
     })?;
     if n < min {
         return Err(ArgError::TooSmall {
-            source,
+            flag,
             value: n,
             min,
         });
@@ -140,127 +174,48 @@ fn at_least(source: &'static str, value: &str, min: usize) -> Result<usize, ArgE
     Ok(n)
 }
 
-/// The torus radix an experiment should run at: `--radix <k>` on the
-/// command line, else `OCIN_RADIX`, else `default` (the paper's k = 4).
-/// Experiments use this to scale from the paper's 16-tile chip to the
-/// k = 16 (256-tile) and k = 32 (1024-tile) networks.
-///
-/// # Errors
-///
-/// An [`ArgError`] if the flag or variable is present but not an
-/// integer of at least 2 — a misconfigured sweep should fail loudly, not
-/// fall back silently.
-pub fn radix_arg(default: usize) -> Result<usize, ArgError> {
-    radix_from(std::env::args(), std::env::var("OCIN_RADIX").ok(), default)
+/// The running binary's command line, parsed with [`parse`]. On an
+/// [`ArgError`] it prints the error and the accepted flags to stderr
+/// and exits with status 2, so call it first, before any output.
+pub fn command_line(accepted: &[&'static str]) -> Args {
+    parse(std::env::args().skip(1), accepted).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        eprintln!("accepted flags: {}", accepted.join(" "));
+        std::process::exit(2)
+    })
 }
 
-fn radix_from(
-    args: impl Iterator<Item = String>,
-    env: Option<String>,
-    default: usize,
-) -> Result<usize, ArgError> {
-    match flag_value(args, "--radix")? {
-        Some(v) => at_least("--radix", &v, 2),
-        None => env.map_or(Ok(default), |v| at_least("OCIN_RADIX", &v, 2)),
-    }
-}
-
-/// The command line of a dump binary (`exec_dump`, `probe_dump`):
-/// one optional output path and the flags the binary takes, in any
-/// order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DumpArgs {
-    /// The one positional argument that is not a flag's value.
-    pub out: Option<std::path::PathBuf>,
-    /// `--serial`: evaluate in order on the calling thread.
-    pub serial: bool,
-    /// `--exec-workers <n>`: the pool's worker count (`None`: a default
-    /// pool, one worker per unit of available parallelism).
-    pub exec_workers: Option<usize>,
-}
-
-/// Parses the running dump binary's command line, which may use the
-/// flags in `flags` (`--serial`, `--exec-workers`).
-///
-/// # Errors
-///
-/// An [`ArgError`] for a flag outside `flags`, a second positional
-/// argument, or an `--exec-workers` value that is not a positive
-/// integer — a misconfigured run should fail loudly, not write
-/// somewhere else.
-pub fn dump_args(flags: &[&str]) -> Result<DumpArgs, ArgError> {
-    dump_args_from(std::env::args().skip(1), flags)
-}
-
-fn dump_args_from(
-    mut args: impl Iterator<Item = String>,
-    flags: &[&str],
-) -> Result<DumpArgs, ArgError> {
-    let mut got = DumpArgs::default();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--serial" if flags.contains(&"--serial") => got.serial = true,
-            "--exec-workers" if flags.contains(&"--exec-workers") => {
-                let flag = "--exec-workers";
-                let value = args.next().ok_or(ArgError::MissingValue { flag })?;
-                got.exec_workers = Some(at_least(flag, &value, 1)?);
-            }
-            _ if arg.starts_with('-') => return Err(ArgError::UnknownFlag { flag: arg }),
-            _ if got.out.is_some() => return Err(ArgError::ExtraArgument { value: arg }),
-            _ => got.out = Some(arg.into()),
+impl Args {
+    /// Writes `bytes` to `name` under `--out`, creating directories as
+    /// needed, and prints the path; without `--out` it writes nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the file cannot be written (the output is the point of
+    /// the run).
+    pub fn write(&self, name: &str, bytes: impl AsRef<[u8]>) {
+        let Some(dir) = &self.out else { return };
+        let path = dir.join(name);
+        if let Some(parent) = path.parent() {
+            std::fs::create_dir_all(parent).expect("create output directory");
         }
+        let bytes = bytes.as_ref();
+        std::fs::write(&path, bytes).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+        println!("wrote {} ({} bytes)", path.display(), bytes.len());
     }
-    Ok(got)
-}
 
-/// The shard count a golden-diffed binary steps its networks on:
-/// `OCIN_SHARDS`, else 1 (a speed setting: DESIGN.md §3.15).
-///
-/// # Errors
-///
-/// An [`ArgError`] naming the variable and the value if it is set to
-/// anything but a positive integer: a typo must not quietly run one
-/// shard where several were asked for.
-pub fn shards_env() -> Result<usize, ArgError> {
-    shards_from(std::env::var_os("OCIN_SHARDS"))
-}
-
-fn shards_from(value: Option<std::ffi::OsString>) -> Result<usize, ArgError> {
-    value.map_or(Ok(1), |v| at_least("OCIN_SHARDS", &v.to_string_lossy(), 1))
-}
-
-/// Where probed experiments write their metrics snapshot:
-/// `OCIN_METRICS_OUT` if set, else `metrics.json` in the working
-/// directory.
-pub fn metrics_path() -> std::path::PathBuf {
-    std::env::var_os("OCIN_METRICS_OUT").map_or_else(
-        || std::path::PathBuf::from("metrics.json"),
-        std::path::PathBuf::from,
-    )
-}
-
-/// Writes `metrics` as deterministic JSON to [`metrics_path`] and
-/// prints a one-line summary.
-///
-/// # Panics
-///
-/// Panics if the file cannot be written (the experiment's output is the
-/// point of the run).
-pub fn write_metrics(metrics: &NetworkMetrics) {
-    let path = metrics_path();
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir).expect("create metrics output directory");
+    /// Prints a one-line summary of a probed run's `metrics` and writes
+    /// them as deterministic JSON to `metrics.json` under `--out`.
+    pub fn write_metrics(&self, metrics: &NetworkMetrics) {
+        println!(
+            "probe: {} routers, {} flits forwarded, {} delivered, mean latency {:.2}",
+            metrics.nodes,
+            metrics.totals.flits_forwarded,
+            metrics.totals.packets_delivered,
+            metrics.aggregate_latency().mean(),
+        );
+        self.write("metrics.json", metrics.to_json());
     }
-    std::fs::write(&path, metrics.to_json()).expect("write metrics.json");
-    let lat = metrics.aggregate_latency();
-    println!(
-        "probe: wrote {} ({} routers, {} flits forwarded, {} delivered, mean latency {:.2})",
-        path.display(),
-        metrics.nodes,
-        metrics.totals.flits_forwarded,
-        metrics.totals.packets_delivered,
-        lat.mean(),
-    );
 }
 
 /// Prints the experiment banner: id, paper section, and the claim being
@@ -331,69 +286,116 @@ mod tests {
         assert_eq!(f1(9.96), "10.0");
     }
 
-    fn args(list: &[&str]) -> impl Iterator<Item = String> {
-        let v: Vec<String> = list.iter().map(ToString::to_string).collect();
-        v.into_iter()
+    fn parse_list(list: &[&str], accepted: &[&'static str]) -> Result<Args, ArgError> {
+        parse(list.iter().map(ToString::to_string), accepted)
+    }
+
+    /// `exp_latency_load`'s and `exp_step_throughput`'s flags.
+    const WITH_RADIX: &[&str] = &["--quick", "--probe", "--out", "--radix"];
+    /// `exec_dump`'s flags.
+    const EXEC: &[&str] = &["--out", "--serial", "--exec-workers"];
+    /// `probe_dump`'s flags.
+    const PROBE_DUMP: &[&str] = &["--out", "--shards"];
+
+    #[test]
+    fn absent_flags_take_their_defaults() {
+        let args = parse_list(&[], EXPERIMENT).expect("empty line parses");
+        assert_eq!(
+            args,
+            Args {
+                quick: false,
+                probe: false,
+                out: None,
+                radix: 4,
+                shards: 1,
+                serial: false,
+                exec_workers: None,
+            }
+        );
     }
 
     #[test]
-    fn radix_resolves_flag_then_env_then_default() {
-        assert_eq!(radix_from(args(&["exp"]), None, 4), Ok(4));
-        assert_eq!(radix_from(args(&["exp"]), Some("16".into()), 4), Ok(16));
-        let flag = args(&["exp", "--radix", "8"]);
-        assert_eq!(radix_from(flag, Some("16".into()), 4), Ok(8));
+    fn flags_parse_in_any_order() {
+        let args = parse_list(
+            &["--radix", "16", "--out", "target/x", "--probe", "--quick"],
+            WITH_RADIX,
+        )
+        .expect("valid");
+        assert!(args.quick && args.probe);
+        assert_eq!((args.radix, args.out), (16, Some("target/x".into())));
+        let args = parse_list(&["--exec-workers", "8", "--serial", "--out", "d"], EXEC);
+        let args = args.expect("valid");
+        assert_eq!((args.exec_workers, args.serial), (Some(8), true));
+        let args = parse_list(&["--shards", "4", "--out", "d"], PROBE_DUMP).expect("valid");
+        assert_eq!(args.shards, 4);
     }
 
     #[test]
-    fn bad_radix_is_an_error() {
-        assert_eq!(
-            radix_from(args(&["exp", "--radix", "abc"]), None, 4),
-            Err(ArgError::NotANumber {
-                source: "--radix",
-                value: "abc".into()
+    fn an_argument_outside_the_accepted_set_is_unknown() {
+        let unknown = |arg: &str| {
+            Err(ArgError::Unknown {
+                arg: arg.to_string(),
             })
-        );
+        };
         assert_eq!(
-            radix_from(args(&["exp", "--radix", "1"]), None, 4),
-            Err(ArgError::TooSmall {
-                source: "--radix",
-                value: 1,
-                min: 2
-            })
+            parse_list(&["--frobnicate"], EXPERIMENT),
+            unknown("--frobnicate")
         );
+        // A flag another binary takes is still unknown here.
         assert_eq!(
-            radix_from(args(&["exp", "--radix"]), None, 4),
-            Err(ArgError::MissingValue { flag: "--radix" })
+            parse_list(&["--radix", "8"], EXPERIMENT),
+            unknown("--radix")
         );
-        for bad in ["x", "-3", "", "1"] {
-            let err = radix_from(args(&["exp"]), Some(bad.into()), 4).unwrap_err();
-            assert!(err.to_string().starts_with("OCIN_RADIX: "), "{err}");
+        assert_eq!(parse_list(&["--quick"], PROBE_DUMP), unknown("--quick"));
+        assert_eq!(parse_list(&["--serial"], PROBE_DUMP), unknown("--serial"));
+        // Positional arguments are gone: an output path needs `--out`.
+        assert_eq!(
+            parse_list(&["target/probe"], PROBE_DUMP),
+            unknown("target/probe")
+        );
+        // A name in `accepted` that no parser arm knows is unknown too.
+        assert_eq!(parse_list(&["--bogus"], &["--bogus"]), unknown("--bogus"));
+        let err = parse_list(&["--quick", "--prob"], EXPERIMENT).unwrap_err();
+        assert_eq!(err.to_string(), "unknown argument '--prob'");
+    }
+
+    #[test]
+    fn a_value_taking_flag_given_last_is_missing_its_value() {
+        for (flag, accepted) in [
+            ("--out", EXPERIMENT),
+            ("--radix", WITH_RADIX),
+            ("--shards", PROBE_DUMP),
+            ("--exec-workers", EXEC),
+        ] {
+            assert_eq!(
+                parse_list(&[flag], accepted),
+                Err(ArgError::MissingValue { flag }),
+                "{flag}"
+            );
         }
+        let err = parse_list(&["--quick", "--radix"], WITH_RADIX).unwrap_err();
+        assert_eq!(err.to_string(), "--radix needs a value");
     }
 
-    const EXEC_FLAGS: [&str; 2] = ["--serial", "--exec-workers"];
-
     #[test]
-    fn exec_workers_flag_is_validated() {
-        let workers =
-            |list: &[&str]| dump_args_from(args(list), &EXEC_FLAGS).map(|a| a.exec_workers);
-        assert_eq!(workers(&["--exec-workers", "2"]), Ok(Some(2)));
-        assert_eq!(workers(&[]), Ok(None));
-        assert_eq!(
-            workers(&["--exec-workers", "0"]),
-            Err(ArgError::TooSmall {
-                source: "--exec-workers",
-                value: 0,
-                min: 1
-            })
-        );
-        assert_eq!(
-            workers(&["out.txt", "--exec-workers"]),
-            Err(ArgError::MissingValue {
-                flag: "--exec-workers"
-            })
-        );
-        let err = workers(&["--exec-workers", "two"]).unwrap_err();
+    fn values_must_be_integers() {
+        for (flag, accepted) in [
+            ("--radix", WITH_RADIX),
+            ("--shards", PROBE_DUMP),
+            ("--exec-workers", EXEC),
+        ] {
+            for bad in ["abc", "8x", "", "-2", "1.5"] {
+                assert_eq!(
+                    parse_list(&[flag, bad], accepted),
+                    Err(ArgError::NotANumber {
+                        flag,
+                        value: bad.to_string()
+                    }),
+                    "{flag} {bad}"
+                );
+            }
+        }
+        let err = parse_list(&["--exec-workers", "two"], EXEC).unwrap_err();
         assert_eq!(
             err.to_string(),
             "--exec-workers: 'two' is not a positive integer"
@@ -401,81 +403,25 @@ mod tests {
     }
 
     #[test]
-    fn dump_output_path_is_the_positional_argument() {
-        let parse = |list: &[&str]| dump_args_from(args(list), &EXEC_FLAGS);
-        let want = DumpArgs {
-            out: Some("out.txt".into()),
-            serial: false,
-            exec_workers: Some(2),
-        };
-        // The path may come before or after a flag and its value.
-        assert_eq!(parse(&["--exec-workers", "2", "out.txt"]), Ok(want.clone()));
-        assert_eq!(parse(&["out.txt", "--exec-workers", "2"]), Ok(want));
-        let serial = parse(&["--serial", "s.txt"]).expect("valid");
-        assert_eq!((serial.out, serial.serial), (Some("s.txt".into()), true));
-        assert_eq!(parse(&[]), Ok(DumpArgs::default()));
-        // probe_dump takes a directory and no flag.
-        let dir = dump_args_from(args(&["target/probe-a"]), &[]).expect("valid");
-        assert_eq!(dir.out, Some("target/probe-a".into()));
-    }
-
-    #[test]
-    fn dump_rejects_unknown_flags_and_extra_arguments() {
-        let parse = |list: &[&str], flags: &[&str]| dump_args_from(args(list), flags);
-        assert_eq!(
-            parse(&["out.txt", "--workers", "2"], &EXEC_FLAGS),
-            Err(ArgError::UnknownFlag {
-                flag: "--workers".into()
-            })
-        );
-        assert_eq!(
-            parse(&["a.txt", "b.txt"], &EXEC_FLAGS),
-            Err(ArgError::ExtraArgument {
-                value: "b.txt".into()
-            })
-        );
-        // A flag another dump binary takes is still unknown here.
-        let err = parse(&["--serial"], &[]).unwrap_err();
-        assert_eq!(err.to_string(), "unknown flag '--serial'");
-        let err = parse(&["a", "b"], &[]).unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "unexpected argument 'b': one output path only"
-        );
-    }
-
-    fn shards(value: Option<&str>) -> Result<usize, ArgError> {
-        shards_from(value.map(Into::into))
-    }
-
-    #[test]
-    fn shard_count_defaults_to_one_and_parses_positive_integers() {
-        assert_eq!(shards(None), Ok(1));
-        assert_eq!(shards(Some("1")), Ok(1));
-        assert_eq!(shards(Some("8")), Ok(8));
-    }
-
-    #[test]
-    fn bad_shard_counts_name_the_variable_and_value() {
-        for bad in ["0", "abc", "8x", "", "-2"] {
-            let err = shards(Some(bad)).unwrap_err().to_string();
-            assert!(err.starts_with("OCIN_SHARDS: "), "{err}");
-            assert!(err.contains(bad), "{err}");
+    fn values_below_the_minimum_are_too_small() {
+        for (flag, accepted, value, min) in [
+            ("--radix", WITH_RADIX, 1, 2),
+            ("--shards", PROBE_DUMP, 0, 1),
+            ("--exec-workers", EXEC, 0, 1),
+        ] {
+            assert_eq!(
+                parse_list(&[flag, &value.to_string()], accepted),
+                Err(ArgError::TooSmall { flag, value, min }),
+                "{flag}"
+            );
         }
-        assert_eq!(
-            shards(Some("abc")).unwrap_err().to_string(),
-            "OCIN_SHARDS: 'abc' is not a positive integer"
-        );
-        assert_eq!(
-            shards(Some("0")).unwrap_err().to_string(),
-            "OCIN_SHARDS: 0 is below the minimum of 1"
-        );
+        let err = parse_list(&["--shards", "0"], PROBE_DUMP).unwrap_err();
+        assert_eq!(err.to_string(), "--shards: 0 is below the minimum of 1");
     }
 
     #[test]
-    fn sim_config_is_quick_under_env() {
-        // Can't mutate the environment safely in parallel tests; just
-        // exercise both branches directly.
-        assert!(SimConfig::quick().measure_cycles < sim_config().measure_cycles || quick_mode());
+    fn quick_phases_are_shorter() {
+        assert!(sim_config(true).measure_cycles < sim_config(false).measure_cycles);
+        assert_eq!(sim_config(true), SimConfig::quick());
     }
 }

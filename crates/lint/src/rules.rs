@@ -118,16 +118,15 @@ pub fn all_rules() -> Vec<Rule> {
         },
         Rule {
             name: "env-read-outside-config",
-            summary: "std::env::var/var_os outside the bench harness",
+            summary: "std::env::var/var_os anywhere",
             patterns: &["env::var", "env::var_os"],
             include: &[],
-            exclude: &["crates/bench/"],
+            exclude: &[],
             scope: CodeScope::Everywhere,
             suppression: Suppression::AllowComment,
-            advice: "a simulation result must be a function of (config, seed), \
-                     never of ambient process state; thread the value through \
-                     NetworkConfig/SimConfig or a flag, or read it in \
-                     crates/bench and pass it down",
+            advice: "a run must be a function of its command line, config and \
+                     seed, never of ambient process state; take a flag and \
+                     thread the value through NetworkConfig/SimConfig",
         },
         Rule {
             name: "panic-in-router-hot-path",

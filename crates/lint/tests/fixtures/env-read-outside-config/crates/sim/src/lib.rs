@@ -1,5 +1,5 @@
 //! Fixture: `env-read-outside-config` — ambient `std::env` reads in
-//! library crates and CLI bins fire; the bench harness and suppressed
+//! library crates, CLI bins and the bench harness fire; suppressed
 //! reads do not.
 
 pub fn bad_var() -> Option<String> {

@@ -1,4 +1,4 @@
-//! CLI entry points take flags; only the bench harness may read the
+//! CLI entry points take flags; no binary or library may read the
 //! environment.
 
 fn main() {

@@ -84,6 +84,8 @@ fn fixture_env_read_outside_config() {
     assert_eq!(
         hits(&a),
         vec![
+            ("env-read-outside-config".to_string(), 5),
+            ("env-read-outside-config".to_string(), 9),
             ("env-read-outside-config".to_string(), 6),
             ("env-read-outside-config".to_string(), 10),
             ("env-read-outside-config".to_string(), 5),
